@@ -9,6 +9,7 @@ truncated file that later loads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -84,6 +85,72 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
         raise
 
 
+_HEADER_KEYS = {"cnn", "head", "norm", "gamma", "mode", "trained", "tensors"}
+_CNN_KEYS = {f.name for f in dataclasses.fields(CnnConfig)}
+_HEAD_KEYS = {"d_in", "hidden", "alpha", "beta", "dropout_rate"}
+
+
+def _require_keys(section, keys: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise CheckpointError(f"checkpoint {where} is not an object")
+    missing = sorted(keys - section.keys())
+    if missing:
+        raise CheckpointError(f"checkpoint {where} lacks {', '.join(missing)}")
+
+
+def _expected_shapes(cfg: CnnConfig, d_in: int, hidden: int) -> dict[str, tuple]:
+    """Name -> shape of every tensor ``save_checkpoint`` writes for this
+    geometry, derived without allocating any of them."""
+    shapes = {}
+    c_in = cfg.in_channels
+    for i, k_out in enumerate(cfg.filters, start=1):
+        shapes[f"cnn.conv{i}.kernels"] = (k_out, c_in, cfg.kernel, cfg.kernel)
+        shapes[f"cnn.conv{i}.bias"] = (k_out,)
+        c_in = k_out
+    for name in ("bn.scale", "bn.shift", "bn.running_mean", "bn.running_var"):
+        shapes[f"cnn.{name}"] = (c_in,)
+    shapes.update({"head.fc1.weights": (hidden, d_in), "head.fc1.bias": (hidden,),
+                   "head.fc2.weights": (1, hidden), "head.fc2.bias": (1,)})
+    return shapes
+
+
+def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
+    """Check the header's keys, geometry and tensor directory against each
+    other before anything is built, so no header that cannot load gets past
+    here. Returns the extractor config and the (name, shape, offset) of each
+    stored tensor, with the shape the geometry gives."""
+    _require_keys(header, _HEADER_KEYS, "header")
+    _require_keys(header["cnn"], _CNN_KEYS, "cnn section")
+    _require_keys(header["head"], _HEAD_KEYS, "head section")
+    if header["norm"] is not None:
+        _require_keys(header["norm"], {"mean", "std"}, "norm section")
+    head = header["head"]
+    try:
+        cfg = CnnConfig(**{**header["cnn"], "filters": tuple(header["cnn"]["filters"])})
+        feature_dim = cfg.feature_dim
+        directory = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["tensors"]]
+    except (TypeError, ValueError, KeyError) as err:
+        raise CheckpointError(f"checkpoint header is malformed: {err!r}") from err
+    if head["d_in"] != feature_dim:
+        raise CheckpointError(
+            f"checkpoint head d_in {head['d_in']} != cnn feature_dim {feature_dim}")
+    expected = _expected_shapes(cfg, head["d_in"], head["hidden"])
+    if any(not isinstance(d, int) or d < 1 for shape in expected.values() for d in shape):
+        raise CheckpointError(f"checkpoint geometry has a non-positive size: {expected}")
+    stored = {name: shape for name, shape, _ in directory}
+    if sorted(stored) != sorted(expected) or len(directory) != len(expected):
+        raise CheckpointError(
+            f"checkpoint tensors {sorted(stored)} != expected {sorted(expected)}")
+    for name, shape in expected.items():
+        if stored[name] != shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name} has shape {stored[name]}, "
+                f"header geometry gives {shape}")
+    if any(not isinstance(offset, int) or offset < 0 for _, _, offset in directory):
+        raise CheckpointError("checkpoint tensor offsets must be non-negative integers")
+    return cfg, [(name, expected[name], offset) for name, _, offset in directory]
+
+
 def load_checkpoint(path: str | os.PathLike) -> Detector:
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
@@ -96,33 +163,24 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
         header = json.loads(data[20:20 + hlen])
     except ValueError as err:
         raise CheckpointError(f"corrupt checkpoint header: {err}") from err
+    cfg, directory = _validated_header(header)
     payload = data[20 + hlen:]
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
+    for name, shape, start in directory:
+        end = start + 8 * int(np.prod(shape))
         if end > len(payload):
             raise CheckpointError("checkpoint payload truncated")
-        tensors[entry["name"]] = np.frombuffer(
-            payload[start:end], dtype="<f8").reshape(shape).copy()
-    cnn = FineToCoarseCnn(CnnConfig(
-        input_size=header["cnn"]["input_size"],
-        in_channels=header["cnn"]["in_channels"],
-        filters=tuple(header["cnn"]["filters"]),
-        kernel=header["cnn"]["kernel"],
-        pool_kernel=header["cnn"]["pool_kernel"],
-        pool_stride=header["cnn"]["pool_stride"],
-        bn_eps=header["cnn"]["bn_eps"],
-        bn_momentum=header["cnn"]["bn_momentum"],
-    ))
+        tensors[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+    cnn = FineToCoarseCnn(cfg)
     cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                            if name.startswith("cnn.")})
-    head = BayesianHead(
-        d_in=header["head"]["d_in"], hidden=header["head"]["hidden"],
-        alpha=header["head"]["alpha"], beta=header["head"]["beta"],
-        dropout_rate=header["head"]["dropout_rate"])
+    try:
+        head = BayesianHead(
+            d_in=header["head"]["d_in"], hidden=header["head"]["hidden"],
+            alpha=header["head"]["alpha"], beta=header["head"]["beta"],
+            dropout_rate=header["head"]["dropout_rate"])
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"checkpoint head is malformed: {err}") from err
     for name, p in head.parameters():
         p.assign(tensors[f"head.{name}"])
     norm = None

@@ -31,7 +31,14 @@ from .evaluate import (
 )
 from .model import FineToCoarseCnn, full_scale_config, reduced_scale_config
 from .perturb import TRANSFORM_NAMES, PerturbError
-from .preprocess import DatasetError, DecodeError, load_dataset, load_image, make_split
+from .preprocess import (
+    SUPPORTED_EXTENSIONS,
+    DatasetError,
+    DecodeError,
+    load_dataset,
+    load_image,
+    make_split,
+)
 from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -132,7 +139,7 @@ def cmd_train(args) -> int:
 def _image_paths(target: Path) -> list[Path]:
     if target.is_dir():
         return sorted(p for p in target.iterdir()
-                      if p.suffix.lower() in (".png", ".ppm") and p.is_file())
+                      if p.suffix.lower() in SUPPORTED_EXTENSIONS and p.is_file())
     return [target]
 
 

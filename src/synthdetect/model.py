@@ -6,6 +6,12 @@ map and flattening. Pooling sits between the convolution and the sigmoid, so
 weak high-frequency responses average toward zero before they are squashed.
 Valid (no-padding) convolutions with floor-division pooling take a 224 input
 through 220 -> 109 -> 105 -> 51 -> 47 -> 22, i.e. 22*22*32 = 15488 features.
+
+Because a stage is linear up to its sigmoid, each conv + mean-pool pair runs
+as one strided convolution whose kernel is the pool window folded into the
+learned kernel (:func:`tensor.fold_mean_pool`): 224 -> 109 -> 51 -> 22
+directly. The parameters stay the 5x5 (3x3 at reduced scale) kernels;
+``tensor.mean_pool`` is kept only as the tests' reference for the fold.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ class CnnConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        sizes = (self.input_size, self.in_channels, self.kernel, self.pool_kernel,
+                 self.pool_stride, *self.filters)
+        if not self.filters or any(s < 1 for s in sizes):
+            raise ValueError(f"sizes and filter counts must be >= 1, got {self}")
         if any(a >= b for a, b in zip(self.filters, self.filters[1:])):
             raise ValueError(f"filter counts must strictly increase, got {self.filters}")
 
@@ -127,25 +137,26 @@ class FineToCoarseCnn:
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(
                 f"expected [B,{cfg.in_channels},{cfg.input_size},{cfg.input_size}], got {x.shape}")
-        h = x
-        for kern, bias in zip(self.kernels, self.biases):
-            h = T.conv2d_valid(h, kern, bias, stride=1)
-            h = T.mean_pool(h, cfg.pool_kernel, cfg.pool_stride)
-            h = T.sigmoid(h)
+        h = self._stages(x)[-1]
         h = T.batch_norm(h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
                          training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
         return T.reshape(h, (h.shape[0], self.feature_dim))
 
     def stage_activations(self, x: Tensor) -> list[Tensor]:
         """Per-stage post-sigmoid maps (inference), for inspection and tests."""
-        cfg = self.config
         if x.ndim == 3:
             x = T.reshape(x, (1,) + x.shape)
+        return self._stages(x)
+
+    def _stages(self, x: Tensor) -> list[Tensor]:
+        """sigmoid(mean_pool(conv(h))) per stage, each run as one strided
+        conv with the pool folded into its kernel."""
+        cfg = self.config
         outs = []
         h = x
         for kern, bias in zip(self.kernels, self.biases):
-            h = T.sigmoid(T.mean_pool(T.conv2d_valid(h, kern, bias, 1),
-                                      cfg.pool_kernel, cfg.pool_stride))
+            folded = T.fold_mean_pool(kern, cfg.pool_kernel)
+            h = T.sigmoid(T.conv2d_valid(h, folded, bias, stride=cfg.pool_stride))
             outs.append(h)
         return outs
 

@@ -29,6 +29,7 @@ __all__ = [
     "conv2d_valid",
     "dropout",
     "exp",
+    "fold_mean_pool",
     "linear",
     "log",
     "mean_pool",
@@ -175,6 +176,7 @@ class GradTape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[int, Tensor] = {}
+        self._produced: set[int] = set()
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -193,6 +195,16 @@ class GradTape:
         self._params[tensor.uid] = tensor
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient w.r.t. ``t`` can reach a parameter of the current
+    tape: ``t`` is a parameter, watched, or produced on that tape."""
+    stack = _tape_stack()
+    if not stack:
+        return False
+    tape = stack[-1]
+    return t.requires_grad or t.uid in tape._params or t.uid in tape._produced
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor],
             pull: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]) -> None:
     stack = _tape_stack()
@@ -202,6 +214,7 @@ def _record(out: Tensor, inputs: Sequence[Tensor],
     for t in inputs:
         if t.requires_grad:
             tape._params.setdefault(t.uid, t)
+    tape._produced.add(out.uid)
     tape._nodes.append(_Node(out.uid, tuple(t.uid for t in inputs), pull))
 
 
@@ -317,14 +330,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise 1/(1+exp(-x)), computed without overflow on either tail."""
+    """Elementwise 1/(1+exp(-x)), computed without overflow on either tail:
+    with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below."""
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    res = _fresh(out)
+    # in place on two buffers (explicit ``out`` keeps 0-d results arrays)
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    r = np.add(e, 1.0, out=np.empty_like(x))
+    np.reciprocal(r, out=r)
+    np.multiply(e, r, out=e)
+    np.copyto(e, r, where=x >= 0)
+    res = _fresh(e)
     od = res.data
     _record(res, [a], lambda g: (g * od * (1.0 - od),))
     return res
@@ -372,7 +388,9 @@ def _windows(x4: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
     """Valid cross-correlation of [C,H,W] or [B,C,H,W] input with [K,C,kh,kw] kernels.
 
-    Lowered to an im2col matrix product so both passes run on BLAS.
+    Lowered to an im2col matrix product so both passes run on BLAS. Backward
+    builds the input gradient only when the input is tracked by the current
+    tape; for an input batch it would be discarded.
     """
     sh, sw = _pair(stride)
     if sh < 1 or sw < 1:
@@ -392,32 +410,79 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
         raise ShapeError(f"kernel {kh}x{kw} exceeds input {H}x{W}")
     win = _windows(x4, kh, kw, sh, sw)  # [B,C,Hp,Wp,kh,kw]
     Hp, Wp = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B * Hp * Wp, C * kh * kw)
+    # channel-major columns: the gather copies whole output rows, and the
+    # product comes out in [K, B, Hp*Wp] blocks that transpose cheaply
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        C * kh * kw, B * Hp * Wp)
     kflat = kd.reshape(K, C * kh * kw)
-    out4 = (cols @ kflat.T).reshape(B, Hp, Wp, K).transpose(0, 3, 1, 2) \
-        + bd[:, None, None]
+    out2 = kflat @ cols
+    out2 += bd[:, None]
+    out4 = out2.reshape(K, B, Hp, Wp).transpose(1, 0, 2, 3)
     out = _fresh(out4[0] if single else out4)
+    need_gx = _tracked(x)
 
     def pull(gout: np.ndarray):
         g4 = gout[None] if single else gout
-        g2 = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(B * Hp * Wp, K)
-        gk = (g2.T @ cols).reshape(K, C, kh, kw)
-        gb = g4.sum(axis=(0, 2, 3))
-        gcols = (g2 @ kflat).reshape(B, Hp, Wp, C, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gx = np.zeros_like(x4)
+        g2 = np.ascontiguousarray(g4.transpose(1, 0, 2, 3)).reshape(K, B * Hp * Wp)
+        gk = (g2 @ cols.T).reshape(K, C, kh, kw)
+        gb = g2.sum(axis=1)
+        if not need_gx:
+            return None, gk, gb
+        gcols = (kflat.T @ g2).reshape(C, kh, kw, B, Hp, Wp)
+        gx = np.zeros((C, B, H, W))
         for i in range(kh):
             for j in range(kw):
                 gx[:, :, i:i + sh * (Hp - 1) + 1:sh,
-                   j:j + sw * (Wp - 1) + 1:sw] += gcols[:, :, :, :, i, j]
+                   j:j + sw * (Wp - 1) + 1:sw] += gcols[:, i, j]
+        gx = gx.transpose(1, 0, 2, 3)
         return (gx[0] if single else gx), gk, gb
 
     _record(out, [x, kernels, bias], pull)
     return out
 
 
+def fold_mean_pool(kernels: Tensor, window) -> Tensor:
+    """Fold a ph x pw window mean into [K,C,kh,kw] kernels.
+
+    Returns the [K,C,kh+ph-1,kw+pw-1] kernels whose valid correlation equals
+    the window mean of the correlation with ``kernels``: the mean of the
+    ph*pw shifted copies. So ``mean_pool(conv2d_valid(x, k, b), p, s)`` is
+    ``conv2d_valid(x, fold_mean_pool(k, p), b, stride=s)``, at 1/s^2 of the
+    output positions.
+    """
+    ph, pw = _pair(window)
+    if ph < 1 or pw < 1:
+        raise ShapeError("pool window must be >= 1")
+    kd = kernels.data
+    if kd.ndim != 4:
+        raise ShapeError(f"kernels must be [K,C,kh,kw], got {kd.shape}")
+    K, C, kh, kw = kd.shape
+    inv = 1.0 / (ph * pw)
+    folded = np.zeros((K, C, kh + ph - 1, kw + pw - 1))
+    for i in range(ph):
+        for j in range(pw):
+            folded[:, :, i:i + kh, j:j + kw] += kd
+    folded *= inv
+    out = _fresh(folded)
+
+    def pull(gout: np.ndarray):
+        gk = np.zeros_like(kd)
+        for i in range(ph):
+            for j in range(pw):
+                gk += gout[:, :, i:i + kh, j:j + kw]
+        gk *= inv
+        return (gk,)
+
+    _record(out, [kernels], pull)
+    return out
+
+
 def mean_pool(x: Tensor, kernel, stride) -> Tensor:
-    """Window-averaging downsample over the spatial dims of [C,H,W] or [B,C,H,W]."""
+    """Window-averaging downsample over the spatial dims of [C,H,W] or [B,C,H,W].
+
+    The model folds this into its convolutions (:func:`fold_mean_pool`);
+    this direct form is kept as their reference.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     if sh < 1 or sw < 1:

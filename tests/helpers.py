@@ -1,6 +1,9 @@
-"""Shared test utilities: finite-difference oracles and tolerance checks."""
+"""Shared test utilities: finite-difference oracles, tolerance checks and
+checkpoint header surgery."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -72,3 +75,13 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         if not grad_agrees(a[i], n[i], rtol=rtol, floor=floor)
     ]
     assert not bad, f"{len(bad)} gradient entries disagree, first: {bad[:3]}"
+
+
+def rewrite_checkpoint_header(src, dst, edit) -> None:
+    """Copy a checkpoint file with its JSON header passed through ``edit``."""
+    data = src.read_bytes()
+    hlen = int.from_bytes(data[12:20], "little")
+    header = json.loads(data[20:20 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode()
+    dst.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[20 + hlen:])

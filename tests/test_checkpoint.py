@@ -10,6 +10,8 @@ from synthdetect.checkpoint import (
 from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.preprocess import NormStats
 
+from helpers import rewrite_checkpoint_header
+
 
 def _detector(seed=7):
     cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(seed))
@@ -72,6 +74,28 @@ def test_rejects_future_version(tmp_path):
     (tmp_path / "future.bin").write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "future.bin")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("tensors"),
+    lambda h: h["cnn"].pop("kernel"),
+    lambda h: h["norm"].pop("std"),
+    lambda h: h["cnn"].update(pool_stride=0),
+    lambda h: h["cnn"].update(filters=[16, 8, 32]),
+    lambda h: h["head"].update(d_in=7),
+    lambda h: h["head"].update(hidden="24"),
+    lambda h: h["tensors"].pop(),
+    lambda h: h["tensors"][0].update(shape=[1, 2]),
+    lambda h: h["tensors"][0].update(offset=-8),
+], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
+        "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
+        "negative_offset"])
+def test_rejects_malformed_header(tmp_path, edit):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "bad.bin")
 
 
 def test_no_temp_litter(tmp_path):

@@ -5,6 +5,7 @@ from synthdetect.cli import main
 from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
 
+from helpers import rewrite_checkpoint_header
 from imageio import write_ppm
 
 
@@ -177,6 +178,20 @@ def test_perturb_unknown_transform(trained_dir, toy_root, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "blur" in err and "jpeg" in err and "resize" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("mode"),
+    lambda h: h["head"].update(hidden=2 * h["head"]["hidden"]),
+], ids=["header_without_mode", "hidden_disagrees_with_tensors"])
+def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
+                                                     capsys, edit):
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint_header(trained_dir / "checkpoint.bin", bad, edit)
+    target = sorted((toy_root / "real").iterdir())[0]
+    assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

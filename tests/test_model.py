@@ -7,7 +7,17 @@ from synthdetect.model import (
     full_scale_config,
     reduced_scale_config,
 )
-from synthdetect.tensor import GradTape, ShapeError, Tensor, backward, sum_all
+from synthdetect.tensor import (
+    GradTape,
+    ShapeError,
+    Tensor,
+    backward,
+    batch_norm,
+    conv2d_valid,
+    mean_pool,
+    sigmoid,
+    sum_all,
+)
 
 from helpers import assert_grads_close, fd_gradient_coords
 
@@ -27,6 +37,12 @@ def test_reduced_scale_shape_pipeline():
 def test_filters_must_increase():
     with pytest.raises(ValueError):
         CnnConfig(filters=(16, 16, 32))
+
+
+@pytest.mark.parametrize("kwargs", [{"filters": ()}, {"pool_stride": 0}, {"kernel": -1}])
+def test_non_positive_sizes_rejected(kwargs):
+    with pytest.raises(ValueError):
+        CnnConfig(**kwargs)
 
 
 def test_forward_feature_count_full_scale():
@@ -134,3 +150,46 @@ def test_composed_gradient_matches_finite_differences():
         numeric = fd_gradient_coords(value_only, p, coords)
         analytic = grads[p.uid].reshape(-1)[coords]
         assert_grads_close(analytic, numeric)
+
+
+def _reference_features(cnn, x, training):
+    """The unfused stack: conv, then mean-pool, then sigmoid, per stage."""
+    cfg = cnn.config
+    h = x
+    for kern, bias in zip(cnn.kernels, cnn.biases):
+        h = sigmoid(mean_pool(conv2d_valid(h, kern, bias), cfg.pool_kernel, cfg.pool_stride))
+    h = batch_norm(h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
+                   training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
+    return h.reshape((h.shape[0], cnn.feature_dim))
+
+
+@pytest.mark.parametrize("config", [reduced_scale_config, full_scale_config])
+def test_fused_stages_match_conv_pool_sigmoid(config):
+    cfg = config()
+    cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(30))
+    for b in cnn.biases:
+        b.assign(np.random.default_rng(31).normal(size=b.shape))
+    x = Tensor(np.random.default_rng(32).random((2, 3, cfg.input_size, cfg.input_size)))
+    h = x
+    for (conv_side, pool_side), kern, bias, fused in zip(
+            cfg.stage_sizes(), cnn.kernels, cnn.biases, cnn.stage_activations(x)):
+        conv = conv2d_valid(h, kern, bias)
+        assert conv.shape[-1] == conv_side
+        h = sigmoid(mean_pool(conv, cfg.pool_kernel, cfg.pool_stride))
+        assert fused.shape == h.shape == (2, kern.shape[0], pool_side, pool_side)
+        assert np.abs(fused.data - h.data).max() <= 1e-12
+
+
+def test_fused_parameter_gradients_match_reference():
+    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(40))
+    x = Tensor(np.random.default_rng(41).random((3, 3, 32, 32)))
+    proj = np.random.default_rng(42).normal(size=(3, 128))
+    grads = []
+    for forward in (cnn.forward_features, lambda x, training: _reference_features(
+            cnn, x, training)):
+        with GradTape() as tape:
+            loss = sum_all(forward(x, training=True) * proj)
+        grads.append(backward(loss, tape))
+    fused, reference = grads
+    for name, p in cnn.parameters():
+        assert np.allclose(fused[p.uid], reference[p.uid], rtol=1e-9, atol=1e-12), name

@@ -11,6 +11,7 @@ from synthdetect.tensor import (
     conv2d_valid,
     conv_output_size,
     dropout,
+    fold_mean_pool,
     linear,
     mean_pool,
     sigmoid,
@@ -145,6 +146,43 @@ def test_shape_closure_random_cases():
         assert out.shape == (2, (H - kh) // sh + 1, (W - kw) // sw + 1)
 
 
+def test_conv2d_input_gradient_only_for_tracked_inputs():
+    rng = np.random.default_rng(13)
+    k = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    data = rng.normal(size=(2, 3, 5, 5))
+
+    def input_grad(x, watch=False, taped=False):
+        with GradTape() as tape:
+            if watch:
+                tape.watch(x)
+            out = conv2d_valid(x * 2.0 if taped else x, k, b)
+        return tape._nodes[-1].pull(np.ones(out.shape))[0]
+
+    assert input_grad(Tensor(data)) is None
+    assert input_grad(Tensor(data), watch=True).shape == data.shape
+    assert input_grad(Tensor(data), taped=True).shape == data.shape
+    assert input_grad(Tensor(data, requires_grad=True)).shape == data.shape
+
+
+# --- fold_mean_pool -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel,window,stride,size", [
+    (3, 2, 2, 15), (2, 3, 1, 9), ((3, 2), (2, 3), (2, 3), 13),
+])
+def test_folded_conv_equals_conv_then_mean_pool(kernel, window, stride, size):
+    rng = np.random.default_rng(17)
+    kh, kw = kernel if isinstance(kernel, tuple) else (kernel, kernel)
+    x = Tensor(rng.normal(size=(2, 3, size, size + 2)))
+    k = Tensor(rng.normal(size=(4, 3, kh, kw)))
+    b = Tensor(rng.normal(size=4))
+    want = mean_pool(conv2d_valid(x, k, b), window, stride).data
+    got = conv2d_valid(x, fold_mean_pool(k, window), b, stride=stride).data
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
 # --- sigmoid --------------------------------------------------------------
 
 
@@ -153,6 +191,13 @@ def test_sigmoid_values():
     assert out.data[0] == pytest.approx(0.5)
     assert 0.0 < out.data[1] < 1e-40
     assert np.isfinite(out.data).all()
+
+
+def test_sigmoid_matches_reference_on_both_tails():
+    x = np.linspace(-40.0, 40.0, 1001)
+    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert np.abs(sigmoid(Tensor(x)).data - ref).max() <= 1e-16
 
 
 def test_sigmoid_symmetry():
@@ -334,7 +379,7 @@ def test_gradient_accumulates_over_reuse():
 
 
 @pytest.mark.parametrize("op_name", [
-    "conv", "pool", "sigmoid", "bn_train", "bn_infer", "linear", "dropout",
+    "conv", "pool", "fold", "sigmoid", "bn_train", "bn_infer", "linear", "dropout",
     "exp", "mul", "sub",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
@@ -354,6 +399,12 @@ def test_primitive_gradients_match_finite_differences(op_name):
 
         def build():
             return sum_all(mean_pool(params[0], 4, 2) * proj)
+    elif op_name == "fold":
+        params = [Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=True)]
+        proj = rng.normal(size=(2, 3, 4, 5))
+
+        def build():
+            return sum_all(fold_mean_pool(params[0], (2, 4)) * proj)
     elif op_name == "sigmoid":
         params = [Tensor(rng.normal(size=7), requires_grad=True)]
         proj = rng.normal(size=7)
