@@ -50,8 +50,10 @@ class BayesianHead:
     def __init__(self, d_in: int, hidden: int = 512, alpha: float = 1e-2,
                  beta: float = 100.0, dropout_rate: float = 0.5,
                  rng: np.random.Generator | None = None):
-        if alpha <= 0 or beta <= 0:
+        if not (alpha > 0 and beta > 0):  # also rejects NaN
             raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
         self.d_in = d_in
         self.hidden = hidden
         self.alpha = alpha
@@ -324,20 +326,15 @@ def predictive(z_row: np.ndarray, head, curvature: GaussNewtonCurvature,
 
 class VariationalPosterior:
     """Mean-field Gaussian over the head weights: one (mean, log_std) pair per
-    weight, stored per parameter tensor. Standard deviations are exp(log_std),
-    hence strictly positive after any update."""
+    weight, stored per parameter tensor. The means are the head's own
+    parameter tensors, so ``head.forward`` scores at the q means. Standard
+    deviations are exp(log_std), hence strictly positive after any update."""
 
-    def __init__(self, head, rng: np.random.Generator | None = None,
-                 init_log_std: float = -4.0):
+    def __init__(self, head, init_log_std: float = -4.0):
         self.head = head
-        self.means: list[Tensor] = []
-        self.log_stds: list[Tensor] = []
-        for _, p in head.parameters():
-            self.means.append(Tensor(p.data, requires_grad=True))
-            self.log_stds.append(Tensor(np.full(p.shape, init_log_std), requires_grad=True))
-        if rng is not None:
-            # keep whatever initialization the head carried; only q widths reset
-            pass
+        self.means: list[Tensor] = [p for _, p in head.parameters()]
+        self.log_stds: list[Tensor] = [
+            Tensor(np.full(m.shape, init_log_std), requires_grad=True) for m in self.means]
 
     def parameters(self) -> list[Tensor]:
         return [*self.means, *self.log_stds]
@@ -394,7 +391,28 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
     return loglik * (1.0 / n_mc) - kl_to_prior(q, alpha)
 
 
-# --- scoring bundle --------------------------------------------------------------
+# --- scoring -------------------------------------------------------------------
+
+# 256 images at 32 px; 5 at 224 px, where the stage-2 im2col is then ~0.1 GB
+SCORE_CHUNK_PIXELS = 256 * 32 * 32
+
+
+def score_chunk(side: int) -> int:
+    """Images per forward pass at ``side`` x ``side`` pixels, so the size of
+    a scoring pass is set by the geometry and not by the number of inputs."""
+    return max(1, SCORE_CHUNK_PIXELS // (side * side))
+
+
+def posterior_scores(cnn: "FineToCoarseCnn", head, batch: np.ndarray) -> np.ndarray:
+    """Posterior scores (inference-mode predictive means at the current head
+    weights, i.e. the q means under variational training) of a preprocessed
+    [N,3,S,S] batch, run ``score_chunk(S)`` images at a time."""
+    chunk = score_chunk(batch.shape[-1])
+    out = np.empty(batch.shape[0])
+    for start in range(0, batch.shape[0], chunk):
+        z = cnn.forward_features(Tensor(batch[start:start + chunk]), training=False)
+        out[start:start + z.shape[0]] = head.forward(z, training=False).data
+    return out
 
 
 @dataclass
@@ -415,23 +433,11 @@ class Detector:
         return preprocess_pixels(pixels, self.cnn.config.input_size, self.norm)
 
     def score_batch(self, pixel_list) -> np.ndarray:
-        """Posterior scores (predictive means, inference mode) for raw images."""
+        """Posterior scores for a sized sequence of raw images."""
         if not self.trained:
             raise UntrainedModelError("cannot score with an untrained model")
         batch = np.stack([self.preprocess(p) for p in pixel_list])
-        z = self.cnn.forward_features(Tensor(batch), training=False)
-        return self.head.forward(z, training=False).data.copy()
+        return posterior_scores(self.cnn, self.head, batch)
 
     def score_pixels(self, pixels: np.ndarray) -> float:
         return float(self.score_batch([pixels])[0])
-
-    def curvature_from_pixels(self, pixel_list, block_size: int = 256) -> GaussNewtonCurvature:
-        batch = np.stack([self.preprocess(p) for p in pixel_list])
-        z = self.cnn.forward_features(Tensor(batch), training=False)
-        return GaussNewtonCurvature(self.head, z.data, block_size=block_size)
-
-
-def posterior_score(pixels: np.ndarray, detector: Detector) -> float:
-    """The scalar a threshold is applied to: the predictive mean at the
-    trained weights (q means under variational training)."""
-    return detector.score_pixels(pixels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -30,6 +31,11 @@ class CheckpointError(ValueError):
     """File is not a readable checkpoint of a supported version."""
 
 
+_HEADER_KEYS = {"cnn", "head", "norm", "gamma", "mode", "trained", "tensors"}
+_CNN_KEYS = {f.name for f in dataclasses.fields(CnnConfig)}
+_HEAD_KEYS = {"d_in", "hidden", "alpha", "beta", "dropout_rate"}
+
+
 def _tensor_entries(detector: Detector) -> list[tuple[str, np.ndarray]]:
     entries = [(f"cnn.{name}", p.data) for name, p in detector.cnn.parameters()]
     entries += [(f"cnn.{name}", buf) for name, buf in detector.cnn.buffers()]
@@ -47,21 +53,10 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(blob)
         offset += len(blob)
-    cfg = detector.cnn.config
     header = {
-        "cnn": {
-            "input_size": cfg.input_size, "in_channels": cfg.in_channels,
-            "filters": list(cfg.filters), "kernel": cfg.kernel,
-            "pool_kernel": cfg.pool_kernel, "pool_stride": cfg.pool_stride,
-            "bn_eps": cfg.bn_eps, "bn_momentum": cfg.bn_momentum,
-        },
-        "head": {
-            "d_in": detector.head.d_in, "hidden": detector.head.hidden,
-            "alpha": detector.head.alpha, "beta": detector.head.beta,
-            "dropout_rate": detector.head.dropout_rate,
-        },
-        "norm": None if detector.norm is None else {
-            "mean": list(detector.norm.mean), "std": list(detector.norm.std)},
+        "cnn": dataclasses.asdict(detector.cnn.config),
+        "head": {k: getattr(detector.head, k) for k in _HEAD_KEYS},
+        "norm": None if detector.norm is None else dataclasses.asdict(detector.norm),
         "gamma": detector.gamma,
         "mode": detector.mode,
         "trained": detector.trained,
@@ -83,11 +78,6 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-_HEADER_KEYS = {"cnn", "head", "norm", "gamma", "mode", "trained", "tensors"}
-_CNN_KEYS = {f.name for f in dataclasses.fields(CnnConfig)}
-_HEAD_KEYS = {"d_in", "hidden", "alpha", "beta", "dropout_rate"}
 
 
 def _require_keys(section, keys: set[str], where: str) -> None:
@@ -148,6 +138,9 @@ def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
                 f"header geometry gives {shape}")
     if any(not isinstance(offset, int) or offset < 0 for _, _, offset in directory):
         raise CheckpointError("checkpoint tensor offsets must be non-negative integers")
+    gamma = header["gamma"]
+    if gamma is not None and not (type(gamma) in (int, float) and math.isfinite(gamma)):
+        raise CheckpointError(f"checkpoint gamma must be null or a finite number, got {gamma!r}")
     return cfg, [(name, expected[name], offset) for name, _, offset in directory]
 
 
@@ -170,22 +163,25 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
         end = start + 8 * int(np.prod(shape))
         if end > len(payload):
             raise CheckpointError("checkpoint payload truncated")
-        tensors[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        # a read-only view: loading into the model copies it
+        tensors[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
+    try:
+        head = BayesianHead(**{k: header["head"][k] for k in _HEAD_KEYS})
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"checkpoint head is malformed: {err}") from err
+    norm = None
+    if header["norm"] is not None:
+        try:
+            norm = NormStats(mean=tuple(header["norm"]["mean"]),
+                             std=tuple(header["norm"]["std"]))
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"checkpoint norm is malformed: {err}") from err
     cnn = FineToCoarseCnn(cfg)
     cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                            if name.startswith("cnn.")})
-    try:
-        head = BayesianHead(
-            d_in=header["head"]["d_in"], hidden=header["head"]["hidden"],
-            alpha=header["head"]["alpha"], beta=header["head"]["beta"],
-            dropout_rate=header["head"]["dropout_rate"])
-    except (TypeError, ValueError) as err:
-        raise CheckpointError(f"checkpoint head is malformed: {err}") from err
     for name, p in head.parameters():
         p.assign(tensors[f"head.{name}"])
-    norm = None
-    if header["norm"] is not None:
-        norm = NormStats(mean=tuple(header["norm"]["mean"]),
-                         std=tuple(header["norm"]["std"]))
     return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"],
                     mode=header["mode"], trained=header["trained"])

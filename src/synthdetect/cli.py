@@ -94,7 +94,7 @@ def _build_config(args) -> tuple[TrainConfig, dict]:
             raise UsageError(f"config key {key}: {err}") from err
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "split", None) is not None:
+    if args.split is not None:
         extras["split"] = args.split
     try:
         return TrainConfig(**kwargs), extras
@@ -173,7 +173,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)
-    split = make_split(records, args.split, args.seed if args.seed is not None else 0)
+    split = make_split(records, args.split, args.seed)
     report = evaluate(split, detector)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +194,7 @@ def cmd_perturb(args) -> int:
         raise UsageError(f"grid must be comma-separated numbers: {err}") from err
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)
-    split = make_split(records, args.split, args.seed if args.seed is not None else 0)
+    split = make_split(records, args.split, args.seed)
     results = perturbation_sweep(split, detector, args.transform, grid)
     content = sweep_csv(args.transform, results)
     if args.out:

@@ -14,14 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bayes import Detector
+from .bayes import Detector, score_chunk
 from .perturb import apply_transform
 from .preprocess import DatasetSplit, ImageRecord
 
 REAL = "real"
 SYNTHETIC = "synthetic"
-
-SCORE_CHUNK = 128
 
 
 class EvaluationError(ValueError):
@@ -90,8 +88,9 @@ class EvalReport:
 def _score_records(detector: Detector, records: list[ImageRecord],
                    transform: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
     scores = np.empty(len(records))
-    for start in range(0, len(records), SCORE_CHUNK):
-        chunk = records[start:start + SCORE_CHUNK]
+    step = score_chunk(detector.cnn.config.input_size)
+    for start in range(0, len(records), step):
+        chunk = records[start:start + step]
         pixels = [transform(r.pixels) if transform else r.pixels for r in chunk]
         scores[start:start + len(chunk)] = detector.score_batch(pixels)
     return scores

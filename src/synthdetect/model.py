@@ -137,20 +137,15 @@ class FineToCoarseCnn:
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(
                 f"expected [B,{cfg.in_channels},{cfg.input_size},{cfg.input_size}], got {x.shape}")
-        h = self._stages(x)[-1]
+        h = self.stage_activations(x)[-1]
         h = T.batch_norm(h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
                          training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
         return T.reshape(h, (h.shape[0], self.feature_dim))
 
     def stage_activations(self, x: Tensor) -> list[Tensor]:
-        """Per-stage post-sigmoid maps (inference), for inspection and tests."""
-        if x.ndim == 3:
-            x = T.reshape(x, (1,) + x.shape)
-        return self._stages(x)
-
-    def _stages(self, x: Tensor) -> list[Tensor]:
-        """sigmoid(mean_pool(conv(h))) per stage, each run as one strided
-        conv with the pool folded into its kernel."""
+        """Per-stage post-sigmoid maps of a [B,3,S,S] batch:
+        sigmoid(mean_pool(conv(h))) per stage, each run as one strided conv
+        with the pool folded into its kernel."""
         cfg = self.config
         outs = []
         h = x

@@ -81,6 +81,9 @@ class NormStats:
     std: tuple[float, float, float]
 
     def __post_init__(self):
+        if len(self.mean) != 3 or len(self.std) != 3 \
+                or not np.isfinite([*self.mean, *self.std]).all():
+            raise ValueError(f"need 3 finite means and stds, got {self.mean}, {self.std}")
         if any(s <= 0 for s in self.std):
             raise ValueError(f"channel std must be positive, got {self.std}")
 
@@ -231,12 +234,6 @@ def rgb_normalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
     mean = np.asarray(stats.mean).reshape(3, 1, 1)
     std = np.asarray(stats.std).reshape(3, 1, 1)
     return (img - mean) / std
-
-
-def rgb_denormalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
-    mean = np.asarray(stats.mean).reshape(3, 1, 1)
-    std = np.asarray(stats.std).reshape(3, 1, 1)
-    return img * std + mean
 
 
 def channel_stats(images: list[np.ndarray], min_std: float = 1e-6) -> NormStats:

@@ -31,7 +31,6 @@ __all__ = [
     "exp",
     "fold_mean_pool",
     "linear",
-    "log",
     "mean_pool",
     "mul",
     "neg",
@@ -103,9 +102,6 @@ class Tensor:
         _check_finite(arr)
         arr.setflags(write=False)
         self.data = arr
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=self.requires_grad)
 
     def sum(self) -> "Tensor":
         return sum_all(self)
@@ -186,10 +182,6 @@ class GradTape:
         popped = _tape_stack().pop()
         assert popped is self
         return False
-
-    @property
-    def parameter_ids(self) -> tuple[int, ...]:
-        return tuple(self._params)
 
     def watch(self, tensor: Tensor) -> None:
         self._params[tensor.uid] = tensor
@@ -302,15 +294,6 @@ def exp(a: Tensor) -> Tensor:
     out = _fresh(np.exp(a.data))
     od = out.data
     _record(out, [a], lambda g: (g * od,))
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log requires strictly positive input")
-    out = _fresh(np.log(a.data))
-    ad = a.data
-    _record(out, [a], lambda g: (g / ad,))
     return out
 
 

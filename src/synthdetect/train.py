@@ -22,10 +22,11 @@ from .bayes import (
     VariationalPosterior,
     elbo,
     map_objective,
+    posterior_scores,
 )
 from .evaluate import select_threshold
 from .model import FineToCoarseCnn
-from .preprocess import DatasetSplit, DatasetError, channel_stats, center_crop, rgb_normalize
+from .preprocess import DatasetSplit, DatasetError, channel_stats, center_crop, preprocess_pixels
 from .tensor import GradTape, Tensor, backward
 
 
@@ -63,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.inference_mode not in ("map", "variational"):
             raise ValueError(f"unknown inference_mode {self.inference_mode!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -101,24 +104,6 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _preprocessed(records, size, stats) -> np.ndarray:
-    return np.stack([rgb_normalize(center_crop(r.pixels, size), stats)
-                     for r in records])
-
-
-def _scores(cnn: FineToCoarseCnn, head: BayesianHead, batch: np.ndarray,
-            weights=None, chunk: int = 256) -> np.ndarray:
-    out = np.empty(batch.shape[0])
-    for start in range(0, batch.shape[0], chunk):
-        z = cnn.forward_features(Tensor(batch[start:start + chunk]), training=False)
-        if weights is None:
-            vals = head.forward(z, training=False)
-        else:
-            vals = head.forward_with(z, weights, training=False)
-        out[start:start + z.shape[0]] = vals.data
-    return out
-
-
 def _retention(scores: np.ndarray, gamma: float) -> float:
     return float((scores > gamma).mean()) if scores.size else 0.0
 
@@ -133,11 +118,11 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
         raise DatasetError("training split contains anomalous samples")
     size = cnn.config.input_size
     stats = channel_stats([center_crop(r.pixels, size) for r in split.train])
-    x_train = _preprocessed(split.train, size, stats)
+    x_train = np.stack([preprocess_pixels(r.pixels, size, stats) for r in split.train])
     val_real_records = [r for r in split.validation if r.is_real]
     if cfg.epochs > 0 and not val_real_records:
         raise DatasetError("validation split has no real samples to monitor")
-    x_val = (_preprocessed(val_real_records, size, stats)
+    x_val = (np.stack([preprocess_pixels(r.pixels, size, stats) for r in val_real_records])
              if val_real_records else np.empty((0, 3, size, size)))
     half = len(x_val) // 2
     x_metric, x_proxy = (x_val[:half], x_val[half:]) if half else (x_val, x_val)
@@ -154,19 +139,12 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     if cfg.inference_mode == "variational":
         q = VariationalPosterior(head)
         trainable = [p for _, p in cnn.parameters()] + q.parameters()
-        score_weights = q.means
     else:
         trainable = [p for _, p in cnn.parameters()] + head_params
-        score_weights = None
 
     def snapshot_state(gamma):
-        state = {"cnn": cnn.state_arrays(), "gamma": gamma}
-        if q is None:
-            state["head"] = {name: p.data.copy() for name, p in head.parameters()}
-        else:
-            state["head"] = {name: m.data.copy()
-                             for (name, _), m in zip(head.parameters(), q.means)}
-        return state
+        return {"cnn": cnn.state_arrays(), "gamma": gamma,
+                "head": {name: p.data.copy() for name, p in head.parameters()}}
 
     report = TrainReport()
     best_state = snapshot_state(None)
@@ -209,10 +187,10 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
         # floored at half the target so retention reflects fit progress until
         # scores actually reach the target's neighborhood (an unanchored
         # percentile is maximized by an untrained model)
-        gamma_e = max(select_threshold(_scores(cnn, head, x_sub, score_weights),
+        gamma_e = max(select_threshold(posterior_scores(cnn, head, x_sub),
                                        cfg.percentile), 0.5 * cfg.target)
-        metric = _retention(_scores(cnn, head, x_metric, score_weights), gamma_e)
-        proxy = _retention(_scores(cnn, head, x_proxy, score_weights), gamma_e)
+        metric = _retention(posterior_scores(cnn, head, x_metric), gamma_e)
+        proxy = _retention(posterior_scores(cnn, head, x_proxy), gamma_e)
         gap = abs(proxy - metric)
         snap = metric >= report.best_metric + cfg.improvement_threshold
         if snap:
@@ -229,7 +207,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     cnn.load_state_arrays(best_state["cnn"])
     for name, p in head.parameters():
         p.assign(best_state["head"][name])
-    gamma = (select_threshold(_scores(cnn, head, x_val), cfg.percentile)
+    gamma = (select_threshold(posterior_scores(cnn, head, x_val), cfg.percentile)
              if len(x_val) else best_state["gamma"])
     detector = Detector(cnn=cnn, head=head, norm=stats, gamma=gamma,
                         mode=cfg.inference_mode, trained=True)

@@ -5,6 +5,7 @@ import pytest
 
 from synthdetect.bayes import (
     BayesianHead,
+    Detector,
     GaussNewtonCurvature,
     LinearHead,
     NumericalError,
@@ -20,6 +21,8 @@ from synthdetect.bayes import (
     predictive,
     solve_regularized,
 )
+from synthdetect.model import FineToCoarseCnn, full_scale_config
+from synthdetect.preprocess import NormStats
 from synthdetect.tensor import GradTape, Tensor, backward
 
 from helpers import assert_grads_close, fd_gradient
@@ -311,6 +314,14 @@ def test_kl_non_negative_random_settings():
         assert kl_to_prior(q, alpha).item() >= -1e-10
 
 
+def test_variational_means_are_the_head_tensors():
+    head = BayesianHead(4, hidden=3, dropout_rate=0.0)
+    q = VariationalPosterior(head)
+    params = [p for _, p in head.parameters()]
+    assert len(q.means) == len(params)
+    assert all(m is p for m, p in zip(q.means, params))
+
+
 def test_variational_stds_strictly_positive():
     head = BayesianHead(4, hidden=3, dropout_rate=0.0)
     q = VariationalPosterior(head)
@@ -416,3 +427,30 @@ def test_per_sample_gradients_shape():
     head = BayesianHead(3, hidden=2, dropout_rate=0.0, rng=rng)
     G = per_sample_gradients(head, rng.normal(size=(5, 3)))
     assert G.shape == (5, head.weight_count)
+
+
+# --- scoring -------------------------------------------------------------------
+
+
+def test_score_batch_chunks_full_scale_images(monkeypatch):
+    """At 224 px the scorer runs at most 5 images per forward pass, and the
+    chunked scores agree with scoring each image alone."""
+    cnn = FineToCoarseCnn(full_scale_config(), rng=np.random.default_rng(20))
+    head = BayesianHead(cnn.feature_dim, hidden=8, dropout_rate=0.0,
+                        rng=np.random.default_rng(21))
+    det = Detector(cnn=cnn, head=head, trained=True,
+                   norm=NormStats(mean=(0.5, 0.5, 0.5), std=(0.25, 0.25, 0.25)))
+    rng = np.random.default_rng(22)
+    pixels = [rng.random((3, 224, 224)) for _ in range(12)]
+    batches = []
+    forward = FineToCoarseCnn.forward_features
+
+    def counted(self, x, training):
+        batches.append(x.shape[0])
+        return forward(self, x, training)
+
+    monkeypatch.setattr(FineToCoarseCnn, "forward_features", counted)
+    scores = det.score_batch(pixels)
+    assert batches == [5, 5, 2]
+    singles = np.array([det.score_pixels(p) for p in pixels])
+    assert np.allclose(scores, singles, rtol=0.0, atol=1e-12)

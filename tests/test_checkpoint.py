@@ -87,15 +87,31 @@ def test_rejects_future_version(tmp_path):
     lambda h: h["tensors"].pop(),
     lambda h: h["tensors"][0].update(shape=[1, 2]),
     lambda h: h["tensors"][0].update(offset=-8),
+    lambda h: h["norm"].update(std=[0, 1, 1]),
+    lambda h: h["norm"].update(mean=[0.5]),
+    lambda h: h.update(gamma="abc"),
+    lambda h: h.update(gamma=float("nan")),
+    lambda h: h["head"].update(dropout_rate=2.0),
+    lambda h: h["head"].update(alpha=float("nan")),
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
-        "negative_offset"])
+        "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
+        "gamma_nan", "dropout_out_of_range", "alpha_nan"])
 def test_rejects_malformed_header(tmp_path, edit):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
     rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_rejects_non_finite_payload(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    data = path.read_bytes()
+    (tmp_path / "nan.bin").write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(tmp_path / "nan.bin")
 
 
 def test_no_temp_litter(tmp_path):

@@ -57,16 +57,19 @@ def test_train_missing_real_dir(tmp_path, config_file):
 
 
 def test_train_determinism(toy_root, config_file, tmp_path):
-    outs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        assert main(["train", "--data", str(toy_root), "--out", str(out),
-                     "--config", str(config_file), "--seed", "7"]) == 0
-        outs.append(out)
-    assert (outs[0] / "train_report.csv").read_bytes() == \
-        (outs[1] / "train_report.csv").read_bytes()
-    assert (outs[0] / "checkpoint.bin").read_bytes() == \
-        (outs[1] / "checkpoint.bin").read_bytes()
+    for mode in ("map", "variational"):
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(config_file.read_text() + f"inference_mode = {mode}\n")
+        outs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / mode / name
+            assert main(["train", "--data", str(toy_root), "--out", str(out),
+                         "--config", str(cfg), "--seed", "7"]) == 0
+            outs.append(out)
+        assert (outs[0] / "train_report.csv").read_bytes() == \
+            (outs[1] / "train_report.csv").read_bytes()
+        assert (outs[0] / "checkpoint.bin").read_bytes() == \
+            (outs[1] / "checkpoint.bin").read_bytes()
 
 
 def test_unknown_config_key(toy_root, tmp_path):
@@ -183,11 +186,26 @@ def test_perturb_unknown_transform(trained_dir, toy_root, capsys):
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("mode"),
     lambda h: h["head"].update(hidden=2 * h["head"]["hidden"]),
-], ids=["header_without_mode", "hidden_disagrees_with_tensors"])
+    lambda h: h["norm"].update(std=[0, 1, 1]),
+    lambda h: h["norm"].update(mean=[0.5]),
+    lambda h: h.update(gamma="abc"),
+    lambda h: h["head"].update(dropout_rate=2.0),
+], ids=["header_without_mode", "hidden_disagrees_with_tensors", "norm_std_zero",
+        "norm_mean_short", "gamma_not_number", "dropout_out_of_range"])
 def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
                                                      capsys, edit):
     bad = tmp_path / "bad.bin"
     rewrite_checkpoint_header(trained_dir / "checkpoint.bin", bad, edit)
+    target = sorted((toy_root / "real").iterdir())[0]
+    assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint") and err.count("\n") == 1
+
+
+def test_score_nan_payload_exits_data_error(trained_dir, toy_root, tmp_path, capsys):
+    data = (trained_dir / "checkpoint.bin").read_bytes()
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
     target = sorted((toy_root / "real").iterdir())[0]
     assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
     err = capsys.readouterr().err

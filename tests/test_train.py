@@ -54,6 +54,8 @@ def test_config_validation():
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(inference_mode="mcmc")
+    with pytest.raises(ValueError):
+        TrainConfig(dropout_rate=1.0)
 
 
 # --- training loop -------------------------------------------------------------
@@ -156,15 +158,34 @@ def test_detector_scores_deterministic_after_training():
 
 
 def test_posterior_score_api():
-    from synthdetect.bayes import Detector, UntrainedModelError, posterior_score
+    from synthdetect.bayes import Detector, UntrainedModelError
 
     cnn, head, split, cfg = _setup(epochs=4, n_real=120, n_per=40, fraction=0.6,
                                    improvement_threshold=0.0)
     untrained = Detector(cnn=cnn, head=head)
     with pytest.raises(UntrainedModelError):
-        posterior_score(split.train[0].pixels, untrained)
+        untrained.score_pixels(split.train[0].pixels)
     detector, _ = train(cnn, head, split, cfg)
-    first = posterior_score(split.train[0].pixels, detector)
-    assert first == posterior_score(split.train[0].pixels, detector)
+    first = detector.score_pixels(split.train[0].pixels)
+    assert first == detector.score_pixels(split.train[0].pixels)
     train_scores = detector.score_batch([r.pixels for r in split.train])
     assert (train_scores > detector.gamma).mean() > 0.5
+
+
+def test_threshold_subset_scored_in_one_pass(monkeypatch):
+    """At 32 px a 160-image training subset fits one scoring chunk, so each
+    epoch's provisional threshold comes from a single inference pass."""
+    cnn, head, split, cfg = _setup(epochs=2, n_real=400, n_per=10, fraction=0.5,
+                                   batch_size=50, metric_sample_cap=160)
+    assert len(split.train) >= 160
+    infer_batches = []
+    forward = FineToCoarseCnn.forward_features
+
+    def counted(self, x, training):
+        if not training:
+            infer_batches.append(x.shape[0])
+        return forward(self, x, training)
+
+    monkeypatch.setattr(FineToCoarseCnn, "forward_features", counted)
+    _, report = train(cnn, head, split, cfg)
+    assert infer_batches.count(160) == len(report.epochs) == 2
