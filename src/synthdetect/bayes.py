@@ -12,9 +12,17 @@ a Gauss-Newton curvature approximation, giving the input-dependent variance
 A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
-At full scale the head has ~7.9M weights, so the regularized solve uses
-conjugate gradients with Hessian-vector products H v = sum_n g_n (g_n . v);
-the dense matrix is only formed below a configurable dimension threshold.
+The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
+inference-mode outputs over N training features. At inference dropout is the
+identity, so f = w2 . (W1 z + b1) + b2 is linear in each layer's weights and
+g_n = [w2 (x) z_n, w2, W1 z_n + b1, 1]. Each head gives the products J v and
+J^T u in closed form (``jacobian_products``); H v = J^T (J v) then costs a
+few matrix-vector products, and neither J nor H is formed. At full scale the
+head has ~7.9M weights, so the regularized solve uses conjugate gradients on
+these products. The per-sample gradients from the autodiff tape
+(``per_sample_gradients``) are kept as the reference the closed form is
+tested against, and the dense matrix built from them is only formed below
+``DENSE_DIM_LIMIT``.
 """
 
 from __future__ import annotations
@@ -95,6 +103,27 @@ class BayesianHead:
         out = T.linear(h, w2, b2)
         return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
 
+    def jacobian_products(self, z: np.ndarray):
+        """(J v, J^T u) for the Jacobian J of the inference-mode outputs at
+        the [N, d_in] rows ``z`` w.r.t. the weights, flat in ``parameters()``
+        order. Row n of J is [w2 (x) z_n, w2, h_n, 1], h = z W1^T + b1."""
+        w2 = self.w2.data[0]
+        hid = z @ self.w1.data.T
+        hid += self.b1.data
+        split = np.cumsum([self.w1.size, self.hidden, self.hidden])
+
+        def jvp(v: np.ndarray) -> np.ndarray:
+            v1, vb1, vw2, vb2 = np.split(v, split)
+            return z @ (v1.reshape(self.hidden, self.d_in).T @ w2) + vb1 @ w2 \
+                + hid @ vw2 + vb2[0]
+
+        def vjp(u: np.ndarray) -> np.ndarray:
+            total = u.sum()
+            return np.concatenate([np.outer(w2, z.T @ u).reshape(-1), total * w2,
+                                   hid.T @ u, [total]])
+
+        return jvp, vjp
+
     def flat_weights(self) -> np.ndarray:
         return np.concatenate([p.data.reshape(-1) for _, p in self.parameters()])
 
@@ -137,6 +166,10 @@ class LinearHead:
         zt = z if isinstance(z, Tensor) else Tensor(z)
         out = T.linear(zt, weights[0], self._zero_bias)
         return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
+
+    def jacobian_products(self, z: np.ndarray):
+        """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself."""
+        return (lambda v: z @ v), (lambda u: z.T @ u)
 
     def flat_weights(self) -> np.ndarray:
         return self.w.data.reshape(-1).copy()
@@ -203,7 +236,8 @@ def map_objective(outputs: Tensor, targets: np.ndarray,
 
 def head_weight_gradient(head, z_row: np.ndarray) -> np.ndarray:
     """Flat gradient of the scalar output w.r.t. the head weights (inference
-    mode: dropout off), evaluated at the current weights."""
+    mode: dropout off), evaluated at the current weights, from the autodiff
+    tape: the reference for ``jacobian_products``."""
     with GradTape() as tape:
         out = head.forward(np.asarray(z_row)[None, :], training=False)
         loss = T.sum_all(out)
@@ -212,52 +246,35 @@ def head_weight_gradient(head, z_row: np.ndarray) -> np.ndarray:
 
 
 def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
-    """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W]."""
+    """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W], one tape
+    per row: the reference for ``jacobian_products``."""
     features = np.asarray(features, dtype=np.float64)
     return np.stack([head_weight_gradient(head, row) for row in features])
 
 
 class GaussNewtonCurvature:
-    """H = sum_n g_n g_n^T over a batch of feature rows, held as an operator.
+    """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, held as an
+    operator on the head's closed-form Jacobian products."""
 
-    The per-sample gradient block is cached when N*W stays under
-    ``cache_limit`` elements; otherwise every matvec recomputes gradients
-    blockwise so H is never materialized at full scale.
-    """
-
-    def __init__(self, head, features: np.ndarray, block_size: int = 256,
-                 cache_limit: int = 2 ** 25):
+    def __init__(self, head, features: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError(f"need a non-empty [N, d] feature batch, got {features.shape}")
         self.head = head
         self.features = features
-        self.block_size = block_size
         self.dim = head.weight_count
-        self._cached: np.ndarray | None = None
-        if features.shape[0] * self.dim <= cache_limit:
-            self._cached = per_sample_gradients(head, features)
-
-    def _blocks(self):
-        if self._cached is not None:
-            yield self._cached
-            return
-        for start in range(0, self.features.shape[0], self.block_size):
-            yield per_sample_gradients(self.head, self.features[start:start + self.block_size])
+        self._jvp, self._vjp = head.jacobian_products(features)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for G in self._blocks():
-            out += G.T @ (G @ v)
-        return out
+        return self._vjp(self._jvp(v))
 
-    def dense(self, limit: int = DENSE_DIM_LIMIT) -> np.ndarray:
-        if self.dim > limit:
-            raise ValueError(f"refusing to materialize {self.dim}x{self.dim} curvature (limit {limit})")
-        H = np.zeros((self.dim, self.dim))
-        for G in self._blocks():
-            H += G.T @ G
-        return H
+    def dense(self) -> np.ndarray:
+        """H from the tape's per-sample gradients, for checking the operator."""
+        if self.dim > DENSE_DIM_LIMIT:
+            raise ValueError(f"refusing to materialize {self.dim}x{self.dim} curvature "
+                             f"(limit {DENSE_DIM_LIMIT})")
+        G = per_sample_gradients(self.head, self.features)
+        return G.T @ G
 
 
 def cg_solve(matvec, b: np.ndarray, rtol: float = 1e-12,
@@ -305,8 +322,8 @@ def solve_regularized(curvature: GaussNewtonCurvature, alpha: float, beta: float
     raise ValueError(f"unknown solve method {method!r}")
 
 
-def predictive(z_row: np.ndarray, head, curvature: GaussNewtonCurvature,
-               method: str = "cg") -> tuple[float, float]:
+def predictive(z_row: np.ndarray, head,
+               curvature: GaussNewtonCurvature) -> tuple[float, float]:
     """Gaussian predictive (mean, variance) at one feature vector.
 
     Mean is the inference-mode network output at the current weights; the
@@ -315,8 +332,9 @@ def predictive(z_row: np.ndarray, head, curvature: GaussNewtonCurvature,
     """
     z_row = np.asarray(z_row, dtype=np.float64)
     mean = float(head.forward(z_row[None, :], training=False).data[0])
-    g = head_weight_gradient(head, z_row)
-    u = solve_regularized(curvature, head.alpha, head.beta, g, method=method)
+    _, vjp = head.jacobian_products(z_row[None, :])
+    g = vjp(np.ones(1))
+    u = solve_regularized(curvature, head.alpha, head.beta, g)
     var = 1.0 / head.beta + float(g @ u)
     return mean, var
 

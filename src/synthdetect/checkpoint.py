@@ -157,7 +157,7 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
     except ValueError as err:
         raise CheckpointError(f"corrupt checkpoint header: {err}") from err
     cfg, directory = _validated_header(header)
-    payload = data[20 + hlen:]
+    payload = memoryview(data)[20 + hlen:]
     tensors = {}
     for name, shape, start in directory:
         end = start + 8 * int(np.prod(shape))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,11 @@ class UnsupportedFormatError(DecodeError):
 
 class TruncatedFileError(DecodeError):
     """Content ended before the declared pixel data was complete."""
+
+
+class CorruptFileError(DecodeError):
+    """Content contradicts itself: a failed checksum, a malformed header, or
+    more pixel data than the header declares."""
 
 
 class ChannelError(DecodeError):
@@ -145,10 +151,15 @@ def _decode_png(data: bytes) -> np.ndarray:
         length, ctype = struct.unpack(">I4s", data[pos:pos + 8])
         pos += 8
         chunk = data[pos:pos + length]
-        if len(chunk) < length:
+        crc = data[pos + length:pos + length + 4]
+        if len(chunk) < length or len(crc) < 4:
             raise TruncatedFileError("PNG chunk data incomplete")
-        pos += length + 4  # skip CRC
+        if zlib.crc32(chunk, zlib.crc32(ctype)) != int.from_bytes(crc, "big"):
+            raise CorruptFileError(f"PNG {ctype!r} chunk fails its CRC check")
+        pos += length + 4
         if ctype == b"IHDR":
+            if length != 13:
+                raise CorruptFileError(f"PNG IHDR chunk is {length} bytes, not 13")
             header = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)
@@ -165,13 +176,24 @@ def _decode_png(data: bytes) -> np.ndarray:
         raise UnsupportedFormatError(f"only 8-bit RGB PNG supported (depth={depth}, color={color})")
     if comp != 0 or filt != 0 or interlace != 0:
         raise UnsupportedFormatError("compressed/interlaced variants beyond baseline PNG unsupported")
+    if width == 0 or height == 0:
+        raise UnsupportedFormatError("zero PNG dimensions")
+    size = height * (3 * width + 1)
+    if size > sys.maxsize:
+        raise UnsupportedFormatError(f"PNG dimensions {width}x{height} are too large")
+    # inflate no further than the declared scanlines: a small file can hold
+    # a stream that expands a thousandfold
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(idat, size)
+        excess = inflater.decompress(inflater.unconsumed_tail, 1)
     except zlib.error as err:
         raise TruncatedFileError(f"PNG deflate stream corrupt: {err}") from err
-    stride = 3 * width
-    if len(raw) < height * (stride + 1):
+    if excess:
+        raise CorruptFileError("PNG image data is longer than its declared size")
+    if len(raw) < size or not inflater.eof:
         raise TruncatedFileError("PNG scanline data incomplete")
+    stride = 3 * width
     img = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):

@@ -36,10 +36,13 @@ def write_png(pixels_u8: np.ndarray, filters: list[int] | None = None) -> bytes:
         raw.append(ftype)
         raw.extend(filtered.astype(np.uint8).tobytes())
         prev = line
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n"
-            + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(bytes(raw)))
+    return png_file(struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0), zlib.compress(bytes(raw)))
+
+
+def png_file(ihdr: bytes, idat: bytes) -> bytes:
+    """A PNG file of one IHDR, one IDAT and the IEND chunk, with valid CRCs,
+    from the raw IHDR content and the compressed image data."""
+    return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat)
             + _chunk(b"IEND", b""))
 
 
@@ -74,3 +77,13 @@ def _apply_filter(ftype: int, line: np.ndarray, prev: np.ndarray) -> np.ndarray:
     else:
         raise ValueError(ftype)
     return out
+
+
+def png_bomb(inflated: int) -> bytes:
+    """A 1x1 RGB PNG whose image data inflates to ``inflated`` zero bytes,
+    compressed a megabyte at a time."""
+    deflate = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    idat = b"".join(deflate.compress(block[:min(len(block), inflated - done)])
+                    for done in range(0, inflated, len(block))) + deflate.flush()
+    return png_file(struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0), idat)

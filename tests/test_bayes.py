@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,16 +196,66 @@ def test_matvec_matches_dense():
         assert np.allclose(curv.matvec(v), H @ v, atol=1e-10)
 
 
-def test_streaming_blocks_match_cached():
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_closed_form_products_match_tape():
+    """J v, J^T u and H v from the heads' closed forms agree with the
+    per-sample gradients the autodiff tape gives, dropout included."""
     rng = np.random.default_rng(8)
-    head = LinearHead(6)
-    head.set_flat_weights(rng.normal(size=6))
-    Z = rng.normal(size=(50, 6))
-    cached = GaussNewtonCurvature(head, Z)
-    streamed = GaussNewtonCurvature(head, Z, block_size=7, cache_limit=10)
-    assert streamed._cached is None
-    v = rng.normal(size=6)
-    assert np.allclose(cached.matvec(v), streamed.matvec(v), atol=1e-12)
+    linear = LinearHead(6)
+    linear.set_flat_weights(rng.normal(size=6))
+    for head in (BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng), linear):
+        Z = rng.normal(size=(11, 6))
+        G = per_sample_gradients(head, Z)
+        jvp, vjp = head.jacobian_products(Z)
+        curv = GaussNewtonCurvature(head, Z)
+        for _ in range(3):
+            v = rng.normal(size=head.weight_count)
+            u = rng.normal(size=11)
+            assert _rel(jvp(v), G @ v) <= 1e-12
+            assert _rel(vjp(u), G.T @ u) <= 1e-12
+            assert _rel(curv.matvec(v), G.T @ (G @ v)) <= 1e-12
+
+
+def test_single_row_product_is_head_weight_gradient():
+    rng = np.random.default_rng(23)
+    head = BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng)
+    for _ in range(3):
+        z = rng.normal(size=6)
+        _, vjp = head.jacobian_products(z[None, :])
+        assert _rel(vjp(np.ones(1)), head_weight_gradient(head, z)) <= 1e-12
+
+
+def test_curvature_and_predictive_build_no_tape(monkeypatch):
+    rng = np.random.default_rng(24)
+    head = BayesianHead(6, hidden=5, alpha=0.5, beta=4.0, rng=rng)
+    Z = rng.normal(size=(10, 6))
+
+    def refuse(self):
+        raise AssertionError("a gradient tape was opened")
+
+    monkeypatch.setattr(GradTape, "__enter__", refuse)
+    curv = GaussNewtonCurvature(head, Z)
+    curv.matvec(rng.normal(size=curv.dim))
+    _, var = predictive(rng.normal(size=6), head, curv)
+    assert var >= 1.0 / 4.0
+
+
+def test_curvature_build_allocates_no_gradient_block():
+    """At N=64, d=128, hidden=512 the [N, W] gradient block would be 34 MB;
+    the operator keeps only the [N, hidden] hidden activations."""
+    rng = np.random.default_rng(25)
+    head = BayesianHead(128, hidden=512, rng=rng)
+    Z = rng.normal(size=(64, 128))
+    tracemalloc.start()
+    try:
+        GaussNewtonCurvature(head, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * Z.shape[0] * head.hidden * 8
 
 
 # --- solves ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,24 @@ def test_rejects_non_finite_payload(tmp_path):
     (tmp_path / "nan.bin").write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(tmp_path / "nan.bin")
+
+
+def test_load_peak_allocation_bounded_by_file_size(tmp_path):
+    """The file is read once and the payload is sliced in place: besides the
+    file's bytes, only the head's initial tensors and their loaded copies are
+    held, so a wide head peaks near 3x the file, not 5x."""
+    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(3))
+    head = BayesianHead(cnn.feature_dim, hidden=4096, rng=np.random.default_rng(4))
+    path = tmp_path / "wide.bin"
+    save_checkpoint(path, Detector(cnn=cnn, head=head))
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.head.w1.data, head.w1.data)
+    assert peak < 3.5 * path.stat().st_size
 
 
 def test_no_temp_litter(tmp_path):

@@ -1,3 +1,7 @@
+import shutil
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
 
 from helpers import rewrite_checkpoint_header
-from imageio import write_ppm
+from imageio import png_bomb, png_file, write_png, write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,39 @@ def test_score_bad_image_gets_error_row(trained_dir, tmp_path, capsys):
                  str(imgdir)]) == 0
     out = capsys.readouterr().out
     assert ",error," in out
+
+
+def _malformed_pngs() -> dict[str, bytes]:
+    good = bytearray(write_png(np.zeros((32, 32, 3), dtype=np.uint8)))
+    good[-1] ^= 0x01  # the IEND CRC
+    return {"short_ihdr.png": png_file(b"\x00" * 12, zlib.compress(b"\x00" * 4)),
+            "bomb.png": png_bomb(50_000_000),
+            "bad_crc.png": bytes(good)}
+
+
+def test_score_malformed_pngs_get_error_rows(trained_dir, tmp_path, capsys):
+    imgdir = tmp_path / "imgs"
+    imgdir.mkdir()
+    (imgdir / "good.ppm").write_bytes(write_ppm(np.zeros((32, 32, 3), dtype=np.uint8)))
+    for name, data in _malformed_pngs().items():
+        (imgdir / name).write_bytes(data)
+    assert main(["score", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 str(imgdir)]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    assert {Path(p).name: r for p, r in rows.items() if r.startswith("error")} == {
+        "bad_crc.png": "error,CorruptFileError", "bomb.png": "error,CorruptFileError",
+        "short_ihdr.png": "error,CorruptFileError"}
+
+
+def test_eval_malformed_png_exits_data_error(trained_dir, toy_root, tmp_path, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(toy_root, root)
+    (root / "real" / "short_ihdr.png").write_bytes(_malformed_pngs()["short_ihdr.png"])
+    code = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(root), "--out", str(tmp_path / "e"), "--split", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: PNG IHDR") and err.count("\n") == 1
 
 
 def test_score_all_bad_exits_data_error(trained_dir, tmp_path, capsys):

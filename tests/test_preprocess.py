@@ -1,9 +1,16 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthdetect.preprocess import (
     ChannelError,
+    CorruptFileError,
     DatasetError,
+    DecodeError,
     ImageRecord,
     NormStats,
     TruncatedFileError,
@@ -16,7 +23,7 @@ from synthdetect.preprocess import (
     rgb_normalize,
 )
 
-from imageio import write_png, write_ppm
+from imageio import png_bomb, png_file, write_png, write_ppm
 
 
 def _record(source, seed=0, size=8):
@@ -82,19 +89,102 @@ def test_decode_truncated_png():
 
 
 def test_decode_non_rgb_png_rejected():
-    import struct
-    import zlib
     ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 6, 0, 0, 0)  # color type 6 = RGBA
-
-    def chunk(ctype, payload):
-        return (struct.pack(">I", len(payload)) + ctype + payload
-                + struct.pack(">I", zlib.crc32(ctype + payload)))
-
-    data = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(b"\x00" * 18))
-            + chunk(b"IEND", b""))
     with pytest.raises(ChannelError):
-        decode_image(data)
+        decode_image(png_file(ihdr, zlib.compress(b"\x00" * 18)))
+
+
+@pytest.mark.parametrize("size", [0, 12, 14])
+def test_decode_png_ihdr_not_13_bytes(size):
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0).ljust(size, b"\x00")[:size]
+    with pytest.raises(CorruptFileError):
+        decode_image(png_file(ihdr, zlib.compress(b"\x00" * 4)))
+
+
+@pytest.mark.parametrize("width, height", [(0, 2), (2, 0), (0, 0), (2 ** 32 - 1, 2 ** 32 - 1)])
+def test_decode_png_zero_or_overflowing_dimensions_rejected(width, height):
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+    with pytest.raises(UnsupportedFormatError):
+        decode_image(png_file(ihdr, zlib.compress(b"\x00" * min(height, 8))))
+
+
+def test_decode_png_bomb_bounded():
+    """A 1x1 PNG whose image data inflates to 50 MB is rejected after
+    inflating no more than its declared 4 bytes (and one to spare)."""
+    bomb = png_bomb(50_000_000)
+    assert len(bomb) < 60_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFileError):
+            decode_image(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(bomb)
+
+
+@pytest.mark.parametrize("where", ["crc", "payload"])
+def test_decode_png_bad_crc(where):
+    data = bytearray(write_png(np.zeros((2, 2, 3), dtype=np.uint8)))
+    idat = data.index(b"IDAT")
+    length = struct.unpack(">I", data[idat - 4:idat])[0]
+    data[idat + 4 + (length if where == "crc" else 0)] ^= 0x01
+    with pytest.raises(CorruptFileError, match="CRC"):
+        decode_image(bytes(data))
+
+
+def test_decode_png_stream_without_end_is_truncated():
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)
+    with pytest.raises(TruncatedFileError):
+        decode_image(png_file(ihdr, zlib.compress(b"\x00" * 4)[:-4]))
+
+
+_VALID_FILES = [
+    write_png(np.random.default_rng(30).integers(0, 256, (3, 4, 3), dtype=np.uint8),
+              filters=[1, 3, 4]),
+    write_ppm(np.random.default_rng(31).integers(0, 256, (3, 4, 3), dtype=np.uint8)),
+]
+
+
+def _decodes_or_rejects(data: bytes) -> None:
+    try:
+        img = decode_image(data)
+    except DecodeError:
+        return
+    assert img.ndim == 3 and img.shape[0] == 3 and img.size > 0
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([b"", b"\x89PNG\r\n\x1a\n", b"P6"]), st.binary(max_size=96))
+def test_decode_arbitrary_bytes_fuzz(prefix, body):
+    _decodes_or_rejects(prefix + body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_VALID_FILES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)), max_size=6),
+       st.integers(0, 10 ** 6))
+def test_decode_mutated_valid_files_fuzz(valid, edits, cut):
+    data = bytearray(valid)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    _decodes_or_rejects(bytes(data[:len(data) - cut % 8]))
+
+
+_IHDRS = st.one_of(
+    st.binary(max_size=20),
+    st.builds(lambda w, h, rest: struct.pack(">II", w, h) + rest,
+              st.integers(0, 6), st.integers(0, 6),
+              st.just(b"\x08\x02\x00\x00\x00") | st.binary(min_size=5, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_IHDRS, st.binary(max_size=64))
+def test_decode_checksummed_png_fuzz(ihdr, raw):
+    """Chunks with valid CRCs around an arbitrary IHDR and arbitrary
+    scanline bytes reach the header checks, the inflate and the unfilter."""
+    _decodes_or_rejects(png_file(ihdr, zlib.compress(raw)))
 
 
 # --- crop / normalize -------------------------------------------------------
