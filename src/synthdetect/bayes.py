@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .preprocess import NormStats, preprocess_pixels
-from .tensor import GradTape, Tensor, backward
+from .tensor import GradTape, ShapeError, Tensor, backward
 
 DENSE_DIM_LIMIT = 4096
 LOG_2PI = math.log(2.0 * math.pi)
@@ -57,7 +58,10 @@ class BayesianHead:
 
     def __init__(self, d_in: int, hidden: int = 512, alpha: float = 1e-2,
                  beta: float = 100.0, dropout_rate: float = 0.5,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 weights: Sequence[np.ndarray] | None = None):
+        """``weights``, in ``parameters()`` order, become the head's tensors
+        without a copy; without them (and without ``rng``) they are zero."""
         if not (alpha > 0 and beta > 0):  # also rejects NaN
             raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
         if not 0.0 <= dropout_rate < 1.0:
@@ -67,10 +71,14 @@ class BayesianHead:
         self.alpha = alpha
         self.beta = beta
         self.dropout_rate = dropout_rate
-        self.w1 = Tensor(np.zeros((hidden, d_in)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(np.zeros((1, hidden)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(1), requires_grad=True)
+        shapes = [(hidden, d_in), (hidden,), (1, hidden), (1,)]
+        if weights is None:
+            weights = [np.zeros(shape) for shape in shapes]
+        elif [np.shape(w) for w in weights] != shapes:
+            raise ShapeError(f"head weight shapes {[np.shape(w) for w in weights]} "
+                             f"!= {shapes}")
+        self.w1, self.b1, self.w2, self.b2 = (Tensor.adopt(w, requires_grad=True)
+                                              for w in weights)
         if rng is not None:
             self.xavier_init(rng)
 

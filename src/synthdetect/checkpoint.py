@@ -34,6 +34,7 @@ class CheckpointError(ValueError):
 _HEADER_KEYS = {"cnn", "head", "norm", "gamma", "mode", "trained", "tensors"}
 _CNN_KEYS = {f.name for f in dataclasses.fields(CnnConfig)}
 _HEAD_KEYS = {"d_in", "hidden", "alpha", "beta", "dropout_rate"}
+_HEAD_TENSORS = ("fc1.weights", "fc1.bias", "fc2.weights", "fc2.bias")  # parameters() order
 
 
 def _tensor_entries(detector: Detector) -> list[tuple[str, np.ndarray]]:
@@ -145,30 +146,39 @@ def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
 
 
 def load_checkpoint(path: str | os.PathLike) -> Detector:
-    data = Path(path).read_bytes()
-    if data[:8] != MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    version, = struct.unpack("<I", data[8:12])
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    hlen, = struct.unpack("<Q", data[12:20])
-    try:
-        header = json.loads(data[20:20 + hlen])
-    except ValueError as err:
-        raise CheckpointError(f"corrupt checkpoint header: {err}") from err
-    cfg, directory = _validated_header(header)
-    payload = memoryview(data)[20 + hlen:]
-    tensors = {}
-    for name, shape, start in directory:
-        end = start + 8 * int(np.prod(shape))
-        if end > len(payload):
+    """Read the header, check it whole, then read each tensor from the file
+    straight into its own array, which the model takes over without a copy."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(20)
+        if prefix[:8] != MAGIC or len(prefix) < 20:
+            raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+        version, = struct.unpack("<I", prefix[8:12])
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        hlen, = struct.unpack("<Q", prefix[12:20])
+        payload_size = os.fstat(fh.fileno()).st_size - 20 - hlen
+        if payload_size < 0:
+            raise CheckpointError(f"checkpoint header of {hlen} bytes runs past the file's end")
+        try:
+            header = json.loads(fh.read(hlen))
+        except ValueError as err:
+            raise CheckpointError(f"corrupt checkpoint header: {err}") from err
+        cfg, directory = _validated_header(header)
+        if any(start + 8 * math.prod(shape) > payload_size
+               for _, shape, start in directory):
             raise CheckpointError("checkpoint payload truncated")
-        # a read-only view: loading into the model copies it
-        tensors[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape)
-        if not np.isfinite(tensors[name]).all():
-            raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
+        tensors = {}
+        for name, shape, start in directory:
+            arr = np.empty(shape, dtype="<f8")
+            fh.seek(20 + hlen + start)
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise CheckpointError("checkpoint payload truncated")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
+            tensors[name] = arr
     try:
-        head = BayesianHead(**{k: header["head"][k] for k in _HEAD_KEYS})
+        head = BayesianHead(**{k: header["head"][k] for k in _HEAD_KEYS},
+                            weights=[tensors[f"head.{name}"] for name in _HEAD_TENSORS])
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"checkpoint head is malformed: {err}") from err
     norm = None
@@ -181,7 +191,5 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
     cnn = FineToCoarseCnn(cfg)
     cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                            if name.startswith("cnn.")})
-    for name, p in head.parameters():
-        p.assign(tensors[f"head.{name}"])
     return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"],
                     mode=header["mode"], trained=header["trained"])

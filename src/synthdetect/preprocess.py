@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,10 @@ REAL_LABEL = "real"
 SUPPORTED_EXTENSIONS = (".png", ".ppm")
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_BPP = 3  # bytes per 8-bit RGB pixel
+# Largest width * height either decoder accepts, checked before any pixel
+# buffer is allocated or any image data inflated: 4096 x 4096.
+MAX_IMAGE_PIXELS = 1 << 24
 
 
 class DecodeError(ValueError):
@@ -135,6 +138,9 @@ def _decode_ppm(data: bytes) -> np.ndarray:
         raise UnsupportedFormatError(f"only 8-bit PPM supported, maxval={maxval}")
     if width <= 0 or height <= 0:
         raise UnsupportedFormatError("non-positive PPM dimensions")
+    if width * height > MAX_IMAGE_PIXELS:
+        raise UnsupportedFormatError(
+            f"PPM dimensions {width}x{height} exceed {MAX_IMAGE_PIXELS} pixels")
     pos += 1  # single whitespace after maxval
     raster = data[pos:pos + 3 * width * height]
     if len(raster) < 3 * width * height:
@@ -178,9 +184,10 @@ def _decode_png(data: bytes) -> np.ndarray:
         raise UnsupportedFormatError("compressed/interlaced variants beyond baseline PNG unsupported")
     if width == 0 or height == 0:
         raise UnsupportedFormatError("zero PNG dimensions")
+    if width * height > MAX_IMAGE_PIXELS:
+        raise UnsupportedFormatError(
+            f"PNG dimensions {width}x{height} exceed {MAX_IMAGE_PIXELS} pixels")
     size = height * (3 * width + 1)
-    if size > sys.maxsize:
-        raise UnsupportedFormatError(f"PNG dimensions {width}x{height} are too large")
     # inflate no further than the declared scanlines: a small file can hold
     # a stream that expands a thousandfold
     inflater = zlib.decompressobj()
@@ -193,50 +200,79 @@ def _decode_png(data: bytes) -> np.ndarray:
         raise CorruptFileError("PNG image data is longer than its declared size")
     if len(raw) < size or not inflater.eof:
         raise TruncatedFileError("PNG scanline data incomplete")
-    stride = 3 * width
-    img = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        offset = y * (stride + 1)
-        ftype = raw[offset]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=offset + 1)
-        img[y] = _unfilter_scanline(ftype, line, prev)
-        prev = img[y]
-    rgb = img.reshape(height, width, 3)
+    scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, 3 * width + 1)
+    rgb = _unfilter(scanlines).reshape(height, width, 3)
     return rgb.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
-def _unfilter_scanline(ftype: int, line: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    bpp = 3
-    out = line.astype(np.int32)
-    if ftype == 0:
-        pass
-    elif ftype == 1:
-        for i in range(bpp, out.size):
-            out[i] = (out[i] + out[i - bpp]) & 0xFF
-    elif ftype == 2:
-        out = (out + prev) & 0xFF
-    elif ftype == 3:
-        for i in range(out.size):
-            left = out[i - bpp] if i >= bpp else 0
-            out[i] = (out[i] + ((left + int(prev[i])) >> 1)) & 0xFF
-    elif ftype == 4:
-        for i in range(out.size):
-            a = out[i - bpp] if i >= bpp else 0
-            b = int(prev[i])
-            c = int(prev[i - bpp]) if i >= bpp else 0
-            p = a + b - c
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-            if pa <= pb and pa <= pc:
-                pred = a
-            elif pb <= pc:
-                pred = b
-            else:
-                pred = c
-            out[i] = (out[i] + pred) & 0xFF
-    else:
-        raise UnsupportedFormatError(f"unknown PNG filter type {ftype}")
-    return out.astype(np.uint8)
+def _unfilter(scanlines: np.ndarray) -> np.ndarray:
+    """Undo the PNG filter of each [filter byte, 3W filtered bytes] row of
+    ``scanlines`` into a [H, 3W] uint8 image. None, Sub and Up are whole-row
+    uint8 operations that wrap as PNG arithmetic does; Average and Paeth
+    predict each byte from the byte just decoded to its left, so they run
+    one channel at a time over Python ints."""
+    height, stride = scanlines.shape[0], scanlines.shape[1] - 1
+    img = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for y, ftype in enumerate(scanlines[:, 0].tolist()):
+        line, row = scanlines[y, 1:], img[y]
+        if ftype == 0:
+            row[:] = line
+        elif ftype == 1:
+            np.cumsum(line.reshape(-1, _BPP), axis=0, dtype=np.uint8,
+                      out=row.reshape(-1, _BPP))
+        elif ftype == 2:
+            np.add(line, prev, out=row)
+        elif ftype in _LEFT_PREDICTORS:
+            predict = _LEFT_PREDICTORS[ftype]
+            decoded = bytearray(stride)
+            for k in range(_BPP):
+                decoded[k::_BPP] = predict(line[k::_BPP].tobytes(), prev[k::_BPP].tobytes())
+            row[:] = np.frombuffer(decoded, dtype=np.uint8)
+        else:
+            raise UnsupportedFormatError(f"unknown PNG filter type {ftype}")
+        prev = row
+    return img
+
+
+def _average_channel(filtered: bytes, up: bytes) -> list[int]:
+    """One channel of an Average-filtered row: left and up are the decoded
+    neighbours, the left one 0 at the row's first pixel."""
+    out = []
+    left = 0
+    for x, b in zip(filtered, up):
+        left = (x + ((left + b) >> 1)) & 0xFF
+        out.append(left)
+    return out
+
+
+def _paeth_channel(filtered: bytes, up: bytes) -> list[int]:
+    """One channel of a Paeth-filtered row: of left (a), up (b) and up-left
+    (c), the predictor is the one nearest a + b - c, ties going a, b, c."""
+    out = []
+    a = c = 0
+    for x, b in zip(filtered, up):
+        pa = b - c  # |p - a|, p = a + b - c
+        pb = a - c  # |p - b|
+        pc = pa + pb  # |p - c|
+        if pa < 0:
+            pa = -pa
+        if pb < 0:
+            pb = -pb
+        if pc < 0:
+            pc = -pc
+        if pa <= pb and pa <= pc:
+            a = (x + a) & 0xFF
+        elif pb <= pc:
+            a = (x + b) & 0xFF
+        else:
+            a = (x + c) & 0xFF
+        out.append(a)
+        c = b
+    return out
+
+
+_LEFT_PREDICTORS = {3: _average_channel, 4: _paeth_channel}
 
 
 # --- pipeline ---------------------------------------------------------------

@@ -94,6 +94,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    @staticmethod
+    def adopt(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """Wrap ``arr`` itself, without the copy ``Tensor(arr)`` makes; the
+        caller hands the buffer over and must not write to it again."""
+        t = _fresh(arr)
+        t.requires_grad = requires_grad
+        return t
+
     def assign(self, data) -> None:
         """Replace the value in place (parameter update; exclusive access)."""
         arr = np.array(data, dtype=np.float64)

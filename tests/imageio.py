@@ -87,3 +87,10 @@ def png_bomb(inflated: int) -> bytes:
     idat = b"".join(deflate.compress(block[:min(len(block), inflated - done)])
                     for done in range(0, inflated, len(block))) + deflate.flush()
     return png_file(struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0), idat)
+
+
+def png_oversized(inflated: int) -> bytes:
+    """A PNG declaring 60000 x 60000 pixels (about 10.8 GB of scanlines)
+    whose image data inflates to only ``inflated`` zero bytes."""
+    ihdr = struct.pack(">IIBBBBB", 60000, 60000, 8, 2, 0, 0, 0)
+    return png_file(ihdr, zlib.compress(bytes(inflated), 9))

@@ -24,7 +24,7 @@ from synthdetect.bayes import (
 )
 from synthdetect.model import FineToCoarseCnn, full_scale_config
 from synthdetect.preprocess import NormStats
-from synthdetect.tensor import GradTape, Tensor, backward
+from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
 
 from helpers import assert_grads_close, fd_gradient
 
@@ -90,6 +90,24 @@ def test_log_likelihood_rejects_mismatch():
         log_likelihood(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         log_likelihood(np.zeros(3), np.zeros(3), -1.0)
+
+
+# --- head construction -----------------------------------------------------------
+
+
+def test_head_takes_over_given_weights_without_copy():
+    rng = np.random.default_rng(0)
+    weights = [rng.normal(size=(5, 6)), rng.normal(size=5), rng.normal(size=(1, 5)),
+               rng.normal(size=1)]
+    head = BayesianHead(6, hidden=5, weights=weights)
+    for (_, p), w in zip(head.parameters(), weights):
+        assert p.data is w and p.requires_grad and not w.flags.writeable
+
+
+def test_head_rejects_misshapen_weights():
+    weights = [np.zeros((5, 6)), np.zeros(5), np.zeros((5, 1)), np.zeros(1)]
+    with pytest.raises(ShapeError):
+        BayesianHead(6, hidden=5, weights=weights)
 
 
 # --- map objective -----------------------------------------------------------

@@ -10,7 +10,7 @@ from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
 
 from helpers import rewrite_checkpoint_header
-from imageio import png_bomb, png_file, write_png, write_ppm
+from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,8 @@ def _malformed_pngs() -> dict[str, bytes]:
     good[-1] ^= 0x01  # the IEND CRC
     return {"short_ihdr.png": png_file(b"\x00" * 12, zlib.compress(b"\x00" * 4)),
             "bomb.png": png_bomb(50_000_000),
-            "bad_crc.png": bytes(good)}
+            "bad_crc.png": bytes(good),
+            "oversized.png": png_oversized(1 << 20)}
 
 
 def test_score_malformed_pngs_get_error_rows(trained_dir, tmp_path, capsys):
@@ -136,7 +137,8 @@ def test_score_malformed_pngs_get_error_rows(trained_dir, tmp_path, capsys):
     rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
     assert {Path(p).name: r for p, r in rows.items() if r.startswith("error")} == {
         "bad_crc.png": "error,CorruptFileError", "bomb.png": "error,CorruptFileError",
-        "short_ihdr.png": "error,CorruptFileError"}
+        "short_ihdr.png": "error,CorruptFileError",
+        "oversized.png": "error,UnsupportedFormatError"}
 
 
 def test_eval_malformed_png_exits_data_error(trained_dir, toy_root, tmp_path, capsys):
@@ -148,6 +150,18 @@ def test_eval_malformed_png_exits_data_error(trained_dir, toy_root, tmp_path, ca
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: PNG IHDR") and err.count("\n") == 1
+
+
+def test_eval_oversized_png_exits_data_error(trained_dir, toy_root, tmp_path, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(toy_root, root)
+    (root / "real" / "oversized.png").write_bytes(png_oversized(1 << 20))
+    code = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(root), "--out", str(tmp_path / "e"), "--split", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: PNG dimensions 60000x60000 exceed")
+    assert err.count("\n") == 1
 
 
 def test_score_all_bad_exits_data_error(trained_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthdetect.preprocess import (
+    MAX_IMAGE_PIXELS,
     ChannelError,
     CorruptFileError,
     DatasetError,
@@ -23,7 +24,8 @@ from synthdetect.preprocess import (
     rgb_normalize,
 )
 
-from imageio import png_bomb, png_file, write_png, write_ppm
+from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
+from oracles import _unfilter_scanline
 
 
 def _record(source, seed=0, size=8):
@@ -185,6 +187,100 @@ def test_decode_checksummed_png_fuzz(ihdr, raw):
     """Chunks with valid CRCs around an arbitrary IHDR and arbitrary
     scanline bytes reach the header checks, the inflate and the unfilter."""
     _decodes_or_rejects(png_file(ihdr, zlib.compress(raw)))
+
+
+def _scanline_png(width: int, rows: list[tuple[int, bytes]]) -> bytes:
+    """A CRC-valid PNG whose scanlines are ``rows``' (filter byte, filtered
+    bytes) pairs, taken as they are."""
+    raw = b"".join(bytes([ftype]) + line for ftype, line in rows)
+    ihdr = struct.pack(">IIBBBBB", width, len(rows), 8, 2, 0, 0, 0)
+    return png_file(ihdr, zlib.compress(raw))
+
+
+def _oracle_pixels(width: int, rows: list[tuple[int, bytes]]) -> np.ndarray:
+    """The reference decode: the per-byte unfilter, one row at a time."""
+    prev = np.zeros(3 * width, dtype=np.uint8)
+    img = []
+    for ftype, line in rows:
+        prev = _unfilter_scanline(ftype, np.frombuffer(line, dtype=np.uint8), prev)
+        img.append(prev)
+    rgb = np.stack(img).reshape(len(rows), width, 3)
+    return rgb.transpose(2, 0, 1).astype(np.float64) / 255.0
+
+
+@st.composite
+def _filtered_scanlines(draw):
+    width = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.tuples(st.integers(0, 4),
+                                   st.binary(min_size=3 * width, max_size=3 * width)),
+                         min_size=1, max_size=8))
+    return width, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filtered_scanlines())
+def test_unfilter_matches_oracle_fuzz(image):
+    """Arbitrary filtered bytes under any mix of the five filters decode to
+    exactly what the per-byte reference unfilter gives."""
+    width, rows = image
+    assert np.array_equal(decode_image(_scanline_png(width, rows)),
+                          _oracle_pixels(width, rows))
+
+
+@pytest.mark.parametrize("ftype", [1, 3, 4])
+@pytest.mark.parametrize("width", [1, 2])
+def test_unfilter_narrow_rows_match_oracle(ftype, width):
+    """At widths 1 and 2 all or all but three bytes of a row have no left
+    neighbour."""
+    rng = np.random.default_rng(10 * ftype + width)
+    rows = [(ftype, rng.integers(0, 256, 3 * width, dtype=np.uint8).tobytes())
+            for _ in range(4)]
+    assert np.array_equal(decode_image(_scanline_png(width, rows)),
+                          _oracle_pixels(width, rows))
+
+
+@pytest.mark.parametrize("ftype", [2, 3, 4])
+def test_unfilter_first_row_reads_zero_row_above(ftype):
+    rng = np.random.default_rng(ftype)
+    rows = [(ftype, rng.integers(0, 256, 15, dtype=np.uint8).tobytes()), (0, bytes(15))]
+    assert np.array_equal(decode_image(_scanline_png(5, rows)), _oracle_pixels(5, rows))
+
+
+@pytest.mark.parametrize("ftype", [5, 255])
+def test_unfilter_unknown_filter_after_valid_rows_rejected(ftype):
+    rows = [(f, bytes(range(6))) for f in (0, 1, 2, 3, 4)] + [(ftype, bytes(6))]
+    with pytest.raises(UnsupportedFormatError, match=f"filter type {ftype}"):
+        decode_image(_scanline_png(2, rows))
+
+
+def test_decode_png_over_pixel_cap_rejected_before_inflate():
+    """The pixel cap rejects the file before any of its image data is
+    inflated (the stream holds 4 MB)."""
+    data = png_oversized(4 << 20)
+    assert len(data) < 10_000 and 60000 * 60000 > MAX_IMAGE_PIXELS
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedFormatError, match="exceed"):
+            decode_image(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_decode_ppm_over_pixel_cap_rejected():
+    with pytest.raises(UnsupportedFormatError, match="exceed"):
+        decode_image(b"P6\n60000 60000\n255\n" + bytes(64))
+
+
+@pytest.mark.parametrize("width, error", [(4096, TruncatedFileError),
+                                          (4097, UnsupportedFormatError)])
+def test_decode_png_pixel_cap_boundary(width, error):
+    """4096 x 4096 is within the cap and gets as far as the inflate, where
+    its few bytes of image data run out; one more column is over it."""
+    ihdr = struct.pack(">IIBBBBB", width, 4096, 8, 2, 0, 0, 0)
+    with pytest.raises(error):
+        decode_image(png_file(ihdr, zlib.compress(bytes(64))))
 
 
 # --- crop / normalize -------------------------------------------------------
