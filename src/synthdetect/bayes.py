@@ -15,14 +15,21 @@ log-stds by reparameterized sampling; scores are then taken at the q means.
 The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
 inference-mode outputs over N training features. At inference dropout is the
 identity, so f = w2 . (W1 z + b1) + b2 is linear in each layer's weights and
-g_n = [w2 (x) z_n, w2, W1 z_n + b1, 1]. Each head gives the products J v and
-J^T u in closed form (``jacobian_products``); H v = J^T (J v) then costs a
-few matrix-vector products, and neither J nor H is formed. At full scale the
-head has ~7.9M weights, so the regularized solve uses conjugate gradients on
-these products. The per-sample gradients from the autodiff tape
-(``per_sample_gradients``) are kept as the reference the closed form is
-tested against, and the dense matrix built from them is only formed below
-``DENSE_DIM_LIMIT``.
+g_n = [w2 (x) z_n, w2, W1 z_n + b1, 1] = A z~_n, with z~ = [z, 1] and one
+fixed [W, d+1] matrix A. Then H = A M A^T with M = sum_n z~_n z~_n^T, and for
+any square root R of K = A^T A (R^T R = K) the push-through identity gives
+
+    var(z) = 1/beta + z~^T R^T (alpha*I + beta * R M R^T)^-1 R z~
+           = 1/beta + ||B z~||^2
+
+exactly, in d+1 dimensions: 129 at 32 px against W = 66,561 weights. The
+[d+1, d+1] factor B is built once per curvature, on its first query
+(``GaussNewtonCurvature.factor``), so a query costs one small matrix-vector
+product. The operator H v = J^T (J v) on each head's closed-form products
+(``jacobian_products``), the conjugate-gradient solve on it
+(``solve_regularized``) and the per-sample gradients of the autodiff tape
+(``per_sample_gradients``, densified below ``DENSE_DIM_LIMIT``) are the
+references the factor is tested against; no production path calls them.
 """
 
 from __future__ import annotations
@@ -132,6 +139,22 @@ class BayesianHead:
 
         return jvp, vjp
 
+    def gradient_coordinates(self, z: np.ndarray) -> np.ndarray:
+        """z~ = [z_n, 1] per row of ``z``: the inference-mode weight gradient
+        at z_n is A z~ for one [W, d_in + 1] matrix A of the weights."""
+        return np.hstack([z, np.ones((z.shape[0], 1))])
+
+    def gradient_gram(self, weights: Sequence[np.ndarray]) -> np.ndarray:
+        """K = A^T A at the given weight arrays (``parameters()`` order). The
+        blocks of g = A z~ are w2 (x) z, w2, [W1 b1] z~ and 1, so
+        K = |w2|^2 I + [W1 b1]^T [W1 b1] + e e^T, e the last unit vector."""
+        w1, b1, w2, _ = weights
+        wb = np.hstack([w1, b1[:, None]])
+        K = wb.T @ wb
+        K[np.diag_indices_from(K)] += float(w2[0] @ w2[0])
+        K[-1, -1] += 1.0
+        return K
+
     def flat_weights(self) -> np.ndarray:
         return np.concatenate([p.data.reshape(-1) for _, p in self.parameters()])
 
@@ -178,6 +201,13 @@ class LinearHead:
     def jacobian_products(self, z: np.ndarray):
         """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself."""
         return (lambda v: z @ v), (lambda u: z.T @ u)
+
+    def gradient_coordinates(self, z: np.ndarray) -> np.ndarray:
+        """The gradient at z is z itself: A = I."""
+        return z
+
+    def gradient_gram(self, weights: Sequence[np.ndarray]) -> np.ndarray:
+        return np.eye(self.d_in)
 
     def flat_weights(self) -> np.ndarray:
         return self.w.data.reshape(-1).copy()
@@ -261,17 +291,43 @@ def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
 
 
 class GaussNewtonCurvature:
-    """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, held as an
-    operator on the head's closed-form Jacobian products."""
+    """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, for the head
+    as it is at build: the weight arrays are kept (tensors never change in
+    place), the operator is built here and the predictive factor on first
+    use."""
 
     def __init__(self, head, features: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError(f"need a non-empty [N, d] feature batch, got {features.shape}")
+        if features.shape[1] != head.d_in:
+            raise ValueError(f"feature rows have width {features.shape[1]}, "
+                             f"the head expects {head.d_in}")
+        if not np.isfinite(features).all():
+            raise ValueError("feature batch holds non-finite values")
         self.head = head
         self.features = features
         self.dim = head.weight_count
+        self._weights = [p.data for _, p in head.parameters()]
         self._jvp, self._vjp = head.jacobian_products(features)
+        self._factor = None
+
+    def factor(self) -> np.ndarray:
+        """B, [d+1, d+1], with B^T B = R^T (alpha*I + beta * R M R^T)^-1 R.
+        Both square roots come from ``eigh`` with eigenvalues clipped at 0:
+        R = diag(sqrt s) U^T from K = U diag(s) U^T, which is singular for a
+        zero head, and B = diag((alpha + beta*lam)^-1/2) V^T R from
+        R M R^T = V diag(lam) V^T. A Cholesky factor of the sum would fail
+        where alpha is below the rounding of beta * R M R^T."""
+        if self._factor is None:
+            head = self.head
+            s, U = np.linalg.eigh(head.gradient_gram(self._weights))
+            R = np.sqrt(np.clip(s, 0.0, None))[:, None] * U.T
+            rz = R @ head.gradient_coordinates(self.features).T
+            lam, V = np.linalg.eigh(rz @ rz.T)
+            scale = 1.0 / np.sqrt(head.alpha + head.beta * np.clip(lam, 0.0, None))
+            self._factor = scale[:, None] * (V.T @ R)
+        return self._factor
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._vjp(self._jvp(v))
@@ -335,16 +391,14 @@ def predictive(z_row: np.ndarray, head,
     """Gaussian predictive (mean, variance) at one feature vector.
 
     Mean is the inference-mode network output at the current weights; the
-    variance adds the weight-uncertainty quadratic form to the noise floor
-    1/beta, so it can never fall below 1/beta.
+    variance adds the weight-uncertainty quadratic form, ||B z~||^2 with B the
+    curvature's factor, to the noise floor 1/beta, so it can never fall below
+    1/beta.
     """
     z_row = np.asarray(z_row, dtype=np.float64)
     mean = float(head.forward(z_row[None, :], training=False).data[0])
-    _, vjp = head.jacobian_products(z_row[None, :])
-    g = vjp(np.ones(1))
-    u = solve_regularized(curvature, head.alpha, head.beta, g)
-    var = 1.0 / head.beta + float(g @ u)
-    return mean, var
+    b = curvature.factor() @ head.gradient_coordinates(z_row[None, :])[0]
+    return mean, 1.0 / head.beta + float(b @ b)
 
 
 # --- variational path ----------------------------------------------------------

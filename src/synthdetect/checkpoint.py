@@ -16,6 +16,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -145,9 +146,17 @@ def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
     return cfg, [(name, expected[name], offset) for name, _, offset in directory]
 
 
+def _raise_non_finite(tensors: dict[str, np.ndarray]) -> NoReturn:
+    """Name the first non-finite tensor. Only runs once the model has refused
+    one, so a checkpoint that loads has each tensor checked exactly once."""
+    bad = next(name for name, arr in tensors.items() if not np.isfinite(arr).all())
+    raise CheckpointError(f"checkpoint tensor {bad} holds non-finite values")
+
+
 def load_checkpoint(path: str | os.PathLike) -> Detector:
     """Read the header, check it whole, then read each tensor from the file
-    straight into its own array, which the model takes over without a copy."""
+    straight into its own array, which the model takes over without a copy.
+    The model's own finite checks cover the payload."""
     with open(path, "rb") as fh:
         prefix = fh.read(20)
         if prefix[:8] != MAGIC or len(prefix) < 20:
@@ -173,14 +182,14 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
             fh.seek(20 + hlen + start)
             if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise CheckpointError("checkpoint payload truncated")
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"checkpoint tensor {name} holds non-finite values")
             tensors[name] = arr
     try:
         head = BayesianHead(**{k: header["head"][k] for k in _HEAD_KEYS},
                             weights=[tensors[f"head.{name}"] for name in _HEAD_TENSORS])
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"checkpoint head is malformed: {err}") from err
+    except FloatingPointError:
+        _raise_non_finite(tensors)
     norm = None
     if header["norm"] is not None:
         try:
@@ -189,7 +198,10 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint norm is malformed: {err}") from err
     cnn = FineToCoarseCnn(cfg)
-    cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
-                           if name.startswith("cnn.")})
+    try:
+        cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
+                               if name.startswith("cnn.")})
+    except FloatingPointError:
+        _raise_non_finite(tensors)
     return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"],
                     mode=header["mode"], trained=header["trained"])

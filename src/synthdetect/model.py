@@ -163,5 +163,7 @@ class FineToCoarseCnn:
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.parameters():
             p.assign(state[name])
-        self.bn_mean[:] = state["bn.running_mean"]
-        self.bn_var[:] = state["bn.running_var"]
+        for name, buf in self.buffers():
+            if not np.isfinite(state[name]).all():
+                raise FloatingPointError(f"buffer {name} holds non-finite values")
+            buf[:] = state[name]

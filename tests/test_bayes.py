@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from synthdetect import bayes
 from synthdetect.bayes import (
     BayesianHead,
     Detector,
@@ -110,6 +112,14 @@ def test_head_rejects_misshapen_weights():
         BayesianHead(6, hidden=5, weights=weights)
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_head_rejects_non_finite_weights(index):
+    weights = [np.zeros((5, 6)), np.zeros(5), np.zeros((1, 5)), np.zeros(1)]
+    weights[index].reshape(-1)[0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        BayesianHead(6, hidden=5, weights=weights)
+
+
 # --- map objective -----------------------------------------------------------
 
 
@@ -201,6 +211,22 @@ def test_gauss_newton_rejects_empty_batch():
     head = LinearHead(3)
     with pytest.raises(ValueError):
         GaussNewtonCurvature(head, np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_gauss_newton_rejects_feature_width_mismatch(width):
+    head = BayesianHead(3, hidden=2, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"width {width}, the head expects 3"):
+        GaussNewtonCurvature(head, np.ones((5, width)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gauss_newton_rejects_non_finite_features(bad):
+    head = BayesianHead(3, hidden=2, rng=np.random.default_rng(0))
+    Z = np.ones((5, 3))
+    Z[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        GaussNewtonCurvature(head, Z)
 
 
 def test_matvec_matches_dense():
@@ -348,6 +374,107 @@ def test_predictive_variance_floor():
     for _ in range(10):
         _, var = predictive(rng.normal(size=5), head, curv)
         assert var >= 1.0 / 50.0 - 1e-12
+
+
+def _tape_variance(head, curv, z):
+    """Weight part of the variance, g^T (alpha*I + beta*H)^-1 g, from the
+    tape's gradient and the dense curvature."""
+    g = head_weight_gradient(head, z)
+    A = head.alpha * np.eye(curv.dim) + head.beta * curv.dense()
+    return g @ np.linalg.solve(A, g)
+
+
+def _cg_variance(head, curv, z):
+    _, vjp = head.jacobian_products(z[None, :])
+    g = vjp(np.ones(1))
+    return g @ solve_regularized(curv, head.alpha, head.beta, g, method="cg")
+
+
+def test_predictive_matches_dense_tape_solve():
+    rng = np.random.default_rng(26)
+    linear = LinearHead(8, alpha=0.4, beta=3.0)
+    linear.set_flat_weights(rng.normal(size=8))
+    heads = (BayesianHead(8, hidden=16, alpha=0.3, beta=5.0, dropout_rate=0.5, rng=rng),
+             linear)
+    for head in heads:
+        curv = GaussNewtonCurvature(head, rng.normal(size=(12, 8)))
+        for _ in range(5):
+            z = rng.normal(size=8)
+            mean, var = predictive(z, head, curv)
+            expected = _tape_variance(head, curv, z)
+            assert abs((var - 1.0 / head.beta) - expected) / expected <= 1e-12
+            assert mean == float(head.forward(z[None, :]).data[0])
+
+
+def test_predictive_matches_cg_at_bench_size():
+    rng = np.random.default_rng(27)
+    head = BayesianHead(128, hidden=512, rng=rng)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(64, 128)))
+    for _ in range(2):
+        z = rng.normal(size=128)
+        _, var = predictive(z, head, curv)
+        expected = 1.0 / head.beta + _cg_variance(head, curv, z)
+        assert abs(var - expected) / expected <= 1e-8
+
+
+def test_predictive_zero_head():
+    """All-zero weights make the Gram matrix K singular (only the output
+    bias has a gradient); the variance stays finite and equals CG's."""
+    rng = np.random.default_rng(28)
+    head = BayesianHead(8, hidden=16)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(12, 8)))
+    z = rng.normal(size=8)
+    mean, var = predictive(z, head, curv)
+    expected = 1.0 / head.beta + _cg_variance(head, curv, z)
+    assert mean == 0.0
+    assert math.isfinite(var) and var >= 1.0 / head.beta
+    assert abs(var - expected) / expected <= 1e-12
+
+
+def test_predictive_variance_describes_head_as_built():
+    """A weight update after the build changes neither a curvature's next
+    query nor its first one."""
+    rng = np.random.default_rng(29)
+    head = BayesianHead(6, hidden=5, rng=rng)
+    Z = rng.normal(size=(10, 6))
+    queried, unqueried = GaussNewtonCurvature(head, Z), GaussNewtonCurvature(head, Z)
+    z = rng.normal(size=6)
+    _, var = predictive(z, head, queried)
+    head.set_flat_weights(rng.normal(size=head.weight_count))
+    assert predictive(z, head, queried)[1] == var
+    assert predictive(z, head, unqueried)[1] == var
+
+
+def test_predictive_reaches_no_solver_and_no_tape(monkeypatch):
+    rng = np.random.default_rng(30)
+    head = BayesianHead(6, hidden=5, alpha=0.5, beta=4.0, rng=rng)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a test oracle was reached")
+
+    monkeypatch.setattr(bayes, "cg_solve", refuse)
+    monkeypatch.setattr(GaussNewtonCurvature, "matvec", refuse)
+    monkeypatch.setattr(GradTape, "__enter__", refuse)
+    for _ in range(3):
+        _, var = predictive(rng.normal(size=6), head, curv)
+        assert var >= 1.0 / 4.0
+
+
+@settings(max_examples=60, deadline=None)
+# alpha is below the rounding of beta * R M R^T here: a Cholesky factor of
+# their sum fails
+@example(seed=0, d=3, hidden=1, n=1, alpha=0.25, beta=164185.0, scale=381.0)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(1, 9),
+       st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(0.0, 1e3))
+def test_predictive_variance_never_below_noise_floor(seed, d, hidden, n, alpha, beta, scale):
+    rng = np.random.default_rng(seed)
+    weights = [scale * rng.normal(size=shape)
+               for shape in [(hidden, d), (hidden,), (1, hidden), (1,)]]
+    head = BayesianHead(d, hidden=hidden, alpha=alpha, beta=beta, weights=weights)
+    curv = GaussNewtonCurvature(head, scale * rng.normal(size=(n, d)))
+    _, var = predictive(scale * rng.normal(size=d), head, curv)
+    assert math.isfinite(var) and var >= 1.0 / beta
 
 
 # --- variational -----------------------------------------------------------------

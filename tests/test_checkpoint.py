@@ -12,7 +12,7 @@ from synthdetect.checkpoint import (
 from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.preprocess import NormStats
 
-from helpers import rewrite_checkpoint_header
+from helpers import poison_checkpoint_tensor, rewrite_checkpoint_header
 
 
 def _detector(seed=7):
@@ -134,6 +134,35 @@ def test_rejects_non_finite_payload(tmp_path):
     (tmp_path / "nan.bin").write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
     with pytest.raises(CheckpointError, match="non-finite"):
         load_checkpoint(tmp_path / "nan.bin")
+
+
+@pytest.mark.parametrize("name", ["cnn.conv1.kernels", "cnn.bn.running_var",
+                                  "head.fc1.weights", "head.fc2.bias"])
+def test_non_finite_payload_names_its_tensor(tmp_path, name):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    poison_checkpoint_tensor(path, tmp_path / "nan.bin", name)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(tmp_path / "nan.bin")
+    assert str(err.value) == f"checkpoint tensor {name} holds non-finite values"
+
+
+def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
+    """The head adopts the arrays read from the file; the one finite check
+    each gets is the head's own, not a second one in the loader."""
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    checked = []
+    isfinite = np.isfinite
+
+    def recording(arr, *args, **kwargs):
+        checked.append(arr)
+        return isfinite(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    head = load_checkpoint(path).head
+    for _, p in head.parameters():
+        assert sum(np.shares_memory(arr, p.data) for arr in checked) == 1
 
 
 def test_load_peak_allocation_bounded_by_file_size(tmp_path):

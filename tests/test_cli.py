@@ -9,7 +9,7 @@ from synthdetect.cli import main
 from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
 
-from helpers import rewrite_checkpoint_header
+from helpers import poison_checkpoint_tensor, rewrite_checkpoint_header
 from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
 
 
@@ -261,6 +261,15 @@ def test_score_nan_payload_exits_data_error(trained_dir, toy_root, tmp_path, cap
     assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: checkpoint") and err.count("\n") == 1
+
+
+def test_score_nan_head_weight_names_tensor(trained_dir, toy_root, tmp_path, capsys):
+    bad = tmp_path / "nan.bin"
+    poison_checkpoint_tensor(trained_dir / "checkpoint.bin", bad, "head.fc1.weights")
+    target = sorted((toy_root / "real").iterdir())[0]
+    assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: checkpoint tensor head.fc1.weights holds non-finite values\n"
 
 
 def test_usage_error_exit_code():
