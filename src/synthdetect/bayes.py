@@ -34,6 +34,7 @@ references the factor is tested against; no production path calls them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -292,9 +293,9 @@ def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
 
 class GaussNewtonCurvature:
     """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, for the head
-    as it is at build: the weight arrays are kept (tensors never change in
-    place), the operator is built here and the predictive factor on first
-    use."""
+    as it is at build: the weight arrays and precisions are kept (tensors
+    never change in place), the operator is built here and the predictive
+    factor on first use."""
 
     def __init__(self, head, features: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
@@ -308,6 +309,7 @@ class GaussNewtonCurvature:
         self.head = head
         self.features = features
         self.dim = head.weight_count
+        self.alpha, self.beta = head.alpha, head.beta
         self._weights = [p.data for _, p in head.parameters()]
         self._jvp, self._vjp = head.jacobian_products(features)
         self._factor = None
@@ -325,9 +327,14 @@ class GaussNewtonCurvature:
             R = np.sqrt(np.clip(s, 0.0, None))[:, None] * U.T
             rz = R @ head.gradient_coordinates(self.features).T
             lam, V = np.linalg.eigh(rz @ rz.T)
-            scale = 1.0 / np.sqrt(head.alpha + head.beta * np.clip(lam, 0.0, None))
+            scale = 1.0 / np.sqrt(self.alpha + self.beta * np.clip(lam, 0.0, None))
             self._factor = scale[:, None] * (V.T @ R)
         return self._factor
+
+    @functools.cached_property
+    def weights(self) -> list[Tensor]:
+        """The head's weights as at build, as tensors for ``forward_with``."""
+        return [Tensor.adopt(w) for w in self._weights]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._vjp(self._jvp(v))
@@ -390,15 +397,18 @@ def predictive(z_row: np.ndarray, head,
                curvature: GaussNewtonCurvature) -> tuple[float, float]:
     """Gaussian predictive (mean, variance) at one feature vector.
 
-    Mean is the inference-mode network output at the current weights; the
+    Both describe ``head`` as it was when ``curvature`` was built: the mean is
+    the inference-mode output at the curvature's kept weights, and the
     variance adds the weight-uncertainty quadratic form, ||B z~||^2 with B the
     curvature's factor, to the noise floor 1/beta, so it can never fall below
-    1/beta.
+    1/beta. A curvature built for another head is rejected.
     """
-    z_row = np.asarray(z_row, dtype=np.float64)
-    mean = float(head.forward(z_row[None, :], training=False).data[0])
-    b = curvature.factor() @ head.gradient_coordinates(z_row[None, :])[0]
-    return mean, 1.0 / head.beta + float(b @ b)
+    if head is not curvature.head:
+        raise ValueError("curvature was built for a different head")
+    z = np.asarray(z_row, dtype=np.float64)[None, :]
+    mean = float(head.forward_with(z, curvature.weights, training=False).data[0])
+    b = curvature.factor() @ head.gradient_coordinates(z)[0]
+    return mean, 1.0 / curvature.beta + float(b @ b)
 
 
 # --- variational path ----------------------------------------------------------

@@ -6,11 +6,21 @@ standard crop/normalize pipeline applies unchanged afterwards. JPEG is
 simulated in-process as the DCT-quantization round trip (entropy coding is
 lossless and cannot affect pixels); resizing re-upsamples to the original
 grid by default since the model has a fixed input size.
+
+Each transform is small dense linear algebra. The block DCT is D X D^T on a
+stack of 8x8 blocks of all three planes. Blur and resize are separable, so a
+[C, H, W] image maps to A_h X A_w^T, with A_h and A_w 1-D operators built
+once per (extent, parameter) and cached read-only. An operator is banded,
+and is stored as dense blocks of ``_TILE_ROWS`` rows that span only the
+input samples those rows read, so its memory and work grow linearly in the
+extent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +29,77 @@ class PerturbError(ValueError):
     """Transform parameters outside their valid range."""
 
 
+# --- separable 1-D operators ---------------------------------------------------
+
+_TILE_ROWS = 64  # output rows per dense block of a banded operator
+_OPERATOR_CACHE = 64  # entries kept by each operator and table cache
+
+
+class _Banded(NamedTuple):
+    """An [n_out, n_in] linear map as dense row blocks: ``(start, lo, block)``
+    maps input samples lo..lo+block.shape[1] to output samples
+    start..start+block.shape[0]; the map is zero outside its blocks."""
+
+    n_out: int
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
+
+
+def _banded(cols: np.ndarray, weights: np.ndarray) -> _Banded:
+    """The map whose output row i sums weights[i, k] * x[cols[i, k]] over k
+    (repeated columns add up). The blocks are read-only, since the operator
+    caches share them between callers."""
+    blocks = []
+    for start in range(0, cols.shape[0], _TILE_ROWS):
+        c = cols[start:start + _TILE_ROWS]
+        lo = int(c.min())
+        block = np.zeros((c.shape[0], int(c.max()) + 1 - lo))
+        np.add.at(block, (np.arange(c.shape[0])[:, None], c - lo),
+                  weights[start:start + _TILE_ROWS])
+        block.setflags(write=False)
+        blocks.append((start, lo, block))
+    return _Banded(cols.shape[0], tuple(blocks))
+
+
+def _along_rows(op: _Banded, x: np.ndarray) -> np.ndarray:
+    """Apply ``op`` to axis -2 of x: [..., n_in, m] -> [..., n_out, m]."""
+    out = np.empty(x.shape[:-2] + (op.n_out, x.shape[-1]))
+    for start, lo, block in op.blocks:
+        np.matmul(block, x[..., lo:lo + block.shape[1], :],
+                  out=out[..., start:start + block.shape[0], :])
+    return out
+
+
+def _along_columns(op: _Banded, x: np.ndarray) -> np.ndarray:
+    """Apply ``op`` to the last axis of x: [..., n_in] -> [..., n_out], as
+    2-D products on x viewed as [rows, n_in]."""
+    x2 = x.reshape(-1, x.shape[-1])
+    out = np.empty((x2.shape[0], op.n_out))
+    for start, lo, block in op.blocks:
+        np.matmul(x2[:, lo:lo + block.shape[1]], block.T,
+                  out=out[:, start:start + block.shape[0]])
+    return out.reshape(x.shape[:-1] + (op.n_out,))
+
+
+def _separable(img: np.ndarray, op_h: _Banded, op_w: _Banded) -> np.ndarray:
+    """op_h X op_w^T for each channel X of a [C, H, W] image."""
+    return _along_rows(op_h, _along_columns(op_w, img))
+
+
 # --- Gaussian blur -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def _blur_operator(extent: int, sigma: float) -> _Banded:
+    """1-D Gaussian filter over ``extent`` samples, numpy 'reflect' padding
+    folded in: the radius is at most extent - 1, so one reflection about
+    each end reaches every tap."""
+    radius = min(math.ceil(3.0 * sigma), extent - 1)
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    cols = np.abs(np.arange(extent)[:, None] + offsets)
+    cols = np.where(cols > extent - 1, 2 * (extent - 1) - cols, cols)
+    return _banded(cols, np.broadcast_to(kernel, cols.shape))
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -33,22 +113,8 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     if sigma == 0:
         return img.copy()
     _, h, w = img.shape
-    out = img
-    for axis, extent in ((1, h), (2, w)):
-        radius = min(math.ceil(3.0 * sigma), extent - 1)
-        offsets = np.arange(-radius, radius + 1)
-        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-        kernel /= kernel.sum()
-        pad = [(0, 0), (0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="reflect")
-        acc = np.zeros_like(img)
-        for k, weight in zip(range(2 * radius + 1), kernel):
-            sl = [slice(None)] * 3
-            sl[axis] = slice(k, k + extent)
-            acc += weight * padded[tuple(sl)]
-        out = acc
-    return out
+    sigma = float(sigma)
+    return _separable(img, _blur_operator(h, sigma), _blur_operator(w, sigma))
 
 
 # --- JPEG round trip ----------------------------------------------------------
@@ -98,60 +164,68 @@ def scaled_quant_table(base: np.ndarray, quality: int) -> np.ndarray:
     return np.clip(table, 1.0, 255.0)
 
 
-def _dct_round_trip(channel: np.ndarray, table: np.ndarray) -> np.ndarray:
-    h, w = channel.shape
-    blocks = channel.reshape(h // 8, 8, w // 8, 8)
-    coeffs = np.einsum("ui,hiwj,vj->hwuv", _DCT, blocks, _DCT)
-    coeffs = np.round(coeffs / table) * table
-    back = np.einsum("ui,hwuv,vj->hiwj", _DCT, coeffs, _DCT)
-    return back.reshape(h, w)
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def _quant_tables(quality: int) -> np.ndarray:
+    """Read-only [3, 1, 1, 8, 8] stack of the Y, Cb and Cr tables."""
+    chroma = scaled_quant_table(CHROMA_TABLE, quality)
+    tables = np.stack([scaled_quant_table(LUMA_TABLE, quality), chroma, chroma])
+    tables.setflags(write=False)
+    return tables[:, None, None]
+
+
+# JFIF colour transform; Cb and Cr carry a +128 offset that the level shift
+# before the DCT takes off again, so only Y is shifted by -128 here.
+_RGB_TO_YCC = np.array([[0.299, 0.587, 0.114],
+                        [-0.168736, -0.331264, 0.5],
+                        [0.5, -0.418688, -0.081312]])
+_YCC_TO_RGB = np.array([[1.0, 0.0, 1.402],
+                        [1.0, -0.344136, -0.714136],
+                        [1.0, 1.772, 0.0]])
 
 
 def jpeg_quality(img: np.ndarray, quality: int) -> np.ndarray:
-    """RGB -> YCbCr -> blockwise DCT quantization -> RGB, clamped to [0,1]."""
-    table_luma = scaled_quant_table(LUMA_TABLE, quality)
-    table_chroma = scaled_quant_table(CHROMA_TABLE, quality)
+    """RGB -> YCbCr -> blockwise DCT quantization -> RGB, clamped to [0,1].
+
+    The three level-shifted planes go through the DCT as one
+    [3, H/8, W/8, 8, 8] stack of edge-padded blocks, quantized by the
+    [3, 1, 1, 8, 8] table stack."""
+    tables = _quant_tables(quality)
     _, h, w = img.shape
-    r, g, b = img[0] * 255.0, img[1] * 255.0, img[2] * 255.0
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
-    cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
-    pad_h = (-h) % 8
-    pad_w = (-w) % 8
-    planes = []
-    for plane, table in ((y, table_luma), (cb, table_chroma), (cr, table_chroma)):
-        padded = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-        coded = _dct_round_trip(padded - 128.0, table) + 128.0
-        planes.append(coded[:h, :w])
-    y, cb, cr = planes
-    r = y + 1.402 * (cr - 128.0)
-    g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
-    b = y + 1.772 * (cb - 128.0)
-    out = np.stack([r, g, b]) / 255.0
-    return np.clip(out, 0.0, 1.0)
+    ycc = (_RGB_TO_YCC @ (img.reshape(3, h * w) * 255.0)).reshape(3, h, w)
+    ycc[0] -= 128.0
+    if h % 8 or w % 8:  # np.pad costs more than the DCT at 32 px, even padding nothing
+        ycc = np.pad(ycc, ((0, 0), (0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+    _, ph, pw = ycc.shape
+    blocks = ycc.reshape(3, ph // 8, 8, pw // 8, 8).swapaxes(2, 3)
+    coeffs = _DCT @ blocks @ _DCT.T
+    coeffs = np.round(coeffs / tables) * tables
+    back = (_DCT.T @ coeffs @ _DCT).swapaxes(2, 3).reshape(3, ph, pw)[:, :h, :w]
+    rgb = (_YCC_TO_RGB @ back.reshape(3, h * w)).reshape(3, h, w)
+    rgb += 128.0
+    rgb /= 255.0
+    return np.clip(rgb, 0.0, 1.0, out=rgb)
 
 
 # --- bilinear resize -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE)
+def _resize_operator(n_out: int, n_in: int) -> _Banded:
+    """Pixel-center (align-corners-false) linear interpolation from n_in to
+    n_out samples, edge-clamped: row j holds (1 - frac, frac) at (lo, hi)."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    src = np.clip(src, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(int)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = src - lo
+    return _banded(np.stack([lo, hi], axis=1), np.stack([1 - frac, frac], axis=1))
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample [C,H,W] to [C,out_h,out_w], pixel-center (align-corners-false)
     convention, edge-clamped."""
     _, h, w = img.shape
-
-    def _coords(n_out, n_in):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(int)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    ylo, yhi, yfrac = _coords(out_h, h)
-    xlo, xhi, xfrac = _coords(out_w, w)
-    top = img[:, ylo][:, :, xlo] * (1 - xfrac) + img[:, ylo][:, :, xhi] * xfrac
-    bottom = img[:, yhi][:, :, xlo] * (1 - xfrac) + img[:, yhi][:, :, xhi] * xfrac
-    return top * (1 - yfrac)[None, :, None] + bottom * yfrac[None, :, None]
+    return _separable(img, _resize_operator(out_h, h), _resize_operator(out_w, w))
 
 
 def resize_bilinear(img: np.ndarray, factor: float, restore: bool = True) -> np.ndarray:

@@ -322,23 +322,48 @@ def preprocess_pixels(pixels: np.ndarray, size: int, stats: NormStats) -> np.nda
 # --- dataset loading and splitting ------------------------------------------
 
 
+def _sorted_entries(folder: Path) -> list[os.DirEntry]:
+    """The entries of ``folder`` in name order, the order of its sorted
+    ``Path`` children."""
+    with os.scandir(folder) as it:
+        return sorted(it, key=lambda entry: entry.name)
+
+
+def _resolves_to(test) -> bool:
+    """A ``DirEntry.is_file`` or ``is_dir`` answer, symlinks followed; a link
+    that cannot be resolved, a loop included, is neither, as for ``Path``."""
+    try:
+        return test()
+    except OSError:
+        return False
+
+
+def _image_paths(folder: Path) -> list[str]:
+    """Files (symlinks followed) in ``folder`` whose ``Path.suffix``, in any
+    case, is a supported extension, as ``str(folder / name)`` in name order."""
+    paths = []
+    for entry in _sorted_entries(folder):
+        dot = entry.name.rfind(".")
+        if dot > 0 and entry.name[dot:].lower() in SUPPORTED_EXTENSIONS \
+                and _resolves_to(entry.is_file):
+            paths.append(entry.path)
+    return paths
+
+
 def load_dataset(root: str | os.PathLike) -> list[ImageRecord]:
     """Read every supported image under root/real and root/anomalous-*."""
     root = Path(root)
     real_dir = root / "real"
     if not real_dir.is_dir():
         raise DatasetError(f"dataset root {root} has no real/ directory")
-    records: list[ImageRecord] = []
-    for path in sorted(real_dir.iterdir()):
-        if path.suffix.lower() in SUPPORTED_EXTENSIONS and path.is_file():
-            records.append(ImageRecord(str(path), load_image(path), REAL_LABEL))
-    for folder in sorted(root.iterdir()):
-        if not folder.is_dir() or not folder.name.startswith("anomalous-"):
+    records = [ImageRecord(path, load_image(path), REAL_LABEL)
+               for path in _image_paths(real_dir)]
+    for folder in _sorted_entries(root):
+        if not folder.name.startswith("anomalous-") or not _resolves_to(folder.is_dir):
             continue
         source = folder.name[len("anomalous-"):]
-        for path in sorted(folder.iterdir()):
-            if path.suffix.lower() in SUPPORTED_EXTENSIONS and path.is_file():
-                records.append(ImageRecord(str(path), load_image(path), source))
+        records.extend(ImageRecord(path, load_image(path), source)
+                       for path in _image_paths(root / folder.name))
     if not records:
         raise DatasetError(f"no supported images found under {root}")
     return records

@@ -322,15 +322,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)), computed without overflow on either tail:
-    with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below."""
+    with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below.
+    Both are r * exp(min(x, 0)) with r = 1/(1+e): the factor is e below 0 and
+    exactly 1 from 0 up, so no masked select is needed."""
     x = a.data
     # in place on two buffers (explicit ``out`` keeps 0-d results arrays)
     e = np.abs(x, out=np.empty_like(x))
     np.exp(np.negative(e, out=e), out=e)
     r = np.add(e, 1.0, out=np.empty_like(x))
     np.reciprocal(r, out=r)
+    np.exp(np.minimum(x, 0.0, out=e), out=e)
     np.multiply(e, r, out=e)
-    np.copyto(e, r, where=x >= 0)
     res = _fresh(e)
     od = res.data
     _record(res, [a], lambda g: (g * od * (1.0 - od),))

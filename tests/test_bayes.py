@@ -433,16 +433,38 @@ def test_predictive_zero_head():
 
 def test_predictive_variance_describes_head_as_built():
     """A weight update after the build changes neither a curvature's next
-    query nor its first one."""
+    query nor its first one: not the variance, and not the mean."""
     rng = np.random.default_rng(29)
     head = BayesianHead(6, hidden=5, rng=rng)
     Z = rng.normal(size=(10, 6))
     queried, unqueried = GaussNewtonCurvature(head, Z), GaussNewtonCurvature(head, Z)
     z = rng.normal(size=6)
-    _, var = predictive(z, head, queried)
+    built_mean = float(head.forward(z[None, :]).data[0])
+    mean, var = predictive(z, head, queried)
+    assert mean == built_mean
     head.set_flat_weights(rng.normal(size=head.weight_count))
-    assert predictive(z, head, queried)[1] == var
-    assert predictive(z, head, unqueried)[1] == var
+    assert float(head.forward(z[None, :]).data[0]) != built_mean
+    assert predictive(z, head, queried) == (mean, var)
+    assert predictive(z, head, unqueried) == (mean, var)
+
+
+def test_predictive_keeps_noise_floor_as_built():
+    rng = np.random.default_rng(31)
+    head = BayesianHead(6, hidden=5, beta=4.0, rng=rng)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
+    z = rng.normal(size=6)
+    before = predictive(z, head, curv)
+    head.alpha, head.beta = 1e3, 1e-3
+    assert predictive(z, head, curv) == before
+
+
+def test_predictive_rejects_curvature_of_another_head():
+    rng = np.random.default_rng(32)
+    head = BayesianHead(6, hidden=5, rng=rng)
+    twin = BayesianHead(6, hidden=5, weights=[p.data for _, p in head.parameters()])
+    curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
+    with pytest.raises(ValueError, match="different head"):
+        predictive(rng.normal(size=6), twin, curv)
 
 
 def test_predictive_reaches_no_solver_and_no_tape(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthdetect.perturb import (
     PerturbError,
@@ -12,6 +13,9 @@ from synthdetect.perturb import (
     resize_bilinear,
     scaled_quant_table,
 )
+from synthdetect.perturb import _blur_operator, _quant_tables, _resize_operator
+
+import oracles
 
 
 def _natural_image(size=32, seed=0):
@@ -173,3 +177,85 @@ def test_all_transforms_stay_in_unit_interval():
 def test_apply_transform_unknown_name():
     with pytest.raises(PerturbError):
         apply_transform("swirl", _natural_image(), 1.0)
+
+
+# --- matrix forms against the per-tap, per-plane and fancy-index oracles --------
+
+ORACLE_TOL = 1e-12
+
+
+def _random_image(h, w, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (19, 20), (37, 45), (150, 70)])
+@pytest.mark.parametrize("quality", [10, 50, 90, 100])
+def test_jpeg_matches_per_plane_oracle(shape, quality):
+    for img in (_natural_image(64, seed=quality)[:, :shape[0], :shape[1]],
+                _random_image(*shape, seed=quality)):
+        out = jpeg_quality(img, quality)
+        assert out.shape == img.shape
+        assert np.abs(out - oracles.jpeg_quality(img, quality)).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (19, 20), (150, 70)])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 4.0])
+def test_blur_matches_tap_loop_oracle(shape, sigma):
+    img = _random_image(*shape, seed=int(4 * sigma))
+    assert np.abs(gaussian_blur(img, sigma) - oracles.gaussian_blur(img, sigma)).max() \
+        <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("shape, sigma", [((9, 12), 4.0), ((32, 32), 20.0), ((2, 40), 1.0),
+                                          ((1, 5), 2.0), ((130, 3), 50.0)])
+def test_blur_matches_oracle_where_radius_truncates(shape, sigma):
+    assert math.ceil(3 * sigma) > min(shape) - 1
+    img = _random_image(*shape, seed=3)
+    assert np.abs(gaussian_blur(img, sigma) - oracles.gaussian_blur(img, sigma)).max() \
+        <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (36, 44), (150, 70)])
+@pytest.mark.parametrize("factor", [0.75, 0.5, 0.25])
+def test_resize_matches_indexing_oracle(shape, factor):
+    img = _random_image(*shape, seed=int(100 * factor))
+    out_h, out_w = round(shape[0] * factor), round(shape[1] * factor)
+    small = oracles.bilinear_resize(img, out_h, out_w)
+    assert np.abs(bilinear_resize(img, out_h, out_w) - small).max() <= ORACLE_TOL
+    restored = oracles.bilinear_resize(small, *shape)
+    assert np.abs(resize_bilinear(img, factor) - restored).max() <= ORACLE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 140), w=st.integers(1, 140), sigma=st.floats(0.1, 30.0),
+       out_h=st.integers(1, 140), out_w=st.integers(1, 140))
+def test_separable_operators_match_oracles_on_any_shape(h, w, sigma, out_h, out_w):
+    img = _random_image(h, w, seed=h * 1000 + w)
+    assert np.abs(gaussian_blur(img, sigma) - oracles.gaussian_blur(img, sigma)).max() \
+        <= ORACLE_TOL
+    assert np.abs(bilinear_resize(img, out_h, out_w)
+                  - oracles.bilinear_resize(img, out_h, out_w)).max() <= ORACLE_TOL
+
+
+def test_cached_operators_are_shared_and_read_only():
+    assert _blur_operator(150, 2.0) is _blur_operator(150, 2.0)
+    assert _resize_operator(100, 150) is _resize_operator(100, 150)
+    for op in (_blur_operator(150, 2.0), _resize_operator(100, 150), _resize_operator(150, 38)):
+        assert len(op.blocks) > 1
+        for _, _, block in op.blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+    tables = _quant_tables(50)
+    assert tables is _quant_tables(50)
+    with pytest.raises(ValueError):
+        tables[0, 0, 0, 0, 0] = 1.0
+
+
+def test_transforms_leave_input_untouched():
+    img = _random_image(40, 36)
+    before = img.copy()
+    for name, param in (("blur", 0.0), ("blur", 2.0), ("jpeg", 50), ("resize", 0.5)):
+        out = apply_transform(name, img, param)
+        assert out is not img and not np.shares_memory(out, img)
+        assert np.array_equal(img, before)

@@ -25,7 +25,7 @@ from synthdetect.preprocess import (
 )
 
 from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
-from oracles import _unfilter_scanline
+from oracles import _unfilter_scanline, load_dataset as load_dataset_pathlib
 
 
 def _record(source, seed=0, size=8):
@@ -425,6 +425,53 @@ def test_load_dataset_layout(tmp_path):
     records = load_dataset(tmp_path)
     assert sum(r.is_real for r in records) == 3
     assert sum(r.source == "noise" for r in records) == 1
+
+
+def _listing_tree(root):
+    """A dataset tree with every kind of entry the listing must sort out."""
+    rng = np.random.default_rng(5)
+
+    def image(path, png=False):
+        px = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+        path.write_bytes(write_png(px) if png else write_ppm(px))
+
+    outside = root / "elsewhere"
+    outside.mkdir()
+    image(outside / "target.ppm")
+    for name in ("real", "anomalous-noise", "anomalous-b", "anomalous-", "other"):
+        (root / name).mkdir()
+    real = root / "real"
+    for name in ("b.ppm", "A.PNG", "c.Ppm", "..ppm", "_z.png", "Z.ppm"):
+        image(real / name, png=name.lower().endswith(".png"))
+    image(real / ".ppm")  # a hidden file: its Path.suffix is empty
+    (real / "x.png").mkdir()
+    (real / "notes.txt").write_text("not an image")
+    (real / "noext").write_bytes(b"P6")
+    (real / "link.ppm").symlink_to(outside / "target.ppm")
+    (real / "dangling.ppm").symlink_to(root / "missing.ppm")
+    (real / "loop.ppm").symlink_to(real / "loop.ppm")
+    image(root / "anomalous-noise" / "n1.png", png=True)
+    image(root / "anomalous-noise" / "n0.PPM")
+    image(root / "anomalous-b" / "b0.ppm")
+    image(root / "anomalous-" / "e.ppm")
+    image(root / "other" / "o.ppm")
+    image(root / "anomalous-file.ppm")
+    (root / "anomalous-linked").symlink_to(root / "anomalous-noise")
+    (root / "anomalous-loop").symlink_to(root / "anomalous-loop")
+
+
+def test_load_dataset_listing_matches_pathlib(tmp_path, monkeypatch):
+    _listing_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for root in (tmp_path, str(tmp_path) + "/", ".", "", "./real/.."):
+        records = load_dataset(root)
+        expected = load_dataset_pathlib(root)
+        assert [(r.path, r.source) for r in records] == [(r.path, r.source) for r in expected]
+        assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(records, expected))
+    names = [(r.source, r.path.rsplit("/", 1)[-1]) for r in load_dataset(".")]
+    assert names[:7] == [("real", n) for n in
+                         ("..ppm", "A.PNG", "Z.ppm", "_z.png", "b.ppm", "c.Ppm", "link.ppm")]
+    assert [s for s, _ in names[7:]] == ["", "b", "linked", "linked", "noise", "noise"]
 
 
 def test_load_dataset_requires_real_dir(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthdetect.tensor import (
     GradTape,
@@ -19,6 +20,7 @@ from synthdetect.tensor import (
 )
 
 from helpers import assert_grads_close, fd_gradient
+from oracles import sigmoid as sigmoid_oracle
 
 
 def test_tensor_rejects_non_finite():
@@ -205,6 +207,25 @@ def test_sigmoid_symmetry():
     s_pos = sigmoid(Tensor(x)).data
     s_neg = sigmoid(Tensor(-x)).data
     assert np.allclose(s_pos + s_neg, 1.0, atol=1e-15)
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 800.0, -800.0,
+                 -745.5, 745.5, -709.8, 709.8, 36.7, -36.7, 1.0, -1.0, 1e308, -1e308]
+
+
+def test_sigmoid_bit_identical_to_masked_copy_at_edges():
+    x = np.array(SIGMOID_EDGES)
+    assert sigmoid(Tensor(x)).data.tobytes() == sigmoid_oracle(x).tobytes()
+    for v in SIGMOID_EDGES:  # 0-d inputs stay arrays
+        out = sigmoid(Tensor(np.array(v))).data
+        assert out.shape == () and out.tobytes() == sigmoid_oracle(np.array(v)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_sigmoid_bit_identical_to_masked_copy(values):
+    x = np.array(values, dtype=np.float64)
+    assert sigmoid(Tensor(x)).data.tobytes() == sigmoid_oracle(x).tobytes()
 
 
 # --- batch_norm -----------------------------------------------------------
