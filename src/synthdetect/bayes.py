@@ -24,12 +24,11 @@ any square root R of K = A^T A (R^T R = K) the push-through identity gives
 
 exactly, in d+1 dimensions: 129 at 32 px against W = 66,561 weights. The
 [d+1, d+1] factor B is built once per curvature, on its first query
-(``GaussNewtonCurvature.factor``), so a query costs one small matrix-vector
-product. The operator H v = J^T (J v) on each head's closed-form products
-(``jacobian_products``), the conjugate-gradient solve on it
-(``solve_regularized``) and the per-sample gradients of the autodiff tape
-(``per_sample_gradients``, densified below ``DENSE_DIM_LIMIT``) are the
-references the factor is tested against; no production path calls them.
+(``GaussNewtonCurvature.factor``), so a query (``predictive``) costs one
+small matrix-vector product. That is the only variance path.
+
+``cg_solve``, ``per_sample_gradients`` and ``GaussNewtonCurvature.matvec``
+serve only the tests and the benchmark tracer, which binds them by name.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from . import tensor as T
 from .preprocess import NormStats, preprocess_pixels
 from .tensor import GradTape, ShapeError, Tensor, backward
 
-DENSE_DIM_LIMIT = 4096
 LOG_2PI = math.log(2.0 * math.pi)
+INFERENCE_MODES = ("map", "variational")
 
 
 class NumericalError(ArithmeticError):
@@ -119,14 +118,16 @@ class BayesianHead:
         out = T.linear(h, w2, b2)
         return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
 
-    def jacobian_products(self, z: np.ndarray):
+    def jacobian_products(self, z: np.ndarray, weights: Sequence[np.ndarray]):
         """(J v, J^T u) for the Jacobian J of the inference-mode outputs at
-        the [N, d_in] rows ``z`` w.r.t. the weights, flat in ``parameters()``
-        order. Row n of J is [w2 (x) z_n, w2, h_n, 1], h = z W1^T + b1."""
-        w2 = self.w2.data[0]
-        hid = z @ self.w1.data.T
-        hid += self.b1.data
-        split = np.cumsum([self.w1.size, self.hidden, self.hidden])
+        the [N, d_in] rows ``z`` w.r.t. the given weight arrays
+        (``parameters()`` order), flat in that order. Row n of J is
+        [w2 (x) z_n, w2, h_n, 1], h = z W1^T + b1."""
+        w1, b1, w2, _ = weights
+        w2 = w2[0]
+        hid = z @ w1.T
+        hid += b1
+        split = np.cumsum([w1.size, self.hidden, self.hidden])
 
         def jvp(v: np.ndarray) -> np.ndarray:
             v1, vb1, vw2, vb2 = np.split(v, split)
@@ -156,94 +157,13 @@ class BayesianHead:
         K[-1, -1] += 1.0
         return K
 
-    def flat_weights(self) -> np.ndarray:
-        return np.concatenate([p.data.reshape(-1) for _, p in self.parameters()])
 
-    def set_flat_weights(self, vec: np.ndarray) -> None:
-        if vec.size != self.weight_count:
-            raise ValueError(f"expected {self.weight_count} weights, got {vec.size}")
-        pos = 0
-        for _, p in self.parameters():
-            p.assign(vec[pos:pos + p.size].reshape(p.shape))
-            pos += p.size
-
-
-class LinearHead:
-    """Single linear map f(z) = w . z, no bias: the conjugate-regression
-    reference point for the curvature machinery."""
-
-    def __init__(self, d_in: int, alpha: float = 1.0, beta: float = 1.0):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
-        self.d_in = d_in
-        self.alpha = alpha
-        self.beta = beta
-        self.dropout_rate = 0.0
-        self.w = Tensor(np.zeros((1, d_in)), requires_grad=True)
-        self._zero_bias = Tensor(np.zeros(1))  # constant, carries no gradient
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("w", self.w)]
-
-    @property
-    def weight_count(self) -> int:
-        return self.d_in
-
-    def forward(self, z, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        return self.forward_with(z, [self.w], training, rng)
-
-    def forward_with(self, z, weights, training: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-        zt = z if isinstance(z, Tensor) else Tensor(z)
-        out = T.linear(zt, weights[0], self._zero_bias)
-        return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
-
-    def jacobian_products(self, z: np.ndarray):
-        """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself."""
-        return (lambda v: z @ v), (lambda u: z.T @ u)
-
-    def gradient_coordinates(self, z: np.ndarray) -> np.ndarray:
-        """The gradient at z is z itself: A = I."""
-        return z
-
-    def gradient_gram(self, weights: Sequence[np.ndarray]) -> np.ndarray:
-        return np.eye(self.d_in)
-
-    def flat_weights(self) -> np.ndarray:
-        return self.w.data.reshape(-1).copy()
-
-    def set_flat_weights(self, vec: np.ndarray) -> None:
-        self.w.assign(vec.reshape(1, self.d_in))
-
-
-# --- densities and objectives -------------------------------------------------
-
-
-def log_prior(w: np.ndarray, alpha: float) -> float:
-    """log N(w | 0, alpha^-1 I)."""
-    if alpha <= 0:
-        raise ValueError(f"prior precision must be positive, got {alpha}")
-    w = np.asarray(w, dtype=np.float64)
-    return 0.5 * w.size * (math.log(alpha) - LOG_2PI) - 0.5 * alpha * float(w @ w)
-
-
-def log_likelihood(targets: np.ndarray, outputs: np.ndarray, beta: float) -> float:
-    """Sum over samples of log N(y_n | f_n, beta^-1)."""
-    if beta <= 0:
-        raise ValueError(f"noise precision must be positive, got {beta}")
-    targets = np.asarray(targets, dtype=np.float64)
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if targets.shape != outputs.shape:
-        raise ValueError(f"targets {targets.shape} and outputs {outputs.shape} differ")
-    resid = targets - outputs
-    n = targets.size
-    return 0.5 * n * (math.log(beta) - LOG_2PI) - 0.5 * beta * float(resid @ resid)
+# --- objective -----------------------------------------------------------------
 
 
 def map_objective(outputs: Tensor, targets: np.ndarray,
                   prior_params: list[Tensor], alpha: float, beta: float) -> Tensor:
-    """Negative unnormalized log posterior: -log_likelihood - log_prior.
+    """Negative unnormalized log posterior: -log p(targets | w) - log p(w).
 
     ``outputs`` must be recorded on an active tape; gradients then reach both
     the feature extractor (through the likelihood) and the prior-covered head
@@ -273,29 +193,23 @@ def map_objective(outputs: Tensor, targets: np.ndarray,
 # --- Gauss-Newton curvature and solves -----------------------------------------
 
 
-def head_weight_gradient(head, z_row: np.ndarray) -> np.ndarray:
-    """Flat gradient of the scalar output w.r.t. the head weights (inference
-    mode: dropout off), evaluated at the current weights, from the autodiff
-    tape: the reference for ``jacobian_products``."""
-    with GradTape() as tape:
-        out = head.forward(np.asarray(z_row)[None, :], training=False)
-        loss = T.sum_all(out)
-    grads = backward(loss, tape)
-    return np.concatenate([grads[p.uid].reshape(-1) for _, p in head.parameters()])
-
-
 def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
-    """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W], one tape
-    per row: the reference for ``jacobian_products``."""
-    features = np.asarray(features, dtype=np.float64)
-    return np.stack([head_weight_gradient(head, row) for row in features])
+    """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W], at the
+    head's current weights with dropout off, one autodiff tape per row."""
+    params = [p for _, p in head.parameters()]
+    rows = []
+    for z in np.asarray(features, dtype=np.float64):
+        with GradTape() as tape:
+            loss = T.sum_all(head.forward(z[None, :], training=False))
+        grads = backward(loss, tape)
+        rows.append(np.concatenate([grads[p.uid].reshape(-1) for p in params]))
+    return np.stack(rows)
 
 
 class GaussNewtonCurvature:
     """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, for the head
     as it is at build: the weight arrays and precisions are kept (tensors
-    never change in place), the operator is built here and the predictive
-    factor on first use."""
+    never change in place) and the predictive factor is built on first use."""
 
     def __init__(self, head, features: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
@@ -308,10 +222,8 @@ class GaussNewtonCurvature:
             raise ValueError("feature batch holds non-finite values")
         self.head = head
         self.features = features
-        self.dim = head.weight_count
         self.alpha, self.beta = head.alpha, head.beta
         self._weights = [p.data for _, p in head.parameters()]
-        self._jvp, self._vjp = head.jacobian_products(features)
         self._factor = None
 
     def factor(self) -> np.ndarray:
@@ -337,15 +249,10 @@ class GaussNewtonCurvature:
         return [Tensor.adopt(w) for w in self._weights]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._vjp(self._jvp(v))
-
-    def dense(self) -> np.ndarray:
-        """H from the tape's per-sample gradients, for checking the operator."""
-        if self.dim > DENSE_DIM_LIMIT:
-            raise ValueError(f"refusing to materialize {self.dim}x{self.dim} curvature "
-                             f"(limit {DENSE_DIM_LIMIT})")
-        G = per_sample_gradients(self.head, self.features)
-        return G.T @ G
+        """H v at the weights as at build, from the head's closed-form
+        Jacobian products."""
+        jvp, vjp = self.head.jacobian_products(self.features, self._weights)
+        return vjp(jvp(v))
 
 
 def cg_solve(matvec, b: np.ndarray, rtol: float = 1e-12,
@@ -380,17 +287,6 @@ def cg_solve(matvec, b: np.ndarray, rtol: float = 1e-12,
     if math.sqrt(rtr) > 1e-6 * bnorm:
         raise NumericalError(f"conjugate gradients stalled at residual {math.sqrt(rtr):.3e}")
     return x
-
-
-def solve_regularized(curvature: GaussNewtonCurvature, alpha: float, beta: float,
-                      b: np.ndarray, method: str = "cg") -> np.ndarray:
-    """x = (alpha*I + beta*H)^-1 b."""
-    if method == "dense":
-        A = alpha * np.eye(curvature.dim) + beta * curvature.dense()
-        return np.linalg.solve(A, b)
-    if method == "cg":
-        return cg_solve(lambda v: alpha * v + beta * curvature.matvec(v), b)
-    raise ValueError(f"unknown solve method {method!r}")
 
 
 def predictive(z_row: np.ndarray, head,
@@ -435,12 +331,6 @@ class VariationalPosterior:
             eps = rng.standard_normal(m.shape)
             drawn.append(m + T.exp(ls) * eps)
         return drawn
-
-    def mean_weights_flat(self) -> np.ndarray:
-        return np.concatenate([m.data.reshape(-1) for m in self.means])
-
-    def stds_flat(self) -> np.ndarray:
-        return np.concatenate([np.exp(ls.data).reshape(-1) for ls in self.log_stds])
 
 
 def kl_to_prior(q: VariationalPosterior, alpha: float) -> Tensor:

@@ -2,7 +2,8 @@
 
 Layout: 8-byte magic, uint32 format version, uint64 header length, a JSON
 header (model geometry, head hyperparameters, normalization stats, threshold,
-tensor directory), then the raw float64 little-endian tensor payload. Writes
+tensor directory), then the raw float64 little-endian tensors, back to back
+in directory order. Writes
 go through a temp file + rename so an interrupted run never leaves a
 truncated file that later loads.
 """
@@ -10,6 +11,7 @@ truncated file that later loads.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -20,8 +22,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .bayes import BayesianHead, Detector
-from .model import CnnConfig, FineToCoarseCnn
+from .bayes import INFERENCE_MODES, BayesianHead, Detector
+from .model import CnnConfig, FineToCoarseCnn, is_finite_real, is_int
 from .preprocess import NormStats
 
 MAGIC = b"SYDETCK\x00"
@@ -123,6 +125,8 @@ def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
         directory = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["tensors"]]
     except (TypeError, ValueError, KeyError) as err:
         raise CheckpointError(f"checkpoint header is malformed: {err!r}") from err
+    if not all(isinstance(name, str) for name, _, _ in directory):
+        raise CheckpointError("checkpoint tensor names must be strings")
     if head["d_in"] != feature_dim:
         raise CheckpointError(
             f"checkpoint head d_in {head['d_in']} != cnn feature_dim {feature_dim}")
@@ -138,11 +142,20 @@ def _validated_header(header) -> tuple[CnnConfig, list[tuple[str, tuple, int]]]:
             raise CheckpointError(
                 f"checkpoint tensor {name} has shape {stored[name]}, "
                 f"header geometry gives {shape}")
-    if any(not isinstance(offset, int) or offset < 0 for _, _, offset in directory):
-        raise CheckpointError("checkpoint tensor offsets must be non-negative integers")
+    offsets = [offset for _, _, offset in directory]
+    sizes = [8 * math.prod(expected[name]) for name, _, _ in directory]
+    packed = list(itertools.accumulate(sizes[:-1], initial=0))
+    if not all(map(is_int, offsets)) or offsets != packed:
+        raise CheckpointError("checkpoint tensors must lie back to back in directory order")
     gamma = header["gamma"]
-    if gamma is not None and not (type(gamma) in (int, float) and math.isfinite(gamma)):
+    if gamma is not None and not is_finite_real(gamma):
         raise CheckpointError(f"checkpoint gamma must be null or a finite number, got {gamma!r}")
+    if header["mode"] not in INFERENCE_MODES:
+        raise CheckpointError(f"checkpoint mode must be one of {INFERENCE_MODES}, "
+                              f"got {header['mode']!r}")
+    if not isinstance(header["trained"], bool):
+        raise CheckpointError(f"checkpoint trained flag must be true or false, "
+                              f"got {header['trained']!r}")
     return cfg, [(name, expected[name], offset) for name, _, offset in directory]
 
 

@@ -32,9 +32,9 @@ from .evaluate import (
 from .model import FineToCoarseCnn, full_scale_config, reduced_scale_config
 from .perturb import TRANSFORM_NAMES, PerturbError
 from .preprocess import (
-    SUPPORTED_EXTENSIONS,
     DatasetError,
     DecodeError,
+    image_paths,
     load_dataset,
     load_image,
     make_split,
@@ -57,8 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path} is not UTF-8 text: {err}") from err
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,21 +85,24 @@ def _build_config(args) -> tuple[TrainConfig, dict]:
     extras = {"split": 0.8, "input_size": 224}
     for key, value in raw.items():
         if key in _EXTRA_CONFIG_KEYS:
-            extras[key] = _EXTRA_CONFIG_KEYS[key](value)
-            continue
-        if key not in field_types:
+            caster, target = _EXTRA_CONFIG_KEYS[key], extras
+        elif key in field_types:
+            kind = field_types[key]
+            caster = {"int": int, "float": float, "str": str}[
+                kind if isinstance(kind, str) else kind.__name__]
+            target = kwargs
+        else:
             raise UsageError(f"unknown config key {key!r}")
-        kind = field_types[key]
-        caster = {"int": int, "float": float, "str": str}[
-            kind if isinstance(kind, str) else kind.__name__]
         try:
-            kwargs[key] = caster(value)
+            target[key] = caster(value)
         except ValueError as err:
             raise UsageError(f"config key {key}: {err}") from err
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.split is not None:
         extras["split"] = args.split
+    if not 0.0 < extras["split"] < 1.0:
+        raise UsageError(f"split must be in (0, 1), got {extras['split']}")
     try:
         return TrainConfig(**kwargs), extras
     except ValueError as err:
@@ -119,10 +126,10 @@ def _cnn_config(input_size: int):
 
 def cmd_train(args) -> int:
     cfg, extras = _build_config(args)
+    cnn_config = _cnn_config(extras["input_size"])
     records = load_dataset(args.data)
     split = make_split(records, extras["split"], cfg.seed)
-    cnn = FineToCoarseCnn(_cnn_config(extras["input_size"]),
-                          rng=np.random.default_rng(cfg.seed))
+    cnn = FineToCoarseCnn(cnn_config, rng=np.random.default_rng(cfg.seed))
     head = BayesianHead(cnn.feature_dim, hidden=cfg.hidden, alpha=cfg.alpha,
                         beta=cfg.beta, dropout_rate=cfg.dropout_rate,
                         rng=np.random.default_rng(cfg.seed + 1))
@@ -136,18 +143,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _image_paths(target: Path) -> list[Path]:
-    if target.is_dir():
-        return sorted(p for p in target.iterdir()
-                      if p.suffix.lower() in SUPPORTED_EXTENSIONS and p.is_file())
-    return [target]
-
-
 def cmd_score(args) -> int:
     detector = load_checkpoint(args.checkpoint)
     if detector.gamma is None:
         raise DatasetError("checkpoint carries no threshold; re-train first")
-    paths = _image_paths(Path(args.images))
+    target = Path(args.images)
+    paths = image_paths(target) if target.is_dir() else [str(target)]
     if not paths:
         raise DatasetError(f"no images found at {args.images}")
     lines = ["path,score,verdict"]

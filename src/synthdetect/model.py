@@ -16,12 +16,25 @@ directly. The parameters stay the 5x5 (3x3 at reduced scale) kernels;
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """An int or float, not a bool, whose value a float holds finitely (so no
+    conversion of a huge int overflows)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -38,10 +51,14 @@ class CnnConfig:
     def __post_init__(self):
         sizes = (self.input_size, self.in_channels, self.kernel, self.pool_kernel,
                  self.pool_stride, *self.filters)
-        if not self.filters or any(s < 1 for s in sizes):
-            raise ValueError(f"sizes and filter counts must be >= 1, got {self}")
+        if not self.filters or any(not is_int(s) or s < 1 for s in sizes):
+            raise ValueError(f"sizes and filter counts must be integers >= 1, got {self}")
         if any(a >= b for a, b in zip(self.filters, self.filters[1:])):
             raise ValueError(f"filter counts must strictly increase, got {self.filters}")
+        if not (is_finite_real(self.bn_eps) and self.bn_eps > 0):
+            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps!r}")
+        if not (is_finite_real(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
 
     def stage_sizes(self) -> list[tuple[int, int]]:
         """(post-conv, post-pool) spatial extent per stage; raises if any

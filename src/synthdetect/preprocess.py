@@ -28,6 +28,8 @@ _BPP = 3  # bytes per 8-bit RGB pixel
 # Largest width * height either decoder accepts, checked before any pixel
 # buffer is allocated or any image data inflated: 4096 x 4096.
 MAX_IMAGE_PIXELS = 1 << 24
+# Floor of a normalization std, so a normalized [0, 1] pixel stays within 1e6.
+MIN_CHANNEL_STD = 1e-6
 
 
 class DecodeError(ValueError):
@@ -52,7 +54,8 @@ class ChannelError(DecodeError):
 
 
 class DatasetError(ValueError):
-    """Dataset directory layout or split request is invalid."""
+    """Dataset directory layout or split request is invalid, or an image is
+    too small for the model's input."""
 
 
 @dataclass
@@ -93,8 +96,10 @@ class NormStats:
         if len(self.mean) != 3 or len(self.std) != 3 \
                 or not np.isfinite([*self.mean, *self.std]).all():
             raise ValueError(f"need 3 finite means and stds, got {self.mean}, {self.std}")
-        if any(s <= 0 for s in self.std):
-            raise ValueError(f"channel std must be positive, got {self.std}")
+        if any(not 0.0 <= m <= 1.0 for m in self.mean):
+            raise ValueError(f"channel means of [0, 1] pixels lie in [0, 1], got {self.mean}")
+        if any(s < MIN_CHANNEL_STD for s in self.std):
+            raise ValueError(f"channel std must be >= {MIN_CHANNEL_STD}, got {self.std}")
 
 
 # --- decoding ---------------------------------------------------------------
@@ -282,7 +287,7 @@ def center_crop(img: np.ndarray, size: int) -> np.ndarray:
     """Centered size x size window; offsets round down for odd margins."""
     _, h, w = img.shape
     if h < size or w < size:
-        raise ValueError(f"image {h}x{w} smaller than crop size {size}")
+        raise DatasetError(f"image {h}x{w} smaller than crop size {size}")
     top = (h - size) // 2
     left = (w - size) // 2
     return img[:, top:top + size, left:left + size]
@@ -294,11 +299,11 @@ def rgb_normalize(img: np.ndarray, stats: NormStats) -> np.ndarray:
     return (img - mean) / std
 
 
-def channel_stats(images: list[np.ndarray], min_std: float = 1e-6) -> NormStats:
+def channel_stats(images: list[np.ndarray]) -> NormStats:
     """Two-pass per-channel mean/std over a pool of [3, H, W] images.
 
-    The std is floored at ``min_std`` so a degenerate constant channel cannot
-    poison normalization.
+    The std is floored at ``MIN_CHANNEL_STD`` so a degenerate constant channel
+    cannot poison normalization.
     """
     if not images:
         raise ValueError("cannot compute statistics of an empty pool")
@@ -311,7 +316,7 @@ def channel_stats(images: list[np.ndarray], min_std: float = 1e-6) -> NormStats:
     for img in images:
         sq += ((img - mean.reshape(3, 1, 1)) ** 2).sum(axis=(1, 2))
     std = np.sqrt(sq / counts)
-    std = np.maximum(std, min_std)
+    std = np.maximum(std, MIN_CHANNEL_STD)
     return NormStats(mean=tuple(mean), std=tuple(std))
 
 
@@ -338,15 +343,17 @@ def _resolves_to(test) -> bool:
         return False
 
 
-def _image_paths(folder: Path) -> list[str]:
+def image_paths(folder: Path) -> list[str]:
     """Files (symlinks followed) in ``folder`` whose ``Path.suffix``, in any
-    case, is a supported extension, as ``str(folder / name)`` in name order."""
+    case, is a supported extension, as ``str(folder / name)`` in name order.
+    The listing of both ``load_dataset`` and ``score``."""
+    bare = str(folder) == "."  # entry.path would read ./name there
     paths = []
     for entry in _sorted_entries(folder):
         dot = entry.name.rfind(".")
         if dot > 0 and entry.name[dot:].lower() in SUPPORTED_EXTENSIONS \
                 and _resolves_to(entry.is_file):
-            paths.append(entry.path)
+            paths.append(entry.name if bare else entry.path)
     return paths
 
 
@@ -357,13 +364,13 @@ def load_dataset(root: str | os.PathLike) -> list[ImageRecord]:
     if not real_dir.is_dir():
         raise DatasetError(f"dataset root {root} has no real/ directory")
     records = [ImageRecord(path, load_image(path), REAL_LABEL)
-               for path in _image_paths(real_dir)]
+               for path in image_paths(real_dir)]
     for folder in _sorted_entries(root):
         if not folder.name.startswith("anomalous-") or not _resolves_to(folder.is_dir):
             continue
         source = folder.name[len("anomalous-"):]
         records.extend(ImageRecord(path, load_image(path), source)
-                       for path in _image_paths(root / folder.name))
+                       for path in image_paths(root / folder.name))
     if not records:
         raise DatasetError(f"no supported images found under {root}")
     return records

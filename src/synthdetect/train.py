@@ -12,11 +12,13 @@ pool (a test proxy that avoids touching the true test set).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bayes import (
+    INFERENCE_MODES,
     BayesianHead,
     Detector,
     VariationalPosterior,
@@ -54,18 +56,34 @@ class TrainConfig:
     metric_sample_cap: int = 512
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2 (batch-norm constraint)")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.inference_mode not in ("map", "variational"):
-            raise ValueError(f"unknown inference_mode {self.inference_mode!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        for name, (rule, ok) in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _finite_positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+_CONFIG_RULES = {  # every TrainConfig field: (requirement, test)
+    "lr0": ("finite and > 0", _finite_positive),
+    "decay": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "epochs": (">= 0", lambda v: v >= 0),
+    "batch_size": (">= 2 (batch-norm constraint)", lambda v: v >= 2),
+    "improvement_threshold": ("finite", math.isfinite),
+    "early_stop_gap": ("finite", math.isfinite),
+    "seed": (">= 0", lambda v: v >= 0),
+    "inference_mode": (f"one of {INFERENCE_MODES}", lambda v: v in INFERENCE_MODES),
+    "alpha": ("finite and > 0", _finite_positive),
+    "beta": ("finite and > 0", _finite_positive),
+    "dropout_rate": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "hidden": (">= 1", lambda v: v >= 1),
+    "target": ("finite", math.isfinite),
+    "percentile": ("in (0, 50]", lambda v: 0.0 < v <= 50.0),
+    "n_mc": (">= 1", lambda v: v >= 1),
+    "metric_sample_cap": (">= 1", lambda v: v >= 1),
+}
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference oracles, tolerance checks and
-checkpoint header surgery."""
+"""Shared test utilities: finite-difference oracles, tolerance checks, flat
+weight vectors of a head and checkpoint header surgery."""
 
 from __future__ import annotations
 
@@ -75,6 +75,22 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
         if not grad_agrees(a[i], n[i], rtol=rtol, floor=floor)
     ]
     assert not bad, f"{len(bad)} gradient entries disagree, first: {bad[:3]}"
+
+
+def flat_weights(head) -> np.ndarray:
+    """The head's weights as one vector, in ``parameters()`` order."""
+    return np.concatenate([p.data.reshape(-1) for _, p in head.parameters()])
+
+
+def set_flat_weights(head, vec: np.ndarray) -> None:
+    """Assign a ``flat_weights``-ordered vector to the head's tensors."""
+    params = [p for _, p in head.parameters()]
+    if np.size(vec) != sum(p.size for p in params):
+        raise ValueError(f"expected {sum(p.size for p in params)} weights, got {np.size(vec)}")
+    pos = 0
+    for p in params:
+        p.assign(np.reshape(vec[pos:pos + p.size], p.shape))
+        pos += p.size
 
 
 def rewrite_checkpoint_header(src, dst, edit) -> None:

@@ -1,5 +1,6 @@
 """Slow reference implementations that the package's fast paths are checked
-against. Nothing under ``src/`` imports this module."""
+against, and the reference head and densities of the Bayesian oracles.
+Nothing under ``src/`` imports this module (``test_oracles_guard.py``)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from synthdetect import tensor as T
+from synthdetect.bayes import LOG_2PI, per_sample_gradients
 from synthdetect.perturb import CHROMA_TABLE, LUMA_TABLE, _DCT, scaled_quant_table
 from synthdetect.preprocess import (
     REAL_LABEL,
@@ -16,23 +19,27 @@ from synthdetect.preprocess import (
     UnsupportedFormatError,
     load_image,
 )
+from synthdetect.tensor import Tensor
+
+
+def image_paths(folder) -> list[Path]:
+    """The image listing of a folder on ``pathlib``: sorted ``iterdir``,
+    ``suffix`` and ``is_file``."""
+    return sorted(path for path in Path(folder).iterdir()
+                  if path.suffix.lower() in SUPPORTED_EXTENSIONS and path.is_file())
 
 
 def load_dataset(root) -> list[ImageRecord]:
-    """The dataset listing on ``pathlib``: sorted ``iterdir``, ``suffix`` and
-    ``is_file`` / ``is_dir``."""
+    """The dataset listing on ``pathlib``, ``is_dir`` for the source folders."""
     root = Path(root)
-    records = []
-    for path in sorted((root / "real").iterdir()):
-        if path.suffix.lower() in SUPPORTED_EXTENSIONS and path.is_file():
-            records.append(ImageRecord(str(path), load_image(path), REAL_LABEL))
+    records = [ImageRecord(str(path), load_image(path), REAL_LABEL)
+               for path in image_paths(root / "real")]
     for folder in sorted(root.iterdir()):
         if not folder.is_dir() or not folder.name.startswith("anomalous-"):
             continue
         source = folder.name[len("anomalous-"):]
-        for path in sorted(folder.iterdir()):
-            if path.suffix.lower() in SUPPORTED_EXTENSIONS and path.is_file():
-                records.append(ImageRecord(str(path), load_image(path), source))
+        records += [ImageRecord(str(path), load_image(path), source)
+                    for path in image_paths(folder)]
     return records
 
 
@@ -162,3 +169,79 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     np.multiply(e, r, out=e)
     np.copyto(e, r, where=x >= 0)
     return e
+
+
+# --- bayes: the conjugate-regression head, the densities, the dense curvature ---
+
+
+class LinearHead:
+    """Single linear map f(z) = w . z, no bias: with it the Gauss-Newton
+    predictive is exact Bayesian linear regression, the reference point for
+    the curvature machinery."""
+
+    def __init__(self, d_in: int, alpha: float = 1.0, beta: float = 1.0):
+        if alpha <= 0 or beta <= 0:
+            raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
+        self.d_in = d_in
+        self.alpha = alpha
+        self.beta = beta
+        self.dropout_rate = 0.0
+        self.w = Tensor(np.zeros((1, d_in)), requires_grad=True)
+        self._zero_bias = Tensor(np.zeros(1))  # constant, carries no gradient
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [("w", self.w)]
+
+    @property
+    def weight_count(self) -> int:
+        return self.d_in
+
+    def forward(self, z, training: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
+        return self.forward_with(z, [self.w], training, rng)
+
+    def forward_with(self, z, weights, training: bool = False,
+                     rng: np.random.Generator | None = None) -> Tensor:
+        zt = z if isinstance(z, Tensor) else Tensor(z)
+        out = T.linear(zt, weights[0], self._zero_bias)
+        return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
+
+    def jacobian_products(self, z: np.ndarray, weights):
+        """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself,
+        whatever the weights."""
+        return (lambda v: z @ v), (lambda u: z.T @ u)
+
+    def gradient_coordinates(self, z: np.ndarray) -> np.ndarray:
+        """The gradient at z is z itself: A = I."""
+        return z
+
+    def gradient_gram(self, weights) -> np.ndarray:
+        return np.eye(self.d_in)
+
+
+def log_prior(w: np.ndarray, alpha: float) -> float:
+    """log N(w | 0, alpha^-1 I)."""
+    if alpha <= 0:
+        raise ValueError(f"prior precision must be positive, got {alpha}")
+    w = np.asarray(w, dtype=np.float64)
+    return 0.5 * w.size * (math.log(alpha) - LOG_2PI) - 0.5 * alpha * float(w @ w)
+
+
+def log_likelihood(targets: np.ndarray, outputs: np.ndarray, beta: float) -> float:
+    """Sum over samples of log N(y_n | f_n, beta^-1)."""
+    if beta <= 0:
+        raise ValueError(f"noise precision must be positive, got {beta}")
+    targets = np.asarray(targets, dtype=np.float64)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    if targets.shape != outputs.shape:
+        raise ValueError(f"targets {targets.shape} and outputs {outputs.shape} differ")
+    resid = targets - outputs
+    n = targets.size
+    return 0.5 * n * (math.log(beta) - LOG_2PI) - 0.5 * beta * float(resid @ resid)
+
+
+def gauss_newton_dense(head, features: np.ndarray) -> np.ndarray:
+    """H = G^T G from the tape's per-sample gradients G at the head's current
+    weights: the dense reference for ``GaussNewtonCurvature``."""
+    G = per_sample_gradients(head, features)
+    return G.T @ G

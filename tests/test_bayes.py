@@ -10,25 +10,21 @@ from synthdetect.bayes import (
     BayesianHead,
     Detector,
     GaussNewtonCurvature,
-    LinearHead,
     NumericalError,
     VariationalPosterior,
     cg_solve,
     elbo,
-    head_weight_gradient,
     kl_to_prior,
-    log_likelihood,
-    log_prior,
     map_objective,
     per_sample_gradients,
     predictive,
-    solve_regularized,
 )
 from synthdetect.model import FineToCoarseCnn, full_scale_config
 from synthdetect.preprocess import NormStats
 from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
 
-from helpers import assert_grads_close, fd_gradient
+from helpers import assert_grads_close, fd_gradient, flat_weights, set_flat_weights
+from oracles import LinearHead, gauss_newton_dense, log_likelihood, log_prior
 
 
 def conjugate_posterior(Z, y, alpha, beta):
@@ -130,21 +126,21 @@ def _head_outputs(head, Z, tape_params=True):
 def test_map_objective_decomposes():
     rng = np.random.default_rng(2)
     head = LinearHead(4, alpha=0.5, beta=2.0)
-    head.set_flat_weights(rng.normal(size=4))
+    set_flat_weights(head, rng.normal(size=4))
     Z = rng.normal(size=(6, 4))
     targets = rng.normal(size=6)
     with GradTape():
         out = head.forward(Z)
         obj = map_objective(out, targets, [p for _, p in head.parameters()],
                             alpha=0.5, beta=2.0)
-    want = -log_likelihood(targets, out.data, 2.0) - log_prior(head.flat_weights(), 0.5)
+    want = -log_likelihood(targets, out.data, 2.0) - log_prior(flat_weights(head), 0.5)
     assert obj.item() == pytest.approx(want, rel=1e-12)
 
 
 def test_map_objective_monotone_in_alpha():
     rng = np.random.default_rng(3)
     head = LinearHead(4, alpha=1.0, beta=1.0)
-    head.set_flat_weights(rng.normal(size=4) + 1.0)
+    set_flat_weights(head, rng.normal(size=4) + 1.0)
     Z = rng.normal(size=(5, 4))
     targets = rng.normal(size=5)
 
@@ -182,16 +178,15 @@ def test_map_objective_gradient_matches_fd():
 
 def test_gauss_newton_single_sample_linear():
     head = LinearHead(1)
-    head.set_flat_weights(np.array([0.7]))
-    curv = GaussNewtonCurvature(head, np.array([[2.0]]))
-    assert curv.dense() == pytest.approx(np.array([[4.0]]))
+    set_flat_weights(head, np.array([0.7]))
+    assert gauss_newton_dense(head, np.array([[2.0]])) == pytest.approx(np.array([[4.0]]))
 
 
 def test_gauss_newton_symmetric_psd():
     rng = np.random.default_rng(5)
     head = BayesianHead(4, hidden=3, dropout_rate=0.0, rng=rng)
     Z = rng.normal(size=(6, 4))
-    H = GaussNewtonCurvature(head, Z).dense()
+    H = gauss_newton_dense(head, Z)
     assert np.array_equal(H, H.T)
     for _ in range(100):
         v = rng.normal(size=H.shape[0])
@@ -202,8 +197,8 @@ def test_gauss_newton_linear_model_equals_ztz():
     rng = np.random.default_rng(6)
     Z = rng.normal(size=(9, 5))
     head = LinearHead(5)
-    head.set_flat_weights(rng.normal(size=5))
-    H = GaussNewtonCurvature(head, Z).dense()
+    set_flat_weights(head, rng.normal(size=5))
+    H = gauss_newton_dense(head, Z)
     assert np.allclose(H, Z.T @ Z, atol=1e-10)
 
 
@@ -234,9 +229,9 @@ def test_matvec_matches_dense():
     head = BayesianHead(5, hidden=4, dropout_rate=0.0, rng=rng)
     Z = rng.normal(size=(8, 5))
     curv = GaussNewtonCurvature(head, Z)
-    H = curv.dense()
+    H = gauss_newton_dense(head, Z)
     for _ in range(5):
-        v = rng.normal(size=curv.dim)
+        v = rng.normal(size=head.weight_count)
         assert np.allclose(curv.matvec(v), H @ v, atol=1e-10)
 
 
@@ -244,16 +239,20 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _weights(head):
+    return [p.data for _, p in head.parameters()]
+
+
 def test_closed_form_products_match_tape():
     """J v, J^T u and H v from the heads' closed forms agree with the
     per-sample gradients the autodiff tape gives, dropout included."""
     rng = np.random.default_rng(8)
     linear = LinearHead(6)
-    linear.set_flat_weights(rng.normal(size=6))
+    set_flat_weights(linear, rng.normal(size=6))
     for head in (BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng), linear):
         Z = rng.normal(size=(11, 6))
         G = per_sample_gradients(head, Z)
-        jvp, vjp = head.jacobian_products(Z)
+        jvp, vjp = head.jacobian_products(Z, _weights(head))
         curv = GaussNewtonCurvature(head, Z)
         for _ in range(3):
             v = rng.normal(size=head.weight_count)
@@ -268,8 +267,8 @@ def test_single_row_product_is_head_weight_gradient():
     head = BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng)
     for _ in range(3):
         z = rng.normal(size=6)
-        _, vjp = head.jacobian_products(z[None, :])
-        assert _rel(vjp(np.ones(1)), head_weight_gradient(head, z)) <= 1e-12
+        _, vjp = head.jacobian_products(z[None, :], _weights(head))
+        assert _rel(vjp(np.ones(1)), per_sample_gradients(head, z[None])[0]) <= 1e-12
 
 
 def test_curvature_and_predictive_build_no_tape(monkeypatch):
@@ -282,14 +281,15 @@ def test_curvature_and_predictive_build_no_tape(monkeypatch):
 
     monkeypatch.setattr(GradTape, "__enter__", refuse)
     curv = GaussNewtonCurvature(head, Z)
-    curv.matvec(rng.normal(size=curv.dim))
+    curv.matvec(rng.normal(size=head.weight_count))
     _, var = predictive(rng.normal(size=6), head, curv)
     assert var >= 1.0 / 4.0
 
 
 def test_curvature_build_allocates_no_gradient_block():
-    """At N=64, d=128, hidden=512 the [N, W] gradient block would be 34 MB;
-    the operator keeps only the [N, hidden] hidden activations."""
+    """At N=64, d=128, hidden=512 the [N, W] gradient block would be 34 MB
+    and the [N, hidden] hidden activations 0.26 MB; the build keeps the
+    arrays it is given and allocates less than the features themselves."""
     rng = np.random.default_rng(25)
     head = BayesianHead(128, hidden=512, rng=rng)
     Z = rng.normal(size=(64, 128))
@@ -299,7 +299,37 @@ def test_curvature_build_allocates_no_gradient_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * Z.shape[0] * head.hidden * 8
+    assert peak < Z.nbytes
+
+
+def test_curvature_and_predictive_build_no_operator(monkeypatch):
+    """Neither the build nor a query forms the Jacobian products."""
+    rng = np.random.default_rng(33)
+    head = BayesianHead(6, hidden=5, alpha=0.5, beta=4.0, rng=rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Jacobian products were built")
+
+    monkeypatch.setattr(BayesianHead, "jacobian_products", refuse)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
+    for _ in range(3):
+        _, var = predictive(rng.normal(size=6), head, curv)
+        assert var >= 1.0 / 4.0
+
+
+def test_matvec_describes_head_as_built():
+    """``matvec`` forms its products from the weights kept at build, so a
+    weight update after the build does not reach it."""
+    rng = np.random.default_rng(34)
+    head = BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng)
+    Z = rng.normal(size=(11, 6))
+    G = per_sample_gradients(head, Z)
+    curv = GaussNewtonCurvature(head, Z)
+    set_flat_weights(head, rng.normal(size=head.weight_count))
+    assert not np.allclose(per_sample_gradients(head, Z), G)
+    for _ in range(3):
+        v = rng.normal(size=head.weight_count)
+        assert _rel(curv.matvec(v), G.T @ (G @ v)) <= 1e-12
 
 
 # --- solves ---------------------------------------------------------------------
@@ -324,12 +354,12 @@ def test_cg_rejects_indefinite():
 def test_regularized_solve_cg_vs_dense():
     rng = np.random.default_rng(10)
     head = LinearHead(20, alpha=0.05, beta=9.0)
-    head.set_flat_weights(rng.normal(size=20))
+    set_flat_weights(head, rng.normal(size=20))
     Z = rng.normal(size=(30, 20))
     curv = GaussNewtonCurvature(head, Z)
     g = rng.normal(size=20)
-    x_cg = solve_regularized(curv, 0.05, 9.0, g, method="cg")
-    x_dense = solve_regularized(curv, 0.05, 9.0, g, method="dense")
+    x_cg = cg_solve(lambda v: 0.05 * v + 9.0 * curv.matvec(v), g)
+    x_dense = np.linalg.solve(0.05 * np.eye(20) + 9.0 * gauss_newton_dense(head, Z), g)
     denom = abs(g @ x_dense)
     assert abs(g @ x_cg - g @ x_dense) / denom < 1e-6
 
@@ -340,7 +370,7 @@ def test_regularized_solve_cg_vs_dense():
 def test_predictive_huge_alpha_collapses_to_noise_floor():
     rng = np.random.default_rng(11)
     head = LinearHead(6, alpha=1e12, beta=4.0)
-    head.set_flat_weights(rng.normal(size=6))
+    set_flat_weights(head, rng.normal(size=6))
     Z = rng.normal(size=(10, 6))
     curv = GaussNewtonCurvature(head, Z)
     _, var = predictive(rng.normal(size=6), head, curv)
@@ -358,7 +388,7 @@ def test_predictive_matches_conjugate_regression():
         y = rng.normal(size=n)
         m, S = conjugate_posterior(Z, y, alpha, beta)
         head = LinearHead(d, alpha=alpha, beta=beta)
-        head.set_flat_weights(m)
+        set_flat_weights(head, m)
         curv = GaussNewtonCurvature(head, Z)
         z = rng.normal(size=d)
         mean, var = predictive(z, head, curv)
@@ -379,21 +409,21 @@ def test_predictive_variance_floor():
 def _tape_variance(head, curv, z):
     """Weight part of the variance, g^T (alpha*I + beta*H)^-1 g, from the
     tape's gradient and the dense curvature."""
-    g = head_weight_gradient(head, z)
-    A = head.alpha * np.eye(curv.dim) + head.beta * curv.dense()
-    return g @ np.linalg.solve(A, g)
+    g = per_sample_gradients(head, z[None])[0]
+    H = gauss_newton_dense(head, curv.features)
+    return g @ np.linalg.solve(head.alpha * np.eye(head.weight_count) + head.beta * H, g)
 
 
 def _cg_variance(head, curv, z):
-    _, vjp = head.jacobian_products(z[None, :])
+    _, vjp = head.jacobian_products(z[None, :], _weights(head))
     g = vjp(np.ones(1))
-    return g @ solve_regularized(curv, head.alpha, head.beta, g, method="cg")
+    return g @ cg_solve(lambda v: head.alpha * v + head.beta * curv.matvec(v), g)
 
 
 def test_predictive_matches_dense_tape_solve():
     rng = np.random.default_rng(26)
     linear = LinearHead(8, alpha=0.4, beta=3.0)
-    linear.set_flat_weights(rng.normal(size=8))
+    set_flat_weights(linear, rng.normal(size=8))
     heads = (BayesianHead(8, hidden=16, alpha=0.3, beta=5.0, dropout_rate=0.5, rng=rng),
              linear)
     for head in heads:
@@ -442,7 +472,7 @@ def test_predictive_variance_describes_head_as_built():
     built_mean = float(head.forward(z[None, :]).data[0])
     mean, var = predictive(z, head, queried)
     assert mean == built_mean
-    head.set_flat_weights(rng.normal(size=head.weight_count))
+    set_flat_weights(head, rng.normal(size=head.weight_count))
     assert float(head.forward(z[None, :]).data[0]) != built_mean
     assert predictive(z, head, queried) == (mean, var)
     assert predictive(z, head, unqueried) == (mean, var)
@@ -545,7 +575,7 @@ def test_variational_stds_strictly_positive():
     q = VariationalPosterior(head)
     for ls in q.log_stds:
         ls.assign(np.full(ls.shape, -30.0))
-    assert np.all(q.stds_flat() > 0.0)
+    assert all(np.all(np.exp(ls.data) > 0.0) for ls in q.log_stds)
 
 
 def _log_evidence(Z, y, alpha, beta):
@@ -627,7 +657,7 @@ def test_elbo_ascent_on_conjugate_problem():
     drops = np.diff(smoothed) < 0.0
     assert not drops.any(), f"smoothed ELBO fell at steps {np.where(drops)[0][:5]}"
     m, S = conjugate_posterior(Z, y, alpha, beta)
-    assert abs(q.mean_weights_flat()[0] - m[0]) < 2 * math.sqrt(S[0, 0])
+    assert abs(flat_weights(head)[0] - m[0]) < 2 * math.sqrt(S[0, 0])
 
 
 # --- gradient plumbing -------------------------------------------------------------
@@ -635,9 +665,9 @@ def test_elbo_ascent_on_conjugate_problem():
 
 def test_head_weight_gradient_linear_is_input():
     head = LinearHead(4)
-    head.set_flat_weights(np.array([1.0, -2.0, 0.5, 3.0]))
+    set_flat_weights(head, np.array([1.0, -2.0, 0.5, 3.0]))
     z = np.array([0.3, 0.7, -1.1, 2.0])
-    assert np.allclose(head_weight_gradient(head, z), z, atol=1e-14)
+    assert np.allclose(per_sample_gradients(head, z[None])[0], z, atol=1e-14)
 
 
 def test_per_sample_gradients_shape():

@@ -115,10 +115,21 @@ def test_rejects_future_version(tmp_path):
     lambda h: h.update(gamma=float("nan")),
     lambda h: h["head"].update(dropout_rate=2.0),
     lambda h: h["head"].update(alpha=float("nan")),
+    lambda h: h["tensors"][-1].update(offset=0),
+    lambda h: h["tensors"][0].update(offset=0.0),
+    lambda h: h["tensors"][0].update(name=5),
+    lambda h: h["norm"].update(std=[5e-324, 0.2, 0.2]),
+    lambda h: h["norm"].update(mean=[1e308, 0.5, 0.5]),
+    lambda h: h["cnn"].update(filters=[16, 24.0, 32]),
+    lambda h: h["cnn"].update(bn_momentum=2),
+    lambda h: h["cnn"].update(bn_eps=float("inf")),
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
         "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
-        "gamma_nan", "dropout_out_of_range", "alpha_nan"])
+        "gamma_nan", "dropout_out_of_range", "alpha_nan", "offsets_overlap",
+        "offset_not_int", "name_not_string", "norm_std_below_floor",
+        "norm_mean_out_of_range", "filter_not_int", "bn_momentum_out_of_range",
+        "bn_eps_infinite"])
 def test_rejects_malformed_header(tmp_path, edit):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())

@@ -1,13 +1,17 @@
+import dataclasses
+import json
 import shutil
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from synthdetect.cli import main
 from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
+from synthdetect.train import TrainConfig
 
 from helpers import poison_checkpoint_tensor, rewrite_checkpoint_header
 from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
@@ -241,8 +245,17 @@ def test_perturb_unknown_transform(trained_dir, toy_root, capsys):
     lambda h: h["norm"].update(mean=[0.5]),
     lambda h: h.update(gamma="abc"),
     lambda h: h["head"].update(dropout_rate=2.0),
+    lambda h: h["cnn"].update(bn_eps="abc"),
+    lambda h: h["cnn"].update(bn_eps=None),
+    lambda h: h["cnn"].update(bn_eps=-1),
+    lambda h: h["cnn"].update(input_size=32.0),
+    lambda h: h.update(gamma=10**400),
+    lambda h: h.update(mode=5),
+    lambda h: h.update(trained="no"),
 ], ids=["header_without_mode", "hidden_disagrees_with_tensors", "norm_std_zero",
-        "norm_mean_short", "gamma_not_number", "dropout_out_of_range"])
+        "norm_mean_short", "gamma_not_number", "dropout_out_of_range", "bn_eps_text",
+        "bn_eps_null", "bn_eps_negative", "input_size_float", "gamma_past_float_range",
+        "mode_not_a_mode", "trained_not_bool"])
 def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
                                                      capsys, edit):
     bad = tmp_path / "bad.bin"
@@ -272,6 +285,128 @@ def test_score_nan_head_weight_names_tensor(trained_dir, toy_root, tmp_path, cap
     assert err == "data error: checkpoint tensor head.fc1.weights holds non-finite values\n"
 
 
+@pytest.mark.parametrize("lines", [
+    "alpha = nan", "alpha = -1", "beta = inf", "seed = -1",
+    "n_mc = 0\ninference_mode = variational", "hidden = 0", "percentile = 90",
+    "metric_sample_cap = 0", "lr0 = nan", "target = nan", "early_stop_gap = nan",
+    "improvement_threshold = inf", "split = abc", "split = nan", "split = 1",
+    "input_size = 32.0", "input_size = 33",
+], ids=["alpha_nan", "alpha_negative", "beta_infinite", "seed_negative",
+        "n_mc_zero_variational", "hidden_zero", "percentile_90", "metric_sample_cap_zero",
+        "lr0_nan", "target_nan", "early_stop_gap_nan", "improvement_threshold_infinite",
+        "split_not_number", "split_nan", "split_one", "input_size_not_int",
+        "input_size_unsupported"])
+def test_bad_config_value_exits_usage_error(toy_root, tmp_path, capsys, lines):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 0\ninput_size = 32\n{lines}\n")
+    code = main(["train", "--data", str(toy_root), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_not_utf8_exits_usage_error(toy_root, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs = 0\nalpha = \xff\n")
+    code = main(["train", "--data", str(toy_root), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+# --- fuzzed configs and checkpoint headers -------------------------------------
+
+# Config values as text: small integers, so that no example asks for a large
+# head; any float; edge spellings; and text without decimal digits, since int()
+# reads the digits of every script and could find a large size there too.
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 64).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e400", "1_0", "0x10", "32", "224", "map",
+                     "variational", "True"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+)
+_CONFIG_KEYS = sorted({f.name for f in dataclasses.fields(TrainConfig)} - {"epochs"}
+                      | {"split", "input_size"})
+
+
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    write_dataset(root, 6, 1, size=32, seed=4)
+    return root
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One directory that each fuzzed example writes over."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(lines=[])  # 224 px by default: the 32 px images are too small
+@given(lines=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=5))
+def test_fuzzed_config_exits_cleanly(tiny_root, fuzz_dir, capsys, lines):
+    """Any ``key = value`` lines over the config keys, with ``epochs = 0`` so
+    that nothing trains, end in exit 0, 1 or 2 with at most one error line."""
+    cfg = fuzz_dir / "train.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines) + "epochs = 0\n",
+                   encoding="utf-8")
+    code = main(["train", "--data", str(tiny_root), "--out", str(fuzz_dir / "run"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert err.count("\n") == (code != 0)
+
+
+def _set(header, path, value):
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _scalar_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _scalar_paths(child, path + (key,))
+    else:
+        yield path
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -10**400, 2**64, 5e-324, 1e308, -1e308]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_checkpoint_header_exits_cleanly(trained_dir, toy_root, fuzz_dir, capsys,
+                                                 data):
+    """One header scalar, anywhere in the header, replaced by any JSON value:
+    ``score`` exits 0 or 2, never 3 and never with a traceback."""
+    source = trained_dir / "checkpoint.bin"
+    raw = source.read_bytes()
+    header = json.loads(raw[20:20 + int.from_bytes(raw[12:20], "little")])
+    path = data.draw(st.sampled_from(list(_scalar_paths(header))), label="path")
+    value = data.draw(_JSON_VALUES, label="value")
+    bad = fuzz_dir / "bad.bin"
+    rewrite_checkpoint_header(source, bad, lambda h: _set(h, path, value))
+    target = sorted((toy_root / "real").iterdir())[0]
+    code = main(["score", "--checkpoint", str(bad), str(target)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert err.count("\n") == (code != 0)

@@ -45,6 +45,16 @@ def test_non_positive_sizes_rejected(kwargs):
         CnnConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"input_size": 32.0}, {"kernel": True}, {"filters": (16, 24.0, 32)},
+    {"bn_eps": "abc"}, {"bn_eps": None}, {"bn_eps": -1}, {"bn_eps": 0.0},
+    {"bn_eps": float("inf")}, {"bn_eps": 10**400}, {"bn_momentum": 2},
+    {"bn_momentum": float("nan")}])
+def test_ill_typed_or_out_of_range_values_rejected(kwargs):
+    with pytest.raises(ValueError):
+        CnnConfig(**kwargs)
+
+
 def test_forward_feature_count_full_scale():
     cnn = FineToCoarseCnn(full_scale_config(), rng=np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).random((2, 3, 224, 224)))

@@ -1,11 +1,16 @@
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthdetect.bayes import BayesianHead, Detector
+from synthdetect.checkpoint import save_checkpoint
+from synthdetect.cli import main
+from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.preprocess import (
     MAX_IMAGE_PIXELS,
     ChannelError,
@@ -25,7 +30,8 @@ from synthdetect.preprocess import (
 )
 
 from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
-from oracles import _unfilter_scanline, load_dataset as load_dataset_pathlib
+from oracles import _unfilter_scanline, image_paths as image_paths_pathlib
+from oracles import load_dataset as load_dataset_pathlib
 
 
 def _record(source, seed=0, size=8):
@@ -432,7 +438,7 @@ def _listing_tree(root):
     rng = np.random.default_rng(5)
 
     def image(path, png=False):
-        px = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+        px = rng.integers(0, 256, size=(32, 33, 3), dtype=np.uint8)
         path.write_bytes(write_png(px) if png else write_ppm(px))
 
     outside = root / "elsewhere"
@@ -472,6 +478,29 @@ def test_load_dataset_listing_matches_pathlib(tmp_path, monkeypatch):
     assert names[:7] == [("real", n) for n in
                          ("..ppm", "A.PNG", "Z.ppm", "_z.png", "b.ppm", "c.Ppm", "link.ppm")]
     assert [s for s, _ in names[7:]] == ["", "b", "linked", "linked", "noise", "noise"]
+
+
+def test_score_listing_matches_pathlib(tmp_path, monkeypatch, capsys):
+    """``score`` lists a directory target as ``load_dataset`` does, and
+    prints each path as the ``pathlib`` listing spells it."""
+    _listing_tree(tmp_path)
+    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(6))
+    head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(7))
+    ckpt = tmp_path / "model.bin"
+    save_checkpoint(ckpt, Detector(cnn=cnn, head=head, gamma=0.0, trained=True,
+                                   norm=NormStats(mean=(0.5,) * 3, std=(0.25,) * 3)))
+    real = tmp_path / "real"
+    monkeypatch.chdir(real)
+    for target in (".", "", str(real), str(real) + "/", "../real", "./x.png/..",
+                   "A.PNG", "./b.ppm", str(real / "link.ppm")):
+        assert main(["score", "--checkpoint", str(ckpt), target]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        listed = image_paths_pathlib(target) if Path(target).is_dir() else [Path(target)]
+        assert [path for path, _, _ in rows] == [str(path) for path in listed]
+        assert all(verdict in ("real", "synthetic") for _, _, verdict in rows)
+    assert main(["score", "--checkpoint", str(ckpt), "."]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == \
+        ["..ppm", "A.PNG", "Z.ppm", "_z.png", "b.ppm", "c.Ppm", "link.ppm"]
 
 
 def test_load_dataset_requires_real_dir(tmp_path):

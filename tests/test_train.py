@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.preprocess import DatasetError, make_split
 from synthdetect.textures import generate_records
 from synthdetect.train import (
+    _CONFIG_RULES,
     TrainConfig,
     TrainingDivergedError,
     lr_schedule,
@@ -56,6 +59,21 @@ def test_config_validation():
         TrainConfig(inference_mode="mcmc")
     with pytest.raises(ValueError):
         TrainConfig(dropout_rate=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": float("nan")}, {"alpha": -1.0}, {"beta": float("inf")}, {"seed": -1},
+    {"n_mc": 0, "inference_mode": "variational"}, {"hidden": 0}, {"percentile": 90.0},
+    {"percentile": 0.0}, {"metric_sample_cap": 0}, {"lr0": float("nan")},
+    {"target": float("nan")}, {"improvement_threshold": float("inf")},
+    {"early_stop_gap": float("nan")}])
+def test_config_rejects_each_bad_value(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        TrainConfig(**kwargs)
+
+
+def test_every_config_field_is_checked():
+    assert set(_CONFIG_RULES) == {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 # --- training loop -------------------------------------------------------------
