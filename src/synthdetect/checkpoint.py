@@ -216,5 +216,7 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
                                if name.startswith("cnn.")})
     except FloatingPointError:
         _raise_non_finite(tensors)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint cnn is malformed: {err}") from err
     return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"],
                     mode=header["mode"], trained=header["trained"])

@@ -176,7 +176,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
                 idx = order[start:start + cfg.batch_size]
                 if idx.size < 2:
                     continue  # batch-norm cannot standardize a single sample
-                xb = Tensor(x_train[idx])
+                xb = Tensor.adopt(x_train[idx])  # fancy indexing already copied
                 yb = targets_all[idx]
                 # step on the objective in squared-error units (mean per sample,
                 # scaled by 1/beta) so the learning rate keeps its meaning no

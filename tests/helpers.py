@@ -103,12 +103,13 @@ def rewrite_checkpoint_header(src, dst, edit) -> None:
     dst.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[20 + hlen:])
 
 
-def poison_checkpoint_tensor(src, dst, name) -> None:
-    """Copy a checkpoint file with the first value of tensor ``name`` NaN."""
+def poison_checkpoint_tensor(src, dst, name, value: float = np.nan) -> None:
+    """Copy a checkpoint file with the first value of tensor ``name`` set to
+    ``value``."""
     data = bytearray(src.read_bytes())
     hlen = int.from_bytes(data[12:20], "little")
     offset, = (e["offset"] for e in json.loads(data[20:20 + hlen])["tensors"]
                if e["name"] == name)
     start = 20 + hlen + offset
-    data[start:start + 8] = np.array([np.nan], "<f8").tobytes()
+    data[start:start + 8] = np.array([value], "<f8").tobytes()
     dst.write_bytes(bytes(data))

@@ -158,6 +158,16 @@ def test_non_finite_payload_names_its_tensor(tmp_path, name):
     assert str(err.value) == f"checkpoint tensor {name} holds non-finite values"
 
 
+def test_rejects_negative_running_variance(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    poison_checkpoint_tensor(path, tmp_path / "neg.bin", "cnn.bn.running_var", -1.0)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(tmp_path / "neg.bin")
+    assert str(err.value) == ("checkpoint cnn is malformed: "
+                              "buffer bn.running_var holds negative values")
+
+
 def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
     """The head adopts the arrays read from the file; the one finite check
     each gets is the head's own, not a second one in the loader."""

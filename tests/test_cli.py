@@ -1,6 +1,11 @@
+import ctypes
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+import types
 import zlib
 from pathlib import Path
 
@@ -8,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import synthdetect
+from synthdetect import cli
 from synthdetect.cli import main
 from synthdetect.checkpoint import load_checkpoint
 from synthdetect.textures import write_dataset
@@ -238,28 +245,34 @@ def test_perturb_unknown_transform(trained_dir, toy_root, capsys):
     assert "blur" in err and "jpeg" in err and "resize" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: h.pop("mode"),
-    lambda h: h["head"].update(hidden=2 * h["head"]["hidden"]),
-    lambda h: h["norm"].update(std=[0, 1, 1]),
-    lambda h: h["norm"].update(mean=[0.5]),
-    lambda h: h.update(gamma="abc"),
-    lambda h: h["head"].update(dropout_rate=2.0),
-    lambda h: h["cnn"].update(bn_eps="abc"),
-    lambda h: h["cnn"].update(bn_eps=None),
-    lambda h: h["cnn"].update(bn_eps=-1),
-    lambda h: h["cnn"].update(input_size=32.0),
-    lambda h: h.update(gamma=10**400),
-    lambda h: h.update(mode=5),
-    lambda h: h.update(trained="no"),
+def _header(edit):
+    """A corruption that passes the checkpoint header through ``edit``."""
+    return lambda src, dst: rewrite_checkpoint_header(src, dst, edit)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _header(lambda h: h.pop("mode")),
+    _header(lambda h: h["head"].update(hidden=2 * h["head"]["hidden"])),
+    _header(lambda h: h["norm"].update(std=[0, 1, 1])),
+    _header(lambda h: h["norm"].update(mean=[0.5])),
+    _header(lambda h: h.update(gamma="abc")),
+    _header(lambda h: h["head"].update(dropout_rate=2.0)),
+    _header(lambda h: h["cnn"].update(bn_eps="abc")),
+    _header(lambda h: h["cnn"].update(bn_eps=None)),
+    _header(lambda h: h["cnn"].update(bn_eps=-1)),
+    _header(lambda h: h["cnn"].update(input_size=32.0)),
+    _header(lambda h: h.update(gamma=10**400)),
+    _header(lambda h: h.update(mode=5)),
+    _header(lambda h: h.update(trained="no")),
+    lambda src, dst: poison_checkpoint_tensor(src, dst, "cnn.bn.running_var", -1.0),
 ], ids=["header_without_mode", "hidden_disagrees_with_tensors", "norm_std_zero",
         "norm_mean_short", "gamma_not_number", "dropout_out_of_range", "bn_eps_text",
         "bn_eps_null", "bn_eps_negative", "input_size_float", "gamma_past_float_range",
-        "mode_not_a_mode", "trained_not_bool"])
+        "mode_not_a_mode", "trained_not_bool", "bn_running_var_negative"])
 def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
-                                                     capsys, edit):
+                                                     capsys, corrupt):
     bad = tmp_path / "bad.bin"
-    rewrite_checkpoint_header(trained_dir / "checkpoint.bin", bad, edit)
+    corrupt(trained_dir / "checkpoint.bin", bad)
     target = sorted((toy_root / "real").iterdir())[0]
     assert main(["score", "--checkpoint", str(bad), str(target)]) == 2
     err = capsys.readouterr().err
@@ -319,6 +332,81 @@ def test_config_file_not_utf8_exits_usage_error(toy_root, tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["train"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+# --- glibc malloc thresholds ----------------------------------------------------
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Runs ``main(argv)`` three times and prints the minor faults of the third call.
+_THIRD_CALL_FAULTS = """
+import resource, sys
+from synthdetect.cli import main
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_perturb_does_not_refault_freed_heap(tmp_path):
+    """With glibc's thresholds left dynamic, a warm ``perturb`` call on this
+    corpus takes about 11.5k minor faults, re-faulting heap that the previous
+    op handed back to the kernel; with the thresholds ``main`` pins, none.
+    The calls run in a fresh interpreter: what this process freed before
+    could have raised the dynamic thresholds and hidden the churn."""
+    data = write_dataset(tmp_path / "data", 200, 100, size=32, seed=11)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("input_size = 32\nbatch_size = 32\nepochs = 1\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(cfg), "--seed", "0"]) == 0
+    package_root = Path(synthdetect.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _THIRD_CALL_FAULTS, "perturb", "--checkpoint",
+         str(tmp_path / "run" / "checkpoint.bin"), "--data", str(data),
+         "--transform", "blur", "--grid", "0,0.5,1,2", "--out", str(tmp_path / "blur.csv")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+@pytest.mark.parametrize("accepted", [1, 0])
+def test_trim_threshold_pinned_only_after_mmap_threshold(monkeypatch, accepted):
+    """Either threshold set alone fixes the other at glibc's 128 KiB default,
+    so the trim threshold follows only an accepted mmap threshold."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return accepted
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._pin_malloc_thresholds()
+    assert calls == [(-3, cli.MMAP_THRESHOLD)] + accepted * [(-1, cli.TRIM_THRESHOLD)]
+    assert cli.TRIM_THRESHOLD >= 2 * cli.MMAP_THRESHOLD
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("lookup", [_no_c_library, lambda name: types.SimpleNamespace()],
+                         ids=["oserror", "no_mallopt"])
+def test_main_runs_without_mallopt(trained_dir, toy_root, monkeypatch, capsys, lookup):
+    monkeypatch.setattr(ctypes, "CDLL", lookup)
+    target = sorted((toy_root / "real").iterdir())[0]
+    assert main(["score", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 str(target)]) == 0
+    assert capsys.readouterr().out.startswith("path,score,verdict\n")
 
 
 # --- fuzzed configs and checkpoint headers -------------------------------------
