@@ -146,10 +146,20 @@ def _build_config(args) -> tuple[TrainConfig, dict]:
 
 
 def _write_text(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    """Write ``content`` to ``path`` atomically, creating missing parent
+    directories; a destination that cannot be written is a data error and
+    leaves no temporary file behind."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except OSError as err:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise DatasetError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _cnn_config(input_size: int):
@@ -213,7 +223,6 @@ def cmd_eval(args) -> int:
     split = make_split(records, args.split, args.seed)
     report = evaluate(split, detector)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "eval_report.csv", report_csv(report))
     _write_text(out / "histogram.csv", histogram_csv(report))
     print(f"mAP {report.mean_ap!r} at gamma {report.gamma!r} "
@@ -229,15 +238,15 @@ def cmd_perturb(args) -> int:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise UsageError(f"grid must be comma-separated numbers: {err}") from err
+    if not np.isfinite(grid).all():
+        raise UsageError(f"grid values must be finite, got {args.grid!r}")
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)
     split = make_split(records, args.split, args.seed)
     results = perturbation_sweep(split, detector, args.transform, grid)
     content = sweep_csv(args.transform, results)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_text(out, content)
+        _write_text(Path(args.out), content)
     else:
         sys.stdout.write(content)
     return EXIT_OK

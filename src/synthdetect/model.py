@@ -4,14 +4,13 @@ Three conv / mean-pool / sigmoid stages with strictly increasing filter
 counts (16, 24, 32), followed by batch normalization over the final channel
 map and flattening. Pooling sits between the convolution and the sigmoid, so
 weak high-frequency responses average toward zero before they are squashed.
-Valid (no-padding) convolutions with floor-division pooling take a 224 input
-through 220 -> 109 -> 105 -> 51 -> 47 -> 22, i.e. 22*22*32 = 15488 features.
-
-Because a stage is linear up to its sigmoid, each conv + mean-pool pair runs
-as one strided convolution whose kernel is the pool window folded into the
-learned kernel (:func:`tensor.fold_mean_pool`): 224 -> 109 -> 51 -> 22
-directly. The parameters stay the 5x5 (3x3 at reduced scale) kernels;
-``tensor.mean_pool`` is kept only as the tests' reference for the fold.
+Correlation commutes with the window mean, so each stage pools its input
+first, with a stride-1 window mean, and then runs its own kernel at the pool
+stride: sigmoid(conv_s(mean_pool(h, p, 1), k)). That is the same map as
+conv, mean-pool at stride s, sigmoid, at 1/s^2 of the conv output positions.
+Valid (no-padding) windows take a 224 input through 224 -> 221 -> 109 ->
+106 -> 51 -> 48 -> 22 (pool, then conv, per stage), i.e. 22*22*32 = 15488
+features, the sizes of conv 220 -> pool 109 -> 105 -> 51 -> 47 -> 22.
 """
 
 from __future__ import annotations
@@ -161,14 +160,14 @@ class FineToCoarseCnn:
 
     def stage_activations(self, x: Tensor) -> list[Tensor]:
         """Per-stage post-sigmoid maps of a [B,3,S,S] batch:
-        sigmoid(mean_pool(conv(h))) per stage, each run as one strided conv
-        with the pool folded into its kernel."""
+        sigmoid(conv_s(mean_pool(h, p, 1))) per stage, which equals
+        sigmoid(mean_pool(conv(h), p, s))."""
         cfg = self.config
         outs = []
         h = x
         for kern, bias in zip(self.kernels, self.biases):
-            folded = T.fold_mean_pool(kern, cfg.pool_kernel)
-            h = T.sigmoid(T.conv2d_valid(h, folded, bias, stride=cfg.pool_stride))
+            pooled = T.mean_pool(h, cfg.pool_kernel, 1)
+            h = T.sigmoid(T.conv2d_valid(pooled, kern, bias, stride=cfg.pool_stride))
             outs.append(h)
         return outs
 

@@ -108,8 +108,8 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     The kernel radius is ceil(3*sigma), truncated to the image extent, and the
     truncated kernel is renormalized so constants pass through exactly.
     """
-    if sigma < 0:
-        raise PerturbError(f"blur scale must be non-negative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise PerturbError(f"blur scale must be finite and non-negative, got {sigma}")
     if sigma == 0:
         return img.copy()
     _, h, w = img.shape
@@ -251,10 +251,9 @@ def apply_transform(name: str, img: np.ndarray, parameter: float) -> np.ndarray:
     if name == "blur":
         return gaussian_blur(img, float(parameter))
     if name == "jpeg":
-        q = int(parameter)
-        if q != parameter:
+        if not float(parameter).is_integer():
             raise PerturbError(f"jpeg quality must be an integer, got {parameter}")
-        return jpeg_quality(img, q)
+        return jpeg_quality(img, int(parameter))
     if name == "resize":
         return resize_bilinear(img, float(parameter), restore=True)
     raise PerturbError(f"unknown transform {name!r}; valid: blur, jpeg, resize")

@@ -29,7 +29,6 @@ __all__ = [
     "conv2d_valid",
     "dropout",
     "exp",
-    "fold_mean_pool",
     "linear",
     "mean_pool",
     "mul",
@@ -434,71 +433,63 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
     return out
 
 
-def fold_mean_pool(kernels: Tensor, window) -> Tensor:
-    """Fold a ph x pw window mean into [K,C,kh,kw] kernels.
+def _taps(a: np.ndarray, k: int, s: int, n: int, axis: int):
+    """The k strided views a[i : i + s*(n-1) + 1 : s] along ``axis``, i < k."""
+    lead = (slice(None),) * axis
+    return [a[lead + (slice(i, i + s * (n - 1) + 1, s),)] for i in range(k)]
 
-    Returns the [K,C,kh+ph-1,kw+pw-1] kernels whose valid correlation equals
-    the window mean of the correlation with ``kernels``: the mean of the
-    ph*pw shifted copies. So ``mean_pool(conv2d_valid(x, k, b), p, s)`` is
-    ``conv2d_valid(x, fold_mean_pool(k, p), b, stride=s)``, at 1/s^2 of the
-    output positions.
-    """
-    ph, pw = _pair(window)
-    if ph < 1 or pw < 1:
-        raise ShapeError("pool window must be >= 1")
-    kd = kernels.data
-    if kd.ndim != 4:
-        raise ShapeError(f"kernels must be [K,C,kh,kw], got {kd.shape}")
-    K, C, kh, kw = kd.shape
-    inv = 1.0 / (ph * pw)
-    folded = np.zeros((K, C, kh + ph - 1, kw + pw - 1))
-    for i in range(ph):
-        for j in range(pw):
-            folded[:, :, i:i + kh, j:j + kw] += kd
-    folded *= inv
-    out = _fresh(folded)
 
-    def pull(gout: np.ndarray):
-        gk = np.zeros_like(kd)
-        for i in range(ph):
-            for j in range(pw):
-                gk += gout[:, :, i:i + kh, j:j + kw]
-        gk *= inv
-        return (gk,)
+def _tap_sum(a: np.ndarray, k: int, s: int, n: int, axis: int) -> np.ndarray:
+    """Sum of the k views of :func:`_taps`, in a new buffer."""
+    views = _taps(a, k, s, n, axis)
+    out = views[0] + views[1] if k > 1 else views[0].copy()
+    for view in views[2:]:
+        out += view
+    return out
 
-    _record(out, [kernels], pull)
+
+def _tap_spread(g: np.ndarray, k: int, s: int, extent: int, axis: int) -> np.ndarray:
+    """Adjoint of :func:`_tap_sum`: add ``g`` into each of the k views."""
+    shape = list(g.shape)
+    shape[axis] = extent
+    out = np.zeros(shape)
+    for view in _taps(out, k, s, g.shape[axis], axis):
+        view += g
     return out
 
 
 def mean_pool(x: Tensor, kernel, stride) -> Tensor:
     """Window-averaging downsample over the spatial dims of [C,H,W] or [B,C,H,W].
 
-    The model folds this into its convolutions (:func:`fold_mean_pool`);
-    this direct form is kept as their reference.
+    Separable: kh strided row-slice adds, then kw column-slice adds, then one
+    scale; the backward is the same adds transposed. A node is recorded only
+    when the input is tracked by the current tape.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     if sh < 1 or sw < 1:
         raise ShapeError("stride must be >= 1")
+    if kh < 1 or kw < 1:
+        raise ShapeError("pool window must be >= 1")
     single = x.ndim == 3
     x4 = x.data[None] if single else x.data
     if x4.ndim != 4:
         raise ShapeError(f"input must be [C,H,W] or [B,C,H,W], got {x.shape}")
-    B, C, H, W = x4.shape
+    H, W = x4.shape[2:]
     if kh > H or kw > W:
         raise ShapeError(f"pool window {kh}x{kw} exceeds input {H}x{W}")
-    win = _windows(x4, kh, kw, sh, sw)
-    out4 = win.mean(axis=(-2, -1))
-    out = _fresh(out4[0] if single else out4)
-    Hp, Wp = out4.shape[2], out4.shape[3]
+    Hp = conv_output_size(H, kh, sh)
+    Wp = conv_output_size(W, kw, sw)
     inv = 1.0 / (kh * kw)
+    out4 = _tap_sum(_tap_sum(x4, kh, sh, Hp, 2), kw, sw, Wp, 3)
+    out4 *= inv
+    out = _fresh(out4[0] if single else out4)
+    if not _tracked(x):
+        return out
 
     def pull(gout: np.ndarray):
         g4 = (gout[None] if single else gout) * inv
-        gx = np.zeros_like(x4)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i:i + sh * (Hp - 1) + 1:sh, j:j + sw * (Wp - 1) + 1:sw] += g4
+        gx = _tap_spread(_tap_spread(g4, kw, sw, W, 3), kh, sh, H, 2)
         return ((gx[0] if single else gx),)
 
     _record(out, [x], pull)

@@ -171,6 +171,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return e
 
 
+# --- tensor: the windowed mean pool ---------------------------------------------
+
+
+def mean_pool(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
+    """Window mean over the last two axes of a [C,H,W] or [B,C,H,W] array,
+    as ``mean`` over a strided sliding-window view."""
+    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(-2, -1))
+    return win[..., ::stride[0], ::stride[1], :, :].mean(axis=(-2, -1))
+
+
 # --- bayes: the conjugate-regression head, the densities, the dense curvature ---
 
 

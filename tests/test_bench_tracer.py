@@ -32,8 +32,9 @@ def test_tracer_wraps_and_restores_program_functions(monkeypatch):
 
 
 def test_traced_train_and_eval_keep_metric_sources(monkeypatch, tmp_path, capsys):
-    """``train.validation_infer_s`` sums infer-mode forwards under train, and
-    ``evaluate.score_chunks`` counts score_batch calls under evaluate."""
+    """``train.validation_infer_s`` sums infer-mode forwards under train,
+    ``evaluate.score_chunks`` counts score_batch calls under evaluate, and
+    the model's stages reach ``tensor.mean_pool``."""
     module = _load_tracer(monkeypatch)
     data, run = tmp_path / "data", tmp_path / "run"
     write_dataset(data, 24, 8, size=32, seed=2)
@@ -58,3 +59,5 @@ def test_traced_train_and_eval_keep_metric_sources(monkeypatch, tmp_path, capsys
     metrics = module.layer_metrics(spans, rounds=1)
     assert metrics["train.validation_infer_s"] > 0
     assert metrics["evaluate.score_chunks"] > 0
+    assert metrics["tensor.mean_pool_calls"] > 0
+    assert metrics["tensor.mean_pool_s"] > 0

@@ -245,6 +245,42 @@ def test_perturb_unknown_transform(trained_dir, toy_root, capsys):
     assert "blur" in err and "jpeg" in err and "resize" in err
 
 
+@pytest.mark.parametrize("transform", ["blur", "jpeg", "resize"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_perturb_non_finite_grid_is_usage_error(trained_dir, toy_root, tmp_path, capsys,
+                                                transform, value):
+    code = main(["perturb", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(toy_root), "--transform", transform, "--grid", f"1,{value}",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid values must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_score_out_creates_missing_directory(trained_dir, toy_root, tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "scores.csv"
+    target = sorted((toy_root / "real").iterdir())[0]
+    assert main(["score", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--out", str(out), str(target)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [p.name for p in out.parent.iterdir()] == ["scores.csv"]
+    assert out.read_text().splitlines()[1].startswith(f"{target},")
+
+
+@pytest.mark.parametrize("out", ["afile/scores.csv", "adir"])
+def test_score_unwritable_out_exits_data_error(trained_dir, toy_root, tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("x")
+    (tmp_path / "adir").mkdir()
+    target = sorted((toy_root / "real").iterdir())[0]
+    code = main(["score", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path / out), str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+
 def _header(edit):
     """A corruption that passes the checkpoint header through ``edit``."""
     return lambda src, dst: rewrite_checkpoint_header(src, dst, edit)

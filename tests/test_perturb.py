@@ -51,6 +51,15 @@ def test_blur_negative_sigma_rejected():
         gaussian_blur(_natural_image(), -0.1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("blur", math.nan), ("blur", math.inf), ("jpeg", math.nan), ("jpeg", math.inf),
+    ("jpeg", -math.inf),
+])
+def test_non_finite_parameter_rejected(name, value):
+    with pytest.raises(PerturbError):
+        apply_transform(name, _natural_image(), value)
+
+
 def test_blur_impulse_matches_gaussian_kernel():
     size = 33
     img = np.zeros((3, size, size))

@@ -12,7 +12,6 @@ from synthdetect.tensor import (
     conv2d_valid,
     conv_output_size,
     dropout,
-    fold_mean_pool,
     linear,
     mean_pool,
     sigmoid,
@@ -20,7 +19,7 @@ from synthdetect.tensor import (
 )
 
 from helpers import assert_grads_close, fd_gradient
-from oracles import sigmoid as sigmoid_oracle
+from oracles import mean_pool as mean_pool_oracle, sigmoid as sigmoid_oracle
 
 
 def test_tensor_rejects_non_finite():
@@ -167,20 +166,48 @@ def test_conv2d_input_gradient_only_for_tracked_inputs():
     assert input_grad(Tensor(data, requires_grad=True)).shape == data.shape
 
 
-# --- fold_mean_pool -------------------------------------------------------
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), batched=st.booleans())
+def test_separable_mean_pool_matches_windowed_mean(data, batched):
+    draw = data.draw
+    H, W = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kernel = (draw(st.integers(1, H)), draw(st.integers(1, W)))
+    stride = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    shape = ((draw(st.integers(1, 3)),) if batched else ()) + (draw(st.integers(1, 3)), H, W)
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    got = mean_pool(Tensor(x), kernel, stride).data
+    want = mean_pool_oracle(x, kernel, stride)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_mean_pool_records_only_tracked_inputs():
+    x = Tensor(np.ones((2, 3, 6, 6)))
+    with GradTape() as tape:
+        mean_pool(x, 4, 1)
+    assert tape._nodes == []
+    with GradTape() as tape:
+        mean_pool(x * 2.0, 4, 1)
+        mean_pool(Tensor(np.ones((3, 6, 6)), requires_grad=True), 4, 1)
+    assert len(tape._nodes) == 3
+
+
+# --- pooling commutes with correlation -------------------------------------
 
 
 @pytest.mark.parametrize("kernel,window,stride,size", [
     (3, 2, 2, 15), (2, 3, 1, 9), ((3, 2), (2, 3), (2, 3), 13),
 ])
 def test_folded_conv_equals_conv_then_mean_pool(kernel, window, stride, size):
+    """The model's stage order, pool at stride 1 then conv at the pool
+    stride, equals conv then pool at that stride."""
     rng = np.random.default_rng(17)
     kh, kw = kernel if isinstance(kernel, tuple) else (kernel, kernel)
     x = Tensor(rng.normal(size=(2, 3, size, size + 2)))
     k = Tensor(rng.normal(size=(4, 3, kh, kw)))
     b = Tensor(rng.normal(size=4))
     want = mean_pool(conv2d_valid(x, k, b), window, stride).data
-    got = conv2d_valid(x, fold_mean_pool(k, window), b, stride=stride).data
+    got = conv2d_valid(mean_pool(x, window, 1), k, b, stride=stride).data
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
@@ -400,7 +427,7 @@ def test_gradient_accumulates_over_reuse():
 
 
 @pytest.mark.parametrize("op_name", [
-    "conv", "pool", "fold", "sigmoid", "bn_train", "bn_infer", "linear", "dropout",
+    "conv", "pool", "pool_stride1", "fold", "sigmoid", "bn_train", "bn_infer", "linear", "dropout",
     "exp", "mul", "sub",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
@@ -420,12 +447,22 @@ def test_primitive_gradients_match_finite_differences(op_name):
 
         def build():
             return sum_all(mean_pool(params[0], 4, 2) * proj)
-    elif op_name == "fold":
-        params = [Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=True)]
-        proj = rng.normal(size=(2, 3, 4, 5))
+    elif op_name == "pool_stride1":
+        params = [Tensor(rng.normal(size=(2, 2, 5, 6)), requires_grad=True)]
+        proj = rng.normal(size=(2, 2, 4, 4))
 
         def build():
-            return sum_all(fold_mean_pool(params[0], (2, 4)) * proj)
+            return sum_all(mean_pool(params[0], (2, 3), 1) * proj)
+    elif op_name == "fold":
+        # a model stage below its sigmoid: pool at stride 1, conv at stride 2
+        params = [Tensor(rng.normal(size=(2, 3, 7, 8)), requires_grad=True),
+                  Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=True),
+                  Tensor(rng.normal(size=2), requires_grad=True)]
+        proj = rng.normal(size=(2, 2, 2, 2))
+
+        def build():
+            pooled = mean_pool(params[0], (2, 4), 1)
+            return sum_all(conv2d_valid(pooled, params[1], params[2], stride=2) * proj)
     elif op_name == "sigmoid":
         params = [Tensor(rng.normal(size=7), requires_grad=True)]
         proj = rng.normal(size=7)
