@@ -111,12 +111,14 @@ class BayesianHead:
 
     def forward_with(self, z, weights, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
+        """[B] outputs of the [B, d_in] rows ``z`` at ``weights``
+        (``parameters()`` order)."""
         w1, b1, w2, b2 = weights
         zt = z if isinstance(z, Tensor) else Tensor(z)
         h = T.linear(zt, w1, b1)
         h = T.dropout(h, self.dropout_rate, training, rng)
         out = T.linear(h, w2, b2)
-        return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
+        return T.reshape(out, (out.shape[0],))
 
     def jacobian_products(self, z: np.ndarray, weights: Sequence[np.ndarray]):
         """(J v, J^T u) for the Jacobian J of the inference-mode outputs at

@@ -112,6 +112,15 @@ def _parse_config_file(path: str) -> dict[str, str]:
 _EXTRA_CONFIG_KEYS = {"split": float, "input_size": int}
 
 
+def _check_split_seed(split: float, seed: int) -> None:
+    """The rule every command applies to its split fraction and seed, before
+    it reads any data."""
+    if not 0.0 < split < 1.0:
+        raise UsageError(f"split must be in (0, 1), got {split}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+
+
 def _build_config(args) -> tuple[TrainConfig, dict]:
     """Merge defaults <- config file <- flags into a TrainConfig plus the
     non-training keys (split fraction, model scale)."""
@@ -137,12 +146,12 @@ def _build_config(args) -> tuple[TrainConfig, dict]:
         kwargs["seed"] = args.seed
     if args.split is not None:
         extras["split"] = args.split
-    if not 0.0 < extras["split"] < 1.0:
-        raise UsageError(f"split must be in (0, 1), got {extras['split']}")
     try:
-        return TrainConfig(**kwargs), extras
+        cfg = TrainConfig(**kwargs)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    _check_split_seed(extras["split"], cfg.seed)
+    return cfg, extras
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -218,6 +227,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_split_seed(args.split, args.seed)
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)
     split = make_split(records, args.split, args.seed)
@@ -240,6 +250,7 @@ def cmd_perturb(args) -> int:
         raise UsageError(f"grid must be comma-separated numbers: {err}") from err
     if not np.isfinite(grid).all():
         raise UsageError(f"grid values must be finite, got {args.grid!r}")
+    _check_split_seed(args.split, args.seed)
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)
     split = make_split(records, args.split, args.seed)

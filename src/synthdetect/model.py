@@ -144,11 +144,8 @@ class FineToCoarseCnn:
         return [("bn.running_mean", self.bn_mean), ("bn.running_var", self.bn_var)]
 
     def forward_features(self, x: Tensor, training: bool) -> Tensor:
-        """[B,3,S,S] (or a single [3,S,S]) -> [B, feature_dim] latent vectors."""
+        """[B,3,S,S] -> [B, feature_dim] latent vectors."""
         cfg = self.config
-        single = x.ndim == 3
-        if single:
-            x = T.reshape(x, (1,) + x.shape)
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_size \
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(

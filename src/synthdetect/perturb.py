@@ -228,9 +228,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _separable(img, _resize_operator(out_h, h), _resize_operator(out_w, w))
 
 
-def resize_bilinear(img: np.ndarray, factor: float, restore: bool = True) -> np.ndarray:
-    """Downsample by ``factor``; with ``restore`` (default) upsample back to
-    the original grid so the fixed-size crop still applies."""
+def resize_bilinear(img: np.ndarray, factor: float) -> np.ndarray:
+    """Downsample by ``factor``, then upsample back to the original grid so
+    the fixed-size crop still applies."""
     if not 0.0 < factor <= 1.0:
         raise PerturbError(f"resize factor must be in (0, 1], got {factor}")
     _, h, w = img.shape
@@ -238,10 +238,7 @@ def resize_bilinear(img: np.ndarray, factor: float, restore: bool = True) -> np.
     out_w = int(round(w * factor))
     if out_h < 8 or out_w < 8:
         raise PerturbError(f"resized image {out_h}x{out_w} is below the 8px minimum")
-    small = bilinear_resize(img, out_h, out_w)
-    if not restore:
-        return small
-    return bilinear_resize(small, h, w)
+    return bilinear_resize(bilinear_resize(img, out_h, out_w), h, w)
 
 
 # --- registry for the sweep driver ----------------------------------------------
@@ -255,7 +252,7 @@ def apply_transform(name: str, img: np.ndarray, parameter: float) -> np.ndarray:
             raise PerturbError(f"jpeg quality must be an integer, got {parameter}")
         return jpeg_quality(img, int(parameter))
     if name == "resize":
-        return resize_bilinear(img, float(parameter), restore=True)
+        return resize_bilinear(img, float(parameter))
     raise PerturbError(f"unknown transform {name!r}; valid: blur, jpeg, resize")
 
 

@@ -4,6 +4,15 @@ Everything downstream (the conv stack, the Bayesian head, both training
 objectives) is expressed through the primitives here, so gradients of any
 recorded scalar come from a single backward pass over the tape.
 
+The tape carries what training and inference run, and only that:
+
+- Batch only: ``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take
+  [B,C,H,W] and ``linear`` takes [B,d]; an unbatched input raises
+  ``ShapeError``.
+- Equal shapes: a tensor operand of ``add``, ``sub`` or ``mul`` has the
+  output's shape, so gradients never need reducing; only a constant (an
+  array or number, not a tensor) may be a scalar against a larger operand.
+
 Tensors are immutable values: no operation touches an operand's buffer.
 Parameter updates go through :meth:`Tensor.assign`, which requires exclusive
 access (single-threaded training steps). Tapes are kept on a thread-local
@@ -32,7 +41,6 @@ __all__ = [
     "linear",
     "mean_pool",
     "mul",
-    "neg",
     "reshape",
     "sigmoid",
     "sub",
@@ -60,9 +68,12 @@ def _tape_stack() -> list["GradTape"]:
     return stack
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, checked finite and made read-only."""
     if not np.isfinite(arr).all():
         raise FloatingPointError("tensor contains non-finite values")
+    arr.setflags(write=False)
+    return arr
 
 
 class Tensor:
@@ -71,10 +82,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "uid")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)  # copy: caller keeps its buffer
-        _check_finite(arr)
-        arr.setflags(write=False)
-        self.data: np.ndarray = arr
+        # copy: caller keeps its buffer
+        self.data: np.ndarray = _frozen(np.array(data, dtype=np.float64))
         self.requires_grad = requires_grad
         self.uid = next(_uids)
 
@@ -93,12 +102,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    @staticmethod
-    def adopt(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+    @classmethod
+    def adopt(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
         """Wrap ``arr`` itself, without the copy ``Tensor(arr)`` makes; the
-        caller hands the buffer over and must not write to it again."""
-        t = _fresh(arr)
+        caller (an op, or a caller that made a private buffer) hands it over
+        and must not write to it again."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if not arr.flags["C_CONTIGUOUS"]:
+            arr = np.ascontiguousarray(arr)
+        t = cls.__new__(cls)
+        t.data = _frozen(arr)
         t.requires_grad = requires_grad
+        t.uid = next(_uids)
         return t
 
     def assign(self, data) -> None:
@@ -106,15 +121,7 @@ class Tensor:
         arr = np.array(data, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
-        _check_finite(arr)
-        arr.setflags(write=False)
-        self.data = arr
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
+        self.data = _frozen(arr)
 
     def __add__(self, other):
         return add(self, other)
@@ -124,38 +131,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _fresh(arr: np.ndarray) -> Tensor:
-    """Wrap an op-owned buffer without copying."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    _check_finite(arr)
-    arr.setflags(write=False)
-    t = Tensor.__new__(Tensor)
-    t.data = arr
-    t.requires_grad = False
-    t.uid = next(_uids)
-    return t
 
 
 class _Node:
@@ -190,18 +172,12 @@ class GradTape:
         assert popped is self
         return False
 
-    def watch(self, tensor: Tensor) -> None:
-        self._params[tensor.uid] = tensor
-
 
 def _tracked(t: Tensor) -> bool:
     """Whether a gradient w.r.t. ``t`` can reach a parameter of the current
-    tape: ``t`` is a parameter, watched, or produced on that tape."""
+    tape: ``t`` is a parameter or was produced on that tape."""
     stack = _tape_stack()
-    if not stack:
-        return False
-    tape = stack[-1]
-    return t.requires_grad or t.uid in tape._params or t.uid in tape._produced
+    return bool(stack) and (t.requires_grad or t.uid in stack[-1]._produced)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor],
@@ -248,31 +224,23 @@ def _as_operand(x) -> tuple[np.ndarray, Tensor | None]:
     return np.asarray(x, dtype=np.float64), None
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    if shape == ():
-        return np.asarray(grad.sum())
-    raise ShapeError(f"cannot reduce gradient {grad.shape} to {shape}")
-
-
 def _binary(a, b, fwd, pull_a, pull_b) -> Tensor:
+    """Elementwise ``fwd`` of two operands, at least one a tensor. Each tensor
+    operand has the output's shape, so its gradient is the pulled value as
+    is; a constant either has that shape too or is a scalar."""
     ad, at = _as_operand(a)
     bd, bt = _as_operand(b)
-    if ad.shape != bd.shape and ad.shape != () and bd.shape != ():
-        raise ShapeError(f"operand shapes {ad.shape} and {bd.shape} do not match")
-    out = _fresh(fwd(ad, bd))
-    inputs = [t for t in (at, bt) if t is not None]
-    if inputs:
-        def pull(gout: np.ndarray):
-            gs = []
-            if at is not None:
-                gs.append(_reduce_to(pull_a(gout, ad, bd), ad.shape))
-            if bt is not None:
-                gs.append(_reduce_to(pull_b(gout, ad, bd), bd.shape))
-            return tuple(gs)
+    shape = at.shape if at is not None else bt.shape
+    for d, t in ((ad, at), (bd, bt)):
+        if d.shape != shape and (t is not None or d.ndim != 0):
+            raise ShapeError(f"operand shapes {ad.shape} and {bd.shape} do not match")
+    out = Tensor.adopt(fwd(ad, bd))
 
-        _record(out, inputs, pull)
+    def pull(gout: np.ndarray):
+        return tuple(p(gout, ad, bd) for p, t in ((pull_a, at), (pull_b, bt))
+                     if t is not None)
+
+    _record(out, [t for t in (at, bt) if t is not None], pull)
     return out
 
 
@@ -291,21 +259,15 @@ def mul(a, b) -> Tensor:
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = _fresh(-a.data)
-    _record(out, [a], lambda g: (-g,))
-    return out
-
-
 def exp(a: Tensor) -> Tensor:
-    out = _fresh(np.exp(a.data))
+    out = Tensor.adopt(np.exp(a.data))
     od = out.data
     _record(out, [a], lambda g: (g * od,))
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = _fresh(np.asarray(a.data.sum()))
+    out = Tensor.adopt(np.asarray(a.data.sum()))
     shape = a.data.shape
     _record(out, [a], lambda g: (np.broadcast_to(g, shape).copy(),))
     return out
@@ -313,7 +275,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    out = _fresh(a.data.reshape(shape))
+    out = Tensor.adopt(a.data.reshape(shape))
     old = a.data.shape
     _record(out, [a], lambda g: (g.reshape(old),))
     return out
@@ -332,30 +294,23 @@ def sigmoid(a: Tensor) -> Tensor:
     np.reciprocal(r, out=r)
     np.exp(np.minimum(x, 0.0, out=e), out=e)
     np.multiply(e, r, out=e)
-    res = _fresh(e)
+    res = Tensor.adopt(e)
     od = res.data
     _record(res, [a], lambda g: (g * od * (1.0 - od),))
     return res
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map W.x + b for a single vector [d_in] or a batch [B, d_in]."""
+    """Affine map x W^T + b of a batch [B, d_in] to [B, d_out]."""
     xd, wd, bd = x.data, weights.data, bias.data
     if wd.ndim != 2 or bd.ndim != 1 or wd.shape[0] != bd.shape[0]:
         raise ShapeError(f"weights {wd.shape} / bias {bd.shape} are not a [d_out,d_in]/[d_out] pair")
-    single = xd.ndim == 1
-    x2 = xd[None, :] if single else xd
-    if x2.ndim != 2 or x2.shape[1] != wd.shape[1]:
-        raise ShapeError(f"input {xd.shape} does not match weights {wd.shape}")
-    out2 = x2 @ wd.T + bd
-    out = _fresh(out2[0] if single else out2)
+    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"input {xd.shape} is not a [B, {wd.shape[1]}] batch")
+    out = Tensor.adopt(xd @ wd.T + bd)
 
     def pull(gout: np.ndarray):
-        g2 = gout[None, :] if single else gout
-        gx = g2 @ wd
-        gw = g2.T @ x2
-        gb = g2.sum(axis=0)
-        return (gx[0] if single else gx), gw, gb
+        return gout @ wd, gout.T @ xd, gout.sum(axis=0)
 
     _record(out, [x, weights, bias], pull)
     return out
@@ -378,7 +333,7 @@ def _windows(x4: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
-    """Valid cross-correlation of [C,H,W] or [B,C,H,W] input with [K,C,kh,kw] kernels.
+    """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels.
 
     Lowered to an im2col matrix product so both passes run on BLAS. Backward
     builds the input gradient only when the input is tracked by the current
@@ -393,10 +348,9 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
     K, C, kh, kw = kd.shape
     if bd.shape != (K,):
         raise ShapeError(f"bias must be [K]={K}, got {bd.shape}")
-    single = x.ndim == 3
-    x4 = x.data[None] if single else x.data
+    x4 = x.data
     if x4.ndim != 4 or x4.shape[1] != C:
-        raise ShapeError(f"input {x.shape} does not match kernel channels {C}")
+        raise ShapeError(f"input {x.shape} is not a [B,{C},H,W] batch")
     B, _, H, W = x4.shape
     if kh > H or kw > W:
         raise ShapeError(f"kernel {kh}x{kw} exceeds input {H}x{W}")
@@ -409,13 +363,11 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
     kflat = kd.reshape(K, C * kh * kw)
     out2 = kflat @ cols
     out2 += bd[:, None]
-    out4 = out2.reshape(K, B, Hp, Wp).transpose(1, 0, 2, 3)
-    out = _fresh(out4[0] if single else out4)
+    out = Tensor.adopt(out2.reshape(K, B, Hp, Wp).transpose(1, 0, 2, 3))
     need_gx = _tracked(x)
 
     def pull(gout: np.ndarray):
-        g4 = gout[None] if single else gout
-        g2 = np.ascontiguousarray(g4.transpose(1, 0, 2, 3)).reshape(K, B * Hp * Wp)
+        g2 = np.ascontiguousarray(gout.transpose(1, 0, 2, 3)).reshape(K, B * Hp * Wp)
         gk = (g2 @ cols.T).reshape(K, C, kh, kw)
         gb = g2.sum(axis=1)
         if not need_gx:
@@ -426,8 +378,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
             for j in range(kw):
                 gx[:, :, i:i + sh * (Hp - 1) + 1:sh,
                    j:j + sw * (Wp - 1) + 1:sw] += gcols[:, i, j]
-        gx = gx.transpose(1, 0, 2, 3)
-        return (gx[0] if single else gx), gk, gb
+        return gx.transpose(1, 0, 2, 3), gk, gb
 
     _record(out, [x, kernels, bias], pull)
     return out
@@ -459,7 +410,7 @@ def _tap_spread(g: np.ndarray, k: int, s: int, extent: int, axis: int) -> np.nda
 
 
 def mean_pool(x: Tensor, kernel, stride) -> Tensor:
-    """Window-averaging downsample over the spatial dims of [C,H,W] or [B,C,H,W].
+    """Window-averaging downsample over the spatial dims of a [B,C,H,W] batch.
 
     Separable: kh strided row-slice adds, then kw column-slice adds, then one
     scale; the backward is the same adds transposed. A node is recorded only
@@ -471,10 +422,9 @@ def mean_pool(x: Tensor, kernel, stride) -> Tensor:
         raise ShapeError("stride must be >= 1")
     if kh < 1 or kw < 1:
         raise ShapeError("pool window must be >= 1")
-    single = x.ndim == 3
-    x4 = x.data[None] if single else x.data
+    x4 = x.data
     if x4.ndim != 4:
-        raise ShapeError(f"input must be [C,H,W] or [B,C,H,W], got {x.shape}")
+        raise ShapeError(f"input must be a [B,C,H,W] batch, got {x.shape}")
     H, W = x4.shape[2:]
     if kh > H or kw > W:
         raise ShapeError(f"pool window {kh}x{kw} exceeds input {H}x{W}")
@@ -483,14 +433,12 @@ def mean_pool(x: Tensor, kernel, stride) -> Tensor:
     inv = 1.0 / (kh * kw)
     out4 = _tap_sum(_tap_sum(x4, kh, sh, Hp, 2), kw, sw, Wp, 3)
     out4 *= inv
-    out = _fresh(out4[0] if single else out4)
+    out = Tensor.adopt(out4)
     if not _tracked(x):
         return out
 
     def pull(gout: np.ndarray):
-        g4 = (gout[None] if single else gout) * inv
-        gx = _tap_spread(_tap_spread(g4, kw, sw, W, 3), kh, sh, H, 2)
-        return ((gx[0] if single else gx),)
+        return (_tap_spread(_tap_spread(gout * inv, kw, sw, W, 3), kh, sh, H, 2),)
 
     _record(out, [x], pull)
     return out
@@ -499,21 +447,20 @@ def mean_pool(x: Tensor, kernel, stride) -> Tensor:
 def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of [B,C] or [B,C,H,W] input.
+    """Per-channel normalization of a [B,C,H,W] batch.
 
     Train mode normalizes by batch statistics and folds them into the running
     buffers in place; infer mode reads the running buffers. ``scale`` and
     ``shift`` are the learnable per-channel affine parameters.
     """
     xd = x.data
-    if xd.ndim not in (2, 4):
-        raise ShapeError(f"batch_norm expects [B,C] or [B,C,H,W], got {xd.shape}")
+    if xd.ndim != 4:
+        raise ShapeError(f"batch_norm expects a [B,C,H,W] batch, got {xd.shape}")
     C = xd.shape[1]
     if scale.shape != (C,) or shift.shape != (C,):
         raise ShapeError(f"scale/shift must be [C]={C}")
-    axes = (0,) if xd.ndim == 2 else (0, 2, 3)
-    cshape = (1, C) if xd.ndim == 2 else (1, C, 1, 1)
-    n = xd.shape[0] if xd.ndim == 2 else xd.shape[0] * xd.shape[2] * xd.shape[3]
+    axes = (0, 2, 3)
+    cshape = (1, C, 1, 1)
     if training:
         if xd.shape[0] < 2:
             raise ShapeError("batch_norm in train mode needs a batch of at least 2")
@@ -528,7 +475,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mean.reshape(cshape)) * inv_std.reshape(cshape)
-    out = _fresh(xhat * scale.data.reshape(cshape) + shift.data.reshape(cshape))
+    out = Tensor.adopt(xhat * scale.data.reshape(cshape) + shift.data.reshape(cshape))
 
     def pull(gout: np.ndarray):
         gscale = (gout * xhat).sum(axis=axes)
@@ -558,6 +505,6 @@ def dropout(x: Tensor, rate: float, training: bool,
         raise ValueError("train-mode dropout needs an explicit generator")
     keep = rng.random(x.shape) >= rate
     factor = keep / (1.0 - rate)
-    out = _fresh(x.data * factor)
+    out = Tensor.adopt(x.data * factor)
     _record(out, [x], lambda g: (g * factor,))
     return out

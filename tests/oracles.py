@@ -214,7 +214,7 @@ class LinearHead:
                      rng: np.random.Generator | None = None) -> Tensor:
         zt = z if isinstance(z, Tensor) else Tensor(z)
         out = T.linear(zt, weights[0], self._zero_bias)
-        return T.reshape(out, (out.shape[0],)) if out.ndim == 2 else out
+        return T.reshape(out, (out.shape[0],))
 
     def jacobian_products(self, z: np.ndarray, weights):
         """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself,

@@ -491,6 +491,34 @@ def test_fuzzed_config_exits_cleanly(tiny_root, fuzz_dir, capsys, lines):
     assert err.count("\n") == (code != 0)
 
 
+_SPLIT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "1", "0.5", "1e-300"]),
+)
+_SEEDS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**80))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(command="eval", split="0.5", seed=-1)
+@example(command="perturb", split="1.5", seed=0)
+@given(command=st.sampled_from(["eval", "perturb"]), split=_SPLIT_TEXT, seed=_SEEDS)
+def test_fuzzed_split_and_seed_exit_cleanly(trained_dir, tiny_root, fuzz_dir, capsys,
+                                            command, split, seed):
+    """Any ``--split`` float text and ``--seed`` integer end in exit 0, 1 or 2
+    with at most one error line; a split outside (0, 1) or a negative seed is
+    a usage error, as in ``train``."""
+    sweep = ["--transform", "blur", "--grid", "0,1"] if command == "perturb" else []
+    code = main([command, "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(tiny_root), "--out", str(fuzz_dir / command),
+                 f"--split={split}", f"--seed={seed}", *sweep])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert err.count("\n") == (code != 0)
+    if not 0.0 < float(split) < 1.0 or seed < 0:
+        assert code == 1, err
+
+
 def _set(header, path, value):
     node = header
     for key in path[:-1]:

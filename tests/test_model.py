@@ -15,6 +15,7 @@ from synthdetect.tensor import (
     batch_norm,
     conv2d_valid,
     mean_pool,
+    reshape,
     sigmoid,
     sum_all,
 )
@@ -170,7 +171,7 @@ def _reference_features(cnn, x, training):
         h = sigmoid(mean_pool(conv2d_valid(h, kern, bias), cfg.pool_kernel, cfg.pool_stride))
     h = batch_norm(h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
                    training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-    return h.reshape((h.shape[0], cnn.feature_dim))
+    return reshape(h, (h.shape[0], cnn.feature_dim))
 
 
 @pytest.mark.parametrize("config", [reduced_scale_config, full_scale_config])

@@ -150,7 +150,7 @@ def test_bilinear_checkerboard_average():
 
 def test_resize_restores_shape():
     img = _natural_image()
-    out = resize_bilinear(img, 0.5, restore=True)
+    out = resize_bilinear(img, 0.5)
     assert out.shape == img.shape
 
 

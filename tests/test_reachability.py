@@ -1,0 +1,81 @@
+"""The CLI reaches every function that ``synthdetect.tensor`` defines.
+
+The tape carries what training and inference run and nothing more. This runs
+``train`` (map and variational), ``eval``, ``score`` and a blur ``perturb``
+through ``cli.main`` on a tiny 32 px corpus under ``sys.setprofile``, and
+requires that each function and method of the module was called, the
+closures and comprehensions nested in them (the ops' backward ``pull``
+functions among them) included, so an op or method that no command runs
+fails it.
+"""
+
+import inspect
+import sys
+import types
+
+from synthdetect import tensor
+from synthdetect.cli import main
+from synthdetect.textures import write_dataset
+
+NOT_RUN_BY_COMMANDS = {"Tensor.__repr__"}
+
+
+def _nested(code: types.CodeType):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested(const)
+
+
+def _defined_code(module) -> dict[types.CodeType, str]:
+    """Code object -> qualified name of every function the module defines."""
+    funcs = []
+    for obj in vars(module).values():
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            funcs.append(obj)
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for member in vars(obj).values():
+                if isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "__func__", member)  # class/static methods
+                if inspect.isfunction(member):
+                    funcs.append(member)
+    return {code: code.co_qualname for f in funcs for code in _nested(f.__code__)}
+
+
+def test_cli_reaches_every_tensor_function(tmp_path):
+    root = tmp_path / "data"
+    write_dataset(root, 16, 4, size=32, seed=7)
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\nbatch_size = 4\ninput_size = 32\nsplit = 0.5\n"
+                      "metric_sample_cap = 8\n")
+    variational = tmp_path / "variational.cfg"
+    variational.write_text(config.read_text() + "inference_mode = variational\n")
+    run = tmp_path / "run"
+    commands = [
+        ["train", "--data", str(root), "--out", str(tmp_path / "vi"),
+         "--config", str(variational)],
+        ["train", "--data", str(root), "--out", str(run), "--config", str(config)],
+        ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(root),
+         "--out", str(tmp_path / "eval"), "--split", "0.5"],
+        ["score", "--checkpoint", str(run / "checkpoint.bin"), "--out",
+         str(tmp_path / "scores.csv"), str(root / "real")],
+        ["perturb", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(root),
+         "--transform", "blur", "--grid", "0,1", "--split", "0.5",
+         "--out", str(tmp_path / "blur.csv")],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(commands)
+    defined = _defined_code(tensor)
+    unreached = sorted(name for code, name in defined.items() if code not in called)
+    assert unreached == sorted(NOT_RUN_BY_COMMANDS)

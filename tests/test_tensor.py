@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.tensor import (
     GradTape,
     GradientError,
@@ -42,44 +43,73 @@ def test_op_output_buffers_are_read_only():
         t.data[0] = 0.0
 
 
+def test_tensor_operands_must_have_the_output_shape():
+    vec, scalar = Tensor(np.ones(3)), Tensor(2.0)
+    for bad in (lambda: vec * scalar, lambda: scalar + np.ones(3),
+                lambda: vec - np.ones(2), lambda: vec + Tensor(np.ones(2))):
+        with pytest.raises(ShapeError):
+            bad()
+    assert (vec * 2.0).shape == (3,)  # a constant may be a scalar
+    assert (vec - np.ones(3)).shape == (3,)
+    assert (scalar * 3.0).shape == ()
+
+
+_CNN = FineToCoarseCnn(reduced_scale_config())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conv2d_valid(Tensor(np.zeros((3, 6, 6))), Tensor(np.zeros((2, 3, 3, 3))),
+                         Tensor(np.zeros(2))),
+    lambda: mean_pool(Tensor(np.zeros((3, 6, 6))), 2, 1),
+    lambda: batch_norm(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                       np.zeros(3), np.ones(3), training=False),
+    lambda: linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+    lambda: _CNN.forward_features(Tensor(np.zeros((3, 32, 32))), training=False),
+], ids=["conv2d_valid", "mean_pool", "batch_norm", "linear", "forward_features"])
+def test_unbatched_input_rejected(call):
+    """Each op takes one input rank, a leading batch axis included."""
+    with pytest.raises(ShapeError):
+        call()
+
+
 # --- conv2d ---------------------------------------------------------------
 
 
 def test_conv2d_one_by_one_kernel_scales():
-    x = Tensor(np.ones((1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 3, 3)))
     k = Tensor(np.full((1, 1, 1, 1), 2.0))
     b = Tensor(np.zeros(1))
     out = conv2d_valid(x, k, b, stride=1)
-    assert out.shape == (1, 3, 3)
+    assert out.shape == (1, 1, 3, 3)
     assert np.allclose(out.data, 2.0)
 
 
 def test_conv2d_hand_sum():
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     k = Tensor(np.ones((1, 1, 2, 2)))
     b = Tensor(np.zeros(1))
     out = conv2d_valid(x, k, b, stride=1)
-    assert out.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == pytest.approx(10.0)
+    assert out.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == pytest.approx(10.0)
 
 
 def test_conv2d_full_scale_shape():
-    x = Tensor(np.zeros((3, 224, 224)))
+    x = Tensor(np.zeros((1, 3, 224, 224)))
     k = Tensor(np.zeros((16, 3, 5, 5)))
     b = Tensor(np.zeros(16))
     out = conv2d_valid(x, k, b, stride=1)
-    assert out.shape == (16, 220, 220)
+    assert out.shape == (1, 16, 220, 220)
 
 
 def test_conv2d_channel_mismatch_rejected():
-    x = Tensor(np.zeros((2, 4, 4)))
+    x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 2, 2)))
     with pytest.raises(ShapeError):
         conv2d_valid(x, k, Tensor(np.zeros(1)))
 
 
 def test_conv2d_oversized_kernel_rejected():
-    x = Tensor(np.zeros((1, 3, 3)))
+    x = Tensor(np.zeros((1, 1, 3, 3)))
     k = Tensor(np.zeros((1, 1, 4, 4)))
     with pytest.raises(ShapeError):
         conv2d_valid(x, k, Tensor(np.zeros(1)))
@@ -107,28 +137,28 @@ def test_conv2d_matches_direct_loop_oracle():
 
 
 def test_mean_pool_constant_input():
-    x = Tensor(np.full((2, 8, 8), 3.25))
+    x = Tensor(np.full((1, 2, 8, 8), 3.25))
     out = mean_pool(x, 4, 2)
-    assert out.shape == (2, 3, 3)
+    assert out.shape == (1, 2, 3, 3)
     assert np.allclose(out.data, 3.25)
 
 
 def test_mean_pool_hand_value():
-    x = Tensor(np.arange(1.0, 17.0).reshape(1, 4, 4))
+    x = Tensor(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
     out = mean_pool(x, 4, 2)
-    assert out.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == pytest.approx(8.5)
+    assert out.shape == (1, 1, 1, 1)
+    assert out.data[0, 0, 0, 0] == pytest.approx(8.5)
 
 
 def test_mean_pool_shape_formula():
-    x = Tensor(np.zeros((5, 47, 47)))
+    x = Tensor(np.zeros((1, 5, 47, 47)))
     out = mean_pool(x, 4, 2)
-    assert out.shape == (5, 22, 22)
+    assert out.shape == (1, 5, 22, 22)
 
 
 def test_mean_pool_window_too_large_rejected():
     with pytest.raises(ShapeError):
-        mean_pool(Tensor(np.zeros((1, 3, 3))), 4, 2)
+        mean_pool(Tensor(np.zeros((1, 1, 3, 3))), 4, 2)
 
 
 def test_shape_closure_random_cases():
@@ -140,11 +170,11 @@ def test_shape_closure_random_cases():
         kw = int(rng.integers(1, W + 1))
         sh = int(rng.integers(1, 4))
         sw = int(rng.integers(1, 4))
-        out = mean_pool(Tensor(np.zeros((1, H, W))), (kh, kw), (sh, sw))
-        assert out.shape == (1, (H - kh) // sh + 1, (W - kw) // sw + 1)
+        out = mean_pool(Tensor(np.zeros((1, 1, H, W))), (kh, kw), (sh, sw))
+        assert out.shape == (1, 1, (H - kh) // sh + 1, (W - kw) // sw + 1)
         k = Tensor(np.zeros((2, 1, kh, kw)))
-        out = conv2d_valid(Tensor(np.zeros((1, H, W))), k, Tensor(np.zeros(2)), (sh, sw))
-        assert out.shape == (2, (H - kh) // sh + 1, (W - kw) // sw + 1)
+        out = conv2d_valid(Tensor(np.zeros((1, 1, H, W))), k, Tensor(np.zeros(2)), (sh, sw))
+        assert out.shape == (1, 2, (H - kh) // sh + 1, (W - kw) // sw + 1)
 
 
 def test_conv2d_input_gradient_only_for_tracked_inputs():
@@ -153,27 +183,24 @@ def test_conv2d_input_gradient_only_for_tracked_inputs():
     b = Tensor(np.zeros(2), requires_grad=True)
     data = rng.normal(size=(2, 3, 5, 5))
 
-    def input_grad(x, watch=False, taped=False):
+    def input_grad(x, taped=False):
         with GradTape() as tape:
-            if watch:
-                tape.watch(x)
             out = conv2d_valid(x * 2.0 if taped else x, k, b)
         return tape._nodes[-1].pull(np.ones(out.shape))[0]
 
     assert input_grad(Tensor(data)) is None
-    assert input_grad(Tensor(data), watch=True).shape == data.shape
     assert input_grad(Tensor(data), taped=True).shape == data.shape
     assert input_grad(Tensor(data, requires_grad=True)).shape == data.shape
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), batched=st.booleans())
-def test_separable_mean_pool_matches_windowed_mean(data, batched):
+@given(data=st.data())
+def test_separable_mean_pool_matches_windowed_mean(data):
     draw = data.draw
     H, W = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     kernel = (draw(st.integers(1, H)), draw(st.integers(1, W)))
     stride = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
-    shape = ((draw(st.integers(1, 3)),) if batched else ()) + (draw(st.integers(1, 3)), H, W)
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), H, W)
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
     got = mean_pool(Tensor(x), kernel, stride).data
     want = mean_pool_oracle(x, kernel, stride)
@@ -188,7 +215,7 @@ def test_mean_pool_records_only_tracked_inputs():
     assert tape._nodes == []
     with GradTape() as tape:
         mean_pool(x * 2.0, 4, 1)
-        mean_pool(Tensor(np.ones((3, 6, 6)), requires_grad=True), 4, 1)
+        mean_pool(Tensor(np.ones((1, 3, 6, 6)), requires_grad=True), 4, 1)
     assert len(tape._nodes) == 3
 
 
@@ -274,7 +301,7 @@ def test_batch_norm_train_standardizes():
 
 
 def test_batch_norm_infer_identity_with_unit_stats():
-    x = Tensor(np.random.default_rng(4).normal(size=(3, 2)))
+    x = Tensor(np.random.default_rng(4).normal(size=(3, 2, 1, 1)))
     rm, rv = _bn_state(2)
     out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
                      training=False, eps=0.0)
@@ -310,27 +337,27 @@ def test_batch_norm_updates_running_stats():
 
 
 def test_linear_identity():
-    x = Tensor([1.0, 2.0, 3.0])
+    x = Tensor([[1.0, 2.0, 3.0]])
     out = linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.allclose(out.data, x.data)
 
 
 def test_linear_hand_matvec():
-    out = linear(Tensor([1.0, 1.0]),
+    out = linear(Tensor([[1.0, 1.0]]),
                  Tensor([[1.0, 2.0], [3.0, 4.0]]),
                  Tensor([0.0, 1.0]))
-    assert np.allclose(out.data, [3.0, 8.0])
+    assert np.allclose(out.data, [[3.0, 8.0]])
 
 
 def test_linear_zero_weights_returns_bias():
     b = np.array([4.0, -2.0])
-    out = linear(Tensor([5.0, 6.0, 7.0]), Tensor(np.zeros((2, 3))), Tensor(b))
-    assert np.allclose(out.data, b)
+    out = linear(Tensor([[5.0, 6.0, 7.0]]), Tensor(np.zeros((2, 3))), Tensor(b))
+    assert np.allclose(out.data, [b])
 
 
 def test_linear_dimension_mismatch_rejected():
     with pytest.raises(ShapeError):
-        linear(Tensor([1.0, 2.0]), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        linear(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
 
 
 # --- dropout --------------------------------------------------------------
