@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .model import is_int
 from .preprocess import NormStats, preprocess_pixels
 from .tensor import GradTape, ShapeError, Tensor, backward
 
@@ -59,6 +60,17 @@ class UntrainedModelError(RuntimeError):
 # --- heads -------------------------------------------------------------------
 
 
+def check_head_hparams(hidden, alpha, beta, dropout_rate) -> None:
+    """The head's rule on its width, precisions and dropout rate, which a
+    checkpoint header's values also pass before any weight is read."""
+    if not (is_int(hidden) and hidden >= 1):
+        raise ValueError(f"hidden width must be an integer >= 1, got {hidden!r}")
+    if not (alpha > 0 and beta > 0):  # also rejects NaN
+        raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+
+
 class BayesianHead:
     """Two fully connected layers with dropout between them (no activation:
     the conv stack already squashed features through sigmoids)."""
@@ -69,10 +81,7 @@ class BayesianHead:
                  weights: Sequence[np.ndarray] | None = None):
         """``weights``, in ``parameters()`` order, become the head's tensors
         without a copy; without them (and without ``rng``) they are zero."""
-        if not (alpha > 0 and beta > 0):  # also rejects NaN
-            raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+        check_head_hparams(hidden, alpha, beta, dropout_rate)
         self.d_in = d_in
         self.hidden = hidden
         self.alpha = alpha

@@ -4,7 +4,8 @@ Configuration comes from a flat ``key = value`` text file plus flags; flags
 win. All outputs are CSV with header rows, comma separators, '.' decimals and
 LF line endings, written atomically next to the checkpoint.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a bad input, or a path
+the operating system refuses to read or write), 3 numerical failure.
 
 ``main`` first pins glibc's malloc thresholds for the whole process: the mmap
 threshold to ``MMAP_THRESHOLD`` and then, only if glibc took that, the trim
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetError, DecodeError, CheckpointError, EvaluationError,
-            PerturbError, UntrainedModelError, FileNotFoundError) as err:
+            PerturbError, UntrainedModelError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, NumericalError, FloatingPointError) as err:

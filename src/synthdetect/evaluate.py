@@ -97,11 +97,10 @@ def _score_records(detector: Detector, records: list[ImageRecord],
 
 
 def evaluate(split: DatasetSplit, detector: Detector, gamma: float | None = None,
-             bins: int = 50,
              transform: Callable[[np.ndarray], np.ndarray] | None = None) -> EvalReport:
     """Score the test part of a split and report one AP per anomaly source
     against the shared real test set, their mean, the confusion counts at the
-    threshold, and binned score histograms."""
+    threshold, and 50-bin score histograms."""
     if gamma is None:
         gamma = detector.gamma
     if gamma is None:
@@ -127,7 +126,7 @@ def evaluate(split: DatasetSplit, detector: Detector, gamma: float | None = None
                                     tn=tn, fn=scores.size - tp))
     anom_scores = np.concatenate(list(by_source.values()))
     combined = np.concatenate([real_scores, anom_scores])
-    edges = np.histogram_bin_edges(combined, bins=bins)
+    edges = np.histogram_bin_edges(combined, bins=50)
     hist_real, _ = np.histogram(real_scores, bins=edges)
     hist_anom, _ = np.histogram(anom_scores, bins=edges)
     return EvalReport(split_fraction=split.split_fraction, gamma=float(gamma),
@@ -137,7 +136,7 @@ def evaluate(split: DatasetSplit, detector: Detector, gamma: float | None = None
 
 
 def perturbation_sweep(split: DatasetSplit, detector: Detector, transform: str,
-                       grid, gamma: float | None = None) -> list[tuple[float, EvalReport]]:
+                       grid) -> list[tuple[float, EvalReport]]:
     """Re-evaluate the test split with the named transform applied to test
     images only, once per grid value."""
     grid = list(grid)
@@ -146,8 +145,7 @@ def perturbation_sweep(split: DatasetSplit, detector: Detector, transform: str,
     out = []
     for parameter in grid:
         fn = (lambda img, p=parameter: apply_transform(transform, img, p))
-        out.append((float(parameter), evaluate(split, detector, gamma=gamma,
-                                               transform=fn)))
+        out.append((float(parameter), evaluate(split, detector, transform=fn)))
     return out
 
 

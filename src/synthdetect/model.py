@@ -98,7 +98,7 @@ class FineToCoarseCnn:
 
     def __init__(self, config: CnnConfig, rng: np.random.Generator | None = None):
         self.config = config
-        sizes = config.stage_sizes()  # validates geometry up front
+        self.feature_dim = config.feature_dim  # validates geometry up front
         self.kernels: list[Tensor] = []
         self.biases: list[Tensor] = []
         c_in = config.in_channels
@@ -112,8 +112,6 @@ class FineToCoarseCnn:
         self.bn_shift = Tensor(np.zeros(c_last), requires_grad=True)
         self.bn_mean = np.zeros(c_last)
         self.bn_var = np.ones(c_last)
-        self.feature_dim = config.feature_dim
-        self._final_side = sizes[-1][1]
         if rng is not None:
             self.xavier_init(rng)
 

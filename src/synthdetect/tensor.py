@@ -316,31 +316,24 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        a, b = v
-        return int(a), int(b)
-    return int(v), int(v)
-
-
 def conv_output_size(extent: int, kernel: int, stride: int) -> int:
     return (extent - kernel) // stride + 1
 
 
-def _windows(x4: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+def _windows(x4: np.ndarray, kh: int, kw: int, s: int) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+    return win[:, :, ::s, ::s]
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
-    """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels.
+def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels,
+    at the same stride along both axes.
 
     Lowered to an im2col matrix product so both passes run on BLAS. Backward
     builds the input gradient only when the input is tracked by the current
     tape; for an input batch it would be discarded.
     """
-    sh, sw = _pair(stride)
-    if sh < 1 or sw < 1:
+    if stride < 1:
         raise ShapeError("stride must be >= 1")
     kd, bd = kernels.data, bias.data
     if kd.ndim != 4:
@@ -354,7 +347,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
     B, _, H, W = x4.shape
     if kh > H or kw > W:
         raise ShapeError(f"kernel {kh}x{kw} exceeds input {H}x{W}")
-    win = _windows(x4, kh, kw, sh, sw)  # [B,C,Hp,Wp,kh,kw]
+    win = _windows(x4, kh, kw, stride)  # [B,C,Hp,Wp,kh,kw]
     Hp, Wp = win.shape[2], win.shape[3]
     # channel-major columns: the gather copies whole output rows, and the
     # product comes out in [K, B, Hp*Wp] blocks that transpose cheaply
@@ -376,8 +369,8 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride=1) -> Tensor:
         gx = np.zeros((C, B, H, W))
         for i in range(kh):
             for j in range(kw):
-                gx[:, :, i:i + sh * (Hp - 1) + 1:sh,
-                   j:j + sw * (Wp - 1) + 1:sw] += gcols[:, i, j]
+                gx[:, :, i:i + stride * (Hp - 1) + 1:stride,
+                   j:j + stride * (Wp - 1) + 1:stride] += gcols[:, i, j]
         return gx.transpose(1, 0, 2, 3), gk, gb
 
     _record(out, [x, kernels, bias], pull)
@@ -409,36 +402,37 @@ def _tap_spread(g: np.ndarray, k: int, s: int, extent: int, axis: int) -> np.nda
     return out
 
 
-def mean_pool(x: Tensor, kernel, stride) -> Tensor:
-    """Window-averaging downsample over the spatial dims of a [B,C,H,W] batch.
+def mean_pool(x: Tensor, kernel: int, stride: int) -> Tensor:
+    """Window-averaging downsample over the spatial dims of a [B,C,H,W] batch,
+    with a square ``kernel`` x ``kernel`` window and the same stride along
+    both axes.
 
-    Separable: kh strided row-slice adds, then kw column-slice adds, then one
-    scale; the backward is the same adds transposed. A node is recorded only
-    when the input is tracked by the current tape.
+    Separable: ``kernel`` strided row-slice adds, then ``kernel`` column-slice
+    adds, then one scale; the backward is the same adds transposed. A node is
+    recorded only when the input is tracked by the current tape.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride)
-    if sh < 1 or sw < 1:
+    if stride < 1:
         raise ShapeError("stride must be >= 1")
-    if kh < 1 or kw < 1:
+    if kernel < 1:
         raise ShapeError("pool window must be >= 1")
     x4 = x.data
     if x4.ndim != 4:
         raise ShapeError(f"input must be a [B,C,H,W] batch, got {x.shape}")
     H, W = x4.shape[2:]
-    if kh > H or kw > W:
-        raise ShapeError(f"pool window {kh}x{kw} exceeds input {H}x{W}")
-    Hp = conv_output_size(H, kh, sh)
-    Wp = conv_output_size(W, kw, sw)
-    inv = 1.0 / (kh * kw)
-    out4 = _tap_sum(_tap_sum(x4, kh, sh, Hp, 2), kw, sw, Wp, 3)
+    if kernel > min(H, W):
+        raise ShapeError(f"pool window {kernel}x{kernel} exceeds input {H}x{W}")
+    Hp = conv_output_size(H, kernel, stride)
+    Wp = conv_output_size(W, kernel, stride)
+    inv = 1.0 / (kernel * kernel)
+    out4 = _tap_sum(_tap_sum(x4, kernel, stride, Hp, 2), kernel, stride, Wp, 3)
     out4 *= inv
     out = Tensor.adopt(out4)
     if not _tracked(x):
         return out
 
     def pull(gout: np.ndarray):
-        return (_tap_spread(_tap_spread(gout * inv, kw, sw, W, 3), kh, sh, H, 2),)
+        return (_tap_spread(_tap_spread(gout * inv, kernel, stride, W, 3),
+                            kernel, stride, H, 2),)
 
     _record(out, [x], pull)
     return out

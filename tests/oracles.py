@@ -1,10 +1,14 @@
 """Slow reference implementations that the package's fast paths are checked
-against, and the reference head and densities of the Bayesian oracles.
+against, the reference head and densities of the Bayesian oracles, and the
+first checkpoint writer.
 Nothing under ``src/`` imports this module (``test_oracles_guard.py``)."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -174,11 +178,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # --- tensor: the windowed mean pool ---------------------------------------------
 
 
-def mean_pool(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -> np.ndarray:
-    """Window mean over the last two axes of a [C,H,W] or [B,C,H,W] array,
-    as ``mean`` over a strided sliding-window view."""
-    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=(-2, -1))
-    return win[..., ::stride[0], ::stride[1], :, :].mean(axis=(-2, -1))
+def mean_pool(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Square-window mean over the last two axes of a [C,H,W] or [B,C,H,W]
+    array, as ``mean`` over a strided sliding-window view."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
+    return win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1))
 
 
 # --- bayes: the conjugate-regression head, the densities, the dense curvature ---
@@ -255,3 +259,34 @@ def gauss_newton_dense(head, features: np.ndarray) -> np.ndarray:
     weights: the dense reference for ``GaussNewtonCurvature``."""
     G = per_sample_gradients(head, features)
     return G.T @ G
+
+
+# --- checkpoint: the format-1 writer as first released ---------------------------
+
+
+def save_checkpoint_v1(path, detector) -> None:
+    """Write ``detector`` as the format-1 writer of the first release did:
+    the tensor directory comes from the detector's own arrays, in
+    parameters-then-buffers-then-head order, not from its config. Files this
+    writes must keep loading."""
+    arrays = [(f"cnn.{name}", p.data) for name, p in detector.cnn.parameters()]
+    arrays += [(f"cnn.{name}", buf) for name, buf in detector.cnn.buffers()]
+    arrays += [(f"head.{name}", p.data) for name, p in detector.head.parameters()]
+    directory, blobs, offset = [], [], 0
+    for name, arr in arrays:
+        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += len(blobs[-1])
+    header = {
+        "cnn": dataclasses.asdict(detector.cnn.config),
+        "head": {k: getattr(detector.head, k)
+                 for k in ("d_in", "hidden", "alpha", "beta", "dropout_rate")},
+        "norm": None if detector.norm is None else dataclasses.asdict(detector.norm),
+        "gamma": detector.gamma,
+        "mode": detector.mode,
+        "trained": detector.trained,
+        "tensors": directory,
+    }
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    Path(path).write_bytes(b"SYDETCK\x00" + struct.pack("<IQ", 1, len(raw)) + raw
+                           + b"".join(blobs))

@@ -83,6 +83,16 @@ def test_log_likelihood_matches_density_product():
     assert log_likelihood(y, f, beta) == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("hparams", [
+    dict(hidden=0), dict(hidden=2.0), dict(hidden=True), dict(alpha=np.nan),
+    dict(beta=-1.0), dict(dropout_rate=1.0),
+], ids=["hidden_zero", "hidden_float", "hidden_bool", "alpha_nan", "beta_negative",
+        "dropout_rate_one"])
+def test_head_rejects_bad_hyperparameters(hparams):
+    with pytest.raises(ValueError):
+        BayesianHead(3, **{"hidden": 2, **hparams})
+
+
 def test_log_likelihood_rejects_mismatch():
     with pytest.raises(ValueError):
         log_likelihood(np.zeros(3), np.zeros(4), 1.0)

@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,17 +15,20 @@ from synthdetect.model import FineToCoarseCnn, reduced_scale_config
 from synthdetect.preprocess import NormStats
 
 from helpers import poison_checkpoint_tensor, rewrite_checkpoint_header
+from oracles import save_checkpoint_v1
 
 
-def _detector(seed=7):
+_NORM = NormStats(mean=(0.4, 0.5, 0.6), std=(0.2, 0.21, 0.22))
+
+
+def _detector(seed=7, mode="variational", norm=_NORM, gamma=0.8125):
     cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(seed))
     head = BayesianHead(cnn.feature_dim, hidden=24, alpha=0.5, beta=12.0,
                         dropout_rate=0.25, rng=np.random.default_rng(seed + 1))
     cnn.bn_mean[:] = np.random.default_rng(seed + 2).normal(size=cnn.bn_mean.size)
     cnn.bn_var[:] = 1.0 + np.random.default_rng(seed + 3).random(cnn.bn_var.size)
-    norm = NormStats(mean=(0.4, 0.5, 0.6), std=(0.2, 0.21, 0.22))
-    return Detector(cnn=cnn, head=head, norm=norm, gamma=0.8125,
-                    mode="variational", trained=True)
+    return Detector(cnn=cnn, head=head, norm=norm, gamma=gamma, mode=mode,
+                    trained=gamma is not None)
 
 
 def test_round_trip_scores_bitwise(tmp_path):
@@ -87,6 +92,15 @@ def test_rejects_header_length_past_end_of_file(tmp_path, hlen):
         load_checkpoint(tmp_path / "long.bin")
 
 
+def test_rejects_deeply_nested_header(tmp_path):
+    raw = b"[" * 100_000 + b"]" * 100_000
+    path = tmp_path / "nested.bin"
+    path.write_bytes(b"SYDETCK\x00" + (1).to_bytes(4, "little")
+                     + len(raw).to_bytes(8, "little") + raw)
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(path)
+
+
 def test_rejects_future_version(tmp_path):
     det = _detector()
     path = tmp_path / "model.bin"
@@ -123,19 +137,75 @@ def test_rejects_future_version(tmp_path):
     lambda h: h["cnn"].update(filters=[16, 24.0, 32]),
     lambda h: h["cnn"].update(bn_momentum=2),
     lambda h: h["cnn"].update(bn_eps=float("inf")),
+    lambda h: h.update(extra=1),
+    lambda h: h["cnn"].update(extra=1),
+    lambda h: h["head"].update(extra=1),
+    lambda h: h["norm"].update(extra=1),
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
         "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
         "gamma_nan", "dropout_out_of_range", "alpha_nan", "offsets_overlap",
         "offset_not_int", "name_not_string", "norm_std_below_floor",
         "norm_mean_out_of_range", "filter_not_int", "bn_momentum_out_of_range",
-        "bn_eps_infinite"])
+        "bn_eps_infinite", "extra_key", "extra_cnn_key", "extra_head_key",
+        "extra_norm_key"])
 def test_rejects_malformed_header(tmp_path, edit):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
     rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_rejects_permuted_packed_directory(tmp_path):
+    """The first two tensors swapped, in the directory and in the payload,
+    with the offsets repacked: a self-consistent file in an order that no
+    writer produces."""
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[12:20], "little")
+    payload = data[20 + hlen:]
+    header = json.loads(data[20:20 + hlen])
+    entries = header["tensors"]
+    blobs = [payload[e["offset"]:e["offset"] + 8 * math.prod(e["shape"])] for e in entries]
+    order = [1, 0, *range(2, len(entries))]
+    offset = 0
+    for i in order:
+        entries[i]["offset"] = offset
+        offset += len(blobs[i])
+    header["tensors"] = [entries[i] for i in order]
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    (tmp_path / "permuted.bin").write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw
+                                           + b"".join(blobs[i] for i in order))
+    with pytest.raises(CheckpointError, match="tensors"):
+        load_checkpoint(tmp_path / "permuted.bin")
+
+
+def test_rejects_trailing_payload_byte(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _detector())
+    (tmp_path / "long.bin").write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="payload"):
+        load_checkpoint(tmp_path / "long.bin")
+
+
+@pytest.mark.parametrize("detector", [_detector(), _detector(seed=9, mode="map",
+                                                              norm=None, gamma=None)],
+                         ids=["variational", "map_untrained"])
+def test_first_release_checkpoint_loads(tmp_path, detector):
+    """A file from the first format-1 writer, whose directory came from the
+    detector's arrays, is byte for byte what ``save_checkpoint`` writes,
+    and loads to the same scores."""
+    save_checkpoint_v1(tmp_path / "v1.bin", detector)
+    save_checkpoint(tmp_path / "model.bin", detector)
+    assert (tmp_path / "v1.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
+    loaded = load_checkpoint(tmp_path / "v1.bin")
+    assert (loaded.norm, loaded.gamma, loaded.mode, loaded.trained) == \
+        (detector.norm, detector.gamma, detector.mode, detector.trained)
+    if detector.trained:
+        pixels = [np.random.default_rng(i).random((3, 32, 32)) for i in range(4)]
+        assert np.array_equal(detector.score_batch(pixels), loaded.score_batch(pixels))
 
 
 def test_rejects_non_finite_payload(tmp_path):
@@ -186,15 +256,21 @@ def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
         assert sum(np.shares_memory(arr, p.data) for arr in checked) == 1
 
 
+def _save_wide(path, norm=None) -> BayesianHead:
+    """Save a checkpoint whose file is nearly all of a hidden = 4096 head."""
+    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(3))
+    head = BayesianHead(cnn.feature_dim, hidden=4096, rng=np.random.default_rng(4))
+    save_checkpoint(path, Detector(cnn=cnn, head=head, norm=norm))
+    return head
+
+
 def test_load_peak_allocation_bounded_by_file_size(tmp_path):
     """Each tensor is read from the file straight into the array the model
     keeps, with no zero-filled placeholder and no copy of the file's bytes,
     so a wide head peaks near 1.1x the file (the finite check's mask on top
     of the tensors), not 3x."""
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(3))
-    head = BayesianHead(cnn.feature_dim, hidden=4096, rng=np.random.default_rng(4))
     path = tmp_path / "wide.bin"
-    save_checkpoint(path, Detector(cnn=cnn, head=head))
+    head = _save_wide(path)
     tracemalloc.start()
     try:
         loaded = load_checkpoint(path)
@@ -203,6 +279,27 @@ def test_load_peak_allocation_bounded_by_file_size(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded.head.w1.data, head.w1.data)
     assert peak < 1.3 * path.stat().st_size
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["head"].update(alpha=float("nan")),
+    lambda h: h["head"].update(dropout_rate=2),
+    lambda h: h["norm"].update(std=[0, 1, 1]),
+], ids=["alpha_nan", "dropout_rate_2", "norm_std_zero"])
+def test_bad_header_value_rejected_before_payload_read(tmp_path, edit):
+    """Every header value is checked before any tensor is read, so a bad one
+    costs a small fraction of the file, however wide the head."""
+    path = tmp_path / "wide.bin"
+    _save_wide(path, norm=_NORM)
+    rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "bad.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * path.stat().st_size
 
 
 def test_no_temp_litter(tmp_path):

@@ -281,6 +281,32 @@ def test_score_unwritable_out_exits_data_error(trained_dir, toy_root, tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
 
+@pytest.mark.parametrize("command,flag,target", [
+    ("train", "--config", "adir"), ("train", "--out", "afile"),
+    ("score", "--checkpoint", "adir"), ("eval", "--checkpoint", "adir"),
+    ("perturb", "--checkpoint", "adir"),
+], ids=["train_config_dir", "train_out_file", "score_checkpoint_dir",
+        "eval_checkpoint_dir", "perturb_checkpoint_dir"])
+def test_unusable_path_exits_data_error(trained_dir, toy_root, config_file, tmp_path,
+                                        capsys, command, flag, target):
+    """A directory where a file is read, or a file where a directory is made,
+    exits 2 with the operating system's one-line reason."""
+    (tmp_path / "afile").write_text("x")
+    (tmp_path / "adir").mkdir()
+    ckpt = str(trained_dir / "checkpoint.bin")
+    args = {"train": ["--data", str(toy_root), "--out", str(tmp_path / "run"),
+                      "--config", str(config_file)],
+            "score": ["--checkpoint", ckpt, str(sorted((toy_root / "real").iterdir())[0])],
+            "eval": ["--checkpoint", ckpt, "--data", str(toy_root),
+                     "--out", str(tmp_path / "eval")],
+            "perturb": ["--checkpoint", ckpt, "--data", str(toy_root),
+                        "--transform", "blur", "--grid", "0"]}[command]
+    args[args.index(flag) + 1] = str(tmp_path / target)
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno") and err.count("\n") == 1
+
+
 def _header(edit):
     """A corruption that passes the checkpoint header through ``edit``."""
     return lambda src, dst: rewrite_checkpoint_header(src, dst, edit)
