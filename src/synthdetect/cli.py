@@ -183,6 +183,9 @@ def _cnn_config(input_size: int):
 def cmd_train(args) -> int:
     cfg, extras = _build_config(args)
     cnn_config = _cnn_config(extras["input_size"])
+    # an --out that cannot be a directory fails here, not after training
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     records = load_dataset(args.data)
     split = make_split(records, extras["split"], cfg.seed)
     cnn = FineToCoarseCnn(cnn_config, rng=np.random.default_rng(cfg.seed))
@@ -190,8 +193,6 @@ def cmd_train(args) -> int:
                         beta=cfg.beta, dropout_rate=cfg.dropout_rate,
                         rng=np.random.default_rng(cfg.seed + 1))
     detector, report = train(cnn, head, split, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.bin", detector)
     _write_text(out / "train_report.csv", report.to_csv())
     print(f"best validation metric {report.best_metric!r} at epoch {report.best_epoch}"

@@ -1,8 +1,11 @@
 """Image decoding, the input pipeline (center crop, RGB normalization), and
 deterministic dataset splitting.
 
-Supported raster formats are 8-bit RGB PNG and binary PPM (P6). Decoded
-pixels are float64 in [0, 1], channel-first [3, H, W].
+Supported raster formats are 8-bit RGB PNG and binary PPM (P6). One parser,
+``decode_raster``, turns a file's bytes into a channel-first uint8 [3, H, W]
+raster, and dataset records hold that raster. ``decode_image`` and a
+record's ``pixels`` are its float view, float64 in [0, 1] (``to_unit``), made
+only where an image is trained on or scored.
 
 A dataset root is a directory with a ``real/`` subdirectory and zero or more
 ``anomalous-<name>/`` subdirectories; every regular file with a supported
@@ -63,8 +66,19 @@ class ImageRecord:
     """A decoded sample. ``source`` is ``"real"`` or the anomaly-source name."""
 
     path: str
-    pixels: np.ndarray  # [3, H, W] in [0, 1]
+    raster: np.ndarray  # uint8 [3, H, W]
     source: str
+
+    def __post_init__(self):
+        raster = self.raster
+        if not (isinstance(raster, np.ndarray) and raster.dtype == np.uint8
+                and raster.ndim == 3 and raster.shape[0] == 3):
+            raise ValueError(f"record {self.path!r} needs a uint8 [3, H, W] raster")
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The float64 [3, H, W] image in [0, 1], converted at each access."""
+        return to_unit(self.raster)
 
     @property
     def is_real(self) -> bool:
@@ -105,8 +119,14 @@ class NormStats:
 # --- decoding ---------------------------------------------------------------
 
 
-def decode_image(data: bytes) -> np.ndarray:
-    """Decode raw file content into a [3, H, W] tensor with values in [0, 1]."""
+def to_unit(raster: np.ndarray) -> np.ndarray:
+    """The float64 image of a uint8 raster, each value over 255, in the
+    raster's memory order."""
+    return raster.astype(np.float64) / 255.0
+
+
+def decode_raster(data: bytes) -> np.ndarray:
+    """Decode raw file content into a uint8 [3, H, W] raster."""
     if data[:8] == _PNG_SIGNATURE:
         return _decode_png(data)
     if data[:2] == b"P6":
@@ -114,8 +134,20 @@ def decode_image(data: bytes) -> np.ndarray:
     raise UnsupportedFormatError("not a PNG or binary PPM file")
 
 
+def decode_image(data: bytes) -> np.ndarray:
+    """Decode raw file content into a float64 [3, H, W] image in [0, 1]."""
+    return to_unit(decode_raster(data))
+
+
+def read_file(path: str | os.PathLike) -> bytes:
+    """The whole content of a file, read unbuffered: one ``readall``, sized
+    by ``fstat``, with no buffered reader or ``Path`` in between."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
+
+
 def load_image(path: str | os.PathLike) -> np.ndarray:
-    return decode_image(Path(path).read_bytes())
+    return decode_image(read_file(path))
 
 
 def _decode_ppm(data: bytes) -> np.ndarray:
@@ -150,8 +182,7 @@ def _decode_ppm(data: bytes) -> np.ndarray:
     raster = data[pos:pos + 3 * width * height]
     if len(raster) < 3 * width * height:
         raise TruncatedFileError("PPM pixel data incomplete")
-    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return img.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).transpose(2, 0, 1)
 
 
 def _decode_png(data: bytes) -> np.ndarray:
@@ -206,8 +237,7 @@ def _decode_png(data: bytes) -> np.ndarray:
     if len(raw) < size or not inflater.eof:
         raise TruncatedFileError("PNG scanline data incomplete")
     scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, 3 * width + 1)
-    rgb = _unfilter(scanlines).reshape(height, width, 3)
-    return rgb.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _unfilter(scanlines).reshape(height, width, 3).transpose(2, 0, 1)
 
 
 def _unfilter(scanlines: np.ndarray) -> np.ndarray:
@@ -358,18 +388,19 @@ def image_paths(folder: Path) -> list[str]:
 
 
 def load_dataset(root: str | os.PathLike) -> list[ImageRecord]:
-    """Read every supported image under root/real and root/anomalous-*."""
+    """Read and decode every supported image under root/real and
+    root/anomalous-*, each into a uint8 record."""
     root = Path(root)
     real_dir = root / "real"
     if not real_dir.is_dir():
         raise DatasetError(f"dataset root {root} has no real/ directory")
-    records = [ImageRecord(path, load_image(path), REAL_LABEL)
+    records = [ImageRecord(path, decode_raster(read_file(path)), REAL_LABEL)
                for path in image_paths(real_dir)]
     for folder in _sorted_entries(root):
         if not folder.name.startswith("anomalous-") or not _resolves_to(folder.is_dir):
             continue
         source = folder.name[len("anomalous-"):]
-        records.extend(ImageRecord(path, load_image(path), source)
+        records.extend(ImageRecord(path, decode_raster(read_file(path)), source)
                        for path in image_paths(root / folder.name))
     if not records:
         raise DatasetError(f"no supported images found under {root}")

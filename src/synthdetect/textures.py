@@ -3,8 +3,9 @@
 Three generator families mirror a multi-source detection setup: smooth
 low-frequency color fields stand in for the in-distribution ("real") class,
 while per-pixel noise and piecewise-flat mosaics provide two distinct
-out-of-distribution sources. Values are quantized to the 8-bit grid so
-in-memory corpora behave exactly like ones round-tripped through image files.
+out-of-distribution sources. Values are quantized to the 8-bit grid, and
+records hold them as uint8 rasters, so in-memory corpora behave exactly like
+ones round-tripped through image files.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def generate_records(n_real: int, n_per_source: int, size: int = 32,
         rng = np.random.default_rng([seed, sum(map(ord, kind))])
         gen = _GENERATORS[kind]
         for i in range(count):
-            records.append(ImageRecord(f"toy://{kind}/{i}", gen(rng, size), kind))
+            raster = np.round(gen(rng, size) * 255.0).astype(np.uint8)
+            records.append(ImageRecord(f"toy://{kind}/{i}", raster, kind))
     return records
 
 
@@ -124,8 +126,7 @@ def write_dataset(root: str | Path, n_real: int, n_per_source: int,
         kind, idx = record.path.split("//")[1].split("/")
         folder = root / ("real" if kind == "real" else f"anomalous-{kind}")
         folder.mkdir(parents=True, exist_ok=True)
-        u8 = (record.pixels * 255.0).round().astype(np.uint8).transpose(1, 2, 0)
-        h, w, _ = u8.shape
-        data = b"P6\n%d %d\n255\n" % (w, h) + u8.tobytes()
+        _, h, w = record.raster.shape
+        data = b"P6\n%d %d\n255\n" % (w, h) + record.raster.transpose(1, 2, 0).tobytes()
         (folder / f"{kind}_{idx.zfill(5)}.ppm").write_bytes(data)
     return root

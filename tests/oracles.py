@@ -21,7 +21,7 @@ from synthdetect.preprocess import (
     SUPPORTED_EXTENSIONS,
     ImageRecord,
     UnsupportedFormatError,
-    load_image,
+    decode_raster,
 )
 from synthdetect.tensor import Tensor
 
@@ -34,15 +34,16 @@ def image_paths(folder) -> list[Path]:
 
 
 def load_dataset(root) -> list[ImageRecord]:
-    """The dataset listing on ``pathlib``, ``is_dir`` for the source folders."""
+    """The dataset listing on ``pathlib``, ``is_dir`` for the source folders,
+    each file read with ``Path.read_bytes``."""
     root = Path(root)
-    records = [ImageRecord(str(path), load_image(path), REAL_LABEL)
+    records = [ImageRecord(str(path), decode_raster(path.read_bytes()), REAL_LABEL)
                for path in image_paths(root / "real")]
     for folder in sorted(root.iterdir()):
         if not folder.is_dir() or not folder.name.startswith("anomalous-"):
             continue
         source = folder.name[len("anomalous-"):]
-        records += [ImageRecord(str(path), load_image(path), source)
+        records += [ImageRecord(str(path), decode_raster(path.read_bytes()), source)
                     for path in image_paths(folder)]
     return records
 

@@ -288,9 +288,14 @@ def test_score_unwritable_out_exits_data_error(trained_dir, toy_root, tmp_path, 
 ], ids=["train_config_dir", "train_out_file", "score_checkpoint_dir",
         "eval_checkpoint_dir", "perturb_checkpoint_dir"])
 def test_unusable_path_exits_data_error(trained_dir, toy_root, config_file, tmp_path,
-                                        capsys, command, flag, target):
+                                        capsys, monkeypatch, command, flag, target):
     """A directory where a file is read, or a file where a directory is made,
-    exits 2 with the operating system's one-line reason."""
+    exits 2 with the operating system's one-line reason, before any training."""
+
+    def never_trains(*args):
+        raise AssertionError("train ran although a path was unusable")
+
+    monkeypatch.setattr(cli, "train", never_trains)
     (tmp_path / "afile").write_text("x")
     (tmp_path / "adir").mkdir()
     ckpt = str(trained_dir / "checkpoint.bin")

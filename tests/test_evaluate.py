@@ -149,7 +149,8 @@ def _toy_detector(seed=0):
 
 def _record(source, seed):
     rng = np.random.default_rng(seed)
-    return ImageRecord(f"mem-{source}-{seed}", rng.random((3, 32, 32)), source)
+    raster = rng.integers(0, 256, (3, 32, 32), dtype=np.uint8)
+    return ImageRecord(f"mem-{source}-{seed}", raster, source)
 
 
 def _split_with_sources(sources, n=6, duplicate=False):

@@ -24,10 +24,15 @@ from synthdetect.preprocess import (
     center_crop,
     channel_stats,
     decode_image,
+    decode_raster,
     load_dataset,
+    load_image,
     make_split,
     rgb_normalize,
+    to_unit,
 )
+from synthdetect import preprocess
+from synthdetect.textures import write_dataset
 
 from imageio import png_bomb, png_file, png_oversized, write_png, write_ppm
 from oracles import _unfilter_scanline, image_paths as image_paths_pathlib
@@ -36,7 +41,8 @@ from oracles import load_dataset as load_dataset_pathlib
 
 def _record(source, seed=0, size=8):
     rng = np.random.default_rng(seed)
-    return ImageRecord(f"mem-{source}-{seed}", rng.random((3, size, size)), source)
+    raster = rng.integers(0, 256, (3, size, size), dtype=np.uint8)
+    return ImageRecord(f"mem-{source}-{seed}", raster, source)
 
 
 # --- decoding ---------------------------------------------------------------
@@ -77,6 +83,38 @@ def test_png_mixed_filters_round_trip():
     px = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
     img = decode_image(write_png(px, filters=[0, 1, 2, 3, 4]))
     assert np.array_equal(img, px.transpose(2, 0, 1) / 255.0)
+
+
+@pytest.mark.parametrize("filters", [None, [0] * 5, [1] * 5, [2] * 5, [3] * 5, [4] * 5],
+                         ids=["ppm", "png_none", "png_sub", "png_up", "png_average",
+                              "png_paeth"])
+def test_decode_raster_returns_the_written_bytes(filters):
+    px = np.random.default_rng(31).integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+    data = write_ppm(px) if filters is None else write_png(px, filters=filters)
+    raster = decode_raster(data)
+    assert raster.dtype == np.uint8 and raster.shape == (3, 5, 7)
+    assert np.array_equal(raster, px.transpose(2, 0, 1))
+    image = decode_image(data)
+    assert to_unit(raster).tobytes() == image.tobytes()
+    assert to_unit(raster).strides == image.strides
+
+
+@pytest.mark.parametrize("raster", [
+    np.zeros((3, 4, 4)), np.zeros((3, 4, 4), dtype=np.int16), np.zeros((4, 4, 3), np.uint8),
+    np.zeros((3, 4), np.uint8), np.zeros((1, 3, 4, 4), np.uint8), [[[0] * 4] * 4] * 3,
+], ids=["float64", "int16", "channels_last", "rank2", "rank4", "list"])
+def test_record_rejects_a_raster_that_is_not_uint8_chw(raster):
+    with pytest.raises(ValueError, match="uint8 \\[3, H, W\\] raster"):
+        ImageRecord("x.ppm", raster, "real")
+
+
+def test_record_pixels_are_a_read_only_float_view():
+    raster = np.arange(48, dtype=np.uint8).reshape(3, 4, 4)
+    record = ImageRecord("x.ppm", raster, "real")
+    assert record.pixels.dtype == np.float64
+    assert np.array_equal(record.pixels, raster / 255.0)
+    with pytest.raises(AttributeError):
+        record.pixels = raster / 255.0
 
 
 def test_decode_unknown_format_rejected():
@@ -480,27 +518,95 @@ def test_load_dataset_listing_matches_pathlib(tmp_path, monkeypatch):
     assert [s for s, _ in names[7:]] == ["", "b", "linked", "linked", "noise", "noise"]
 
 
+def _toy_checkpoint(path):
+    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(6))
+    head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(7))
+    save_checkpoint(path, Detector(cnn=cnn, head=head, gamma=0.0, trained=True,
+                                   norm=NormStats(mean=(0.5,) * 3, std=(0.25,) * 3)))
+    return str(path)
+
+
 def test_score_listing_matches_pathlib(tmp_path, monkeypatch, capsys):
     """``score`` lists a directory target as ``load_dataset`` does, and
     prints each path as the ``pathlib`` listing spells it."""
     _listing_tree(tmp_path)
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(6))
-    head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(7))
-    ckpt = tmp_path / "model.bin"
-    save_checkpoint(ckpt, Detector(cnn=cnn, head=head, gamma=0.0, trained=True,
-                                   norm=NormStats(mean=(0.5,) * 3, std=(0.25,) * 3)))
+    ckpt = _toy_checkpoint(tmp_path / "model.bin")
     real = tmp_path / "real"
     monkeypatch.chdir(real)
     for target in (".", "", str(real), str(real) + "/", "../real", "./x.png/..",
                    "A.PNG", "./b.ppm", str(real / "link.ppm")):
-        assert main(["score", "--checkpoint", str(ckpt), target]) == 0
+        assert main(["score", "--checkpoint", ckpt, target]) == 0
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
         listed = image_paths_pathlib(target) if Path(target).is_dir() else [Path(target)]
         assert [path for path, _, _ in rows] == [str(path) for path in listed]
         assert all(verdict in ("real", "synthetic") for _, _, verdict in rows)
-    assert main(["score", "--checkpoint", str(ckpt), "."]) == 0
+    assert main(["score", "--checkpoint", ckpt, "."]) == 0
     assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == \
         ["..ppm", "A.PNG", "Z.ppm", "_z.png", "b.ppm", "c.Ppm", "link.ppm"]
+
+
+def test_load_dataset_records_are_the_decoded_files(tmp_path):
+    """Each record's float view is, bit for bit and in memory order, what
+    ``decode_image`` makes of the file's bytes."""
+    _listing_tree(tmp_path)
+    records = load_dataset(tmp_path)
+    assert {r.path.rsplit(".", 1)[-1].lower() for r in records} == {"png", "ppm"}
+    for record in records:
+        assert record.raster.dtype == np.uint8
+        image = decode_image(Path(record.path).read_bytes())
+        assert record.pixels.tobytes() == image.tobytes()
+        assert record.pixels.strides == image.strides
+
+
+def test_load_dataset_peak_memory_is_the_uint8_corpus(tmp_path):
+    """Loading holds the corpus as uint8: the traced peak stays within 1.5x
+    its 8-bit bytes plus a small constant, where float64 records take 8x."""
+    write_dataset(tmp_path, 120, 40, size=32, seed=4)
+    tracemalloc.start()
+    try:
+        records = load_dataset(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    corpus_bytes = len(records) * 3 * 32 * 32
+    assert len(records) == 200
+    assert peak <= 1.5 * corpus_bytes + 64 * 1024
+
+
+def test_empty_file_is_not_an_image(tmp_path, capsys):
+    ckpt = _toy_checkpoint(tmp_path / "model.bin")
+    empty = tmp_path / "data" / "real" / "empty.ppm"
+    empty.parent.mkdir(parents=True)
+    empty.write_bytes(b"")
+    with pytest.raises(UnsupportedFormatError, match="^not a PNG or binary PPM file$"):
+        load_image(empty)
+    assert main(["score", "--checkpoint", ckpt, str(empty)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"path,score,verdict\n{empty},error,UnsupportedFormatError\n"
+    assert err == "data error: every input failed to decode\n"
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == "data error: not a PNG or binary PPM file\n"
+
+
+def test_directory_read_as_an_image_fails_as_pathlib_does(tmp_path, monkeypatch, capsys):
+    """A listed file that is a directory by the time it is read raises the
+    ``OSError`` that ``Path.read_bytes`` raises, path and all."""
+    ckpt = _toy_checkpoint(tmp_path / "model.bin")
+    folder = tmp_path / "data" / "real" / "x.ppm"
+    folder.mkdir(parents=True)
+    with pytest.raises(OSError) as expected:
+        folder.read_bytes()
+    reason = str(expected.value)
+    for path in (folder, str(folder)):
+        with pytest.raises(type(expected.value)) as raised:
+            load_image(path)
+        assert str(raised.value) == reason
+    # as if the file became a directory between the listing and the read
+    monkeypatch.setattr(preprocess, "image_paths", lambda _: [str(folder)])
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == f"data error: {reason}\n"
 
 
 def test_load_dataset_requires_real_dir(tmp_path):
