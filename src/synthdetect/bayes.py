@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import is_int
+from .model import is_finite_real, is_int
 from .preprocess import NormStats, preprocess_pixels
 from .tensor import GradTape, ShapeError, Tensor, backward
 
@@ -60,15 +60,23 @@ class UntrainedModelError(RuntimeError):
 # --- heads -------------------------------------------------------------------
 
 
-def check_head_hparams(hidden, alpha, beta, dropout_rate) -> None:
-    """The head's rule on its width, precisions and dropout rate, which a
-    checkpoint header's values also pass before any weight is read."""
-    if not (is_int(hidden) and hidden >= 1):
-        raise ValueError(f"hidden width must be an integer >= 1, got {hidden!r}")
-    if not (alpha > 0 and beta > 0):  # also rejects NaN
-        raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+HEAD_RULES = {  # every head hyperparameter: (requirement, test)
+    "hidden": ("an integer >= 1", lambda v: is_int(v) and v >= 1),
+    "alpha": ("finite and > 0", lambda v: is_finite_real(v) and v > 0),
+    "beta": ("finite and > 0", lambda v: is_finite_real(v) and v > 0),
+    "dropout_rate": ("in [0, 1)", lambda v: is_finite_real(v) and 0.0 <= v < 1.0),
+}
+
+
+def check_head_hparams(**hparams) -> None:
+    """The head's rules, which a training config and a checkpoint header's
+    values (before any weight is read) also pass."""
+    for name, (rule, ok) in HEAD_RULES.items():
+        if not ok(hparams[name]):
+            raise ValueError(f"{name} must be {rule}, got {hparams[name]!r}")
+
+
+_PARAMETER_NAMES = ("fc1.weights", "fc1.bias", "fc2.weights", "fc2.bias")
 
 
 class BayesianHead:
@@ -81,13 +89,13 @@ class BayesianHead:
                  weights: Sequence[np.ndarray] | None = None):
         """``weights``, in ``parameters()`` order, become the head's tensors
         without a copy; without them (and without ``rng``) they are zero."""
-        check_head_hparams(hidden, alpha, beta, dropout_rate)
+        check_head_hparams(hidden=hidden, alpha=alpha, beta=beta, dropout_rate=dropout_rate)
         self.d_in = d_in
         self.hidden = hidden
         self.alpha = alpha
         self.beta = beta
         self.dropout_rate = dropout_rate
-        shapes = [(hidden, d_in), (hidden,), (1, hidden), (1,)]
+        shapes = [shape for _, shape in self.parameter_shapes(d_in, hidden)]
         if weights is None:
             weights = [np.zeros(shape) for shape in shapes]
         elif [np.shape(w) for w in weights] != shapes:
@@ -106,9 +114,13 @@ class BayesianHead:
         self.b1.assign(np.zeros(self.hidden))
         self.b2.assign(np.zeros(1))
 
+    @staticmethod
+    def parameter_shapes(d_in: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
+        """Name and shape of each parameter, in ``parameters()`` order."""
+        return list(zip(_PARAMETER_NAMES, [(hidden, d_in), (hidden,), (1, hidden), (1,)]))
+
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("fc1.weights", self.w1), ("fc1.bias", self.b1),
-                ("fc2.weights", self.w2), ("fc2.bias", self.b2)]
+        return list(zip(_PARAMETER_NAMES, (self.w1, self.b1, self.w2, self.b2)))
 
     @property
     def weight_count(self) -> int:

@@ -15,6 +15,11 @@ JSON and the payload is exactly as long as the directory's tensors. So a
 header has no unknown key, lists the tensors in the one order the writer
 uses, and spells each value as the writer does (0 is not 0.0, true is not
 1). All of this is checked before any payload byte is read.
+
+Of the geometry the loader reads only ``cnn.input_size``. It builds that
+preset's extractor (at most ~30k floats), which names and sizes the ``cnn.*``
+tensors and then receives them, so any geometry ``train`` cannot write fails
+the comparison.
 """
 
 from __future__ import annotations
@@ -30,47 +35,39 @@ from typing import NoReturn
 
 import numpy as np
 
-from .bayes import INFERENCE_MODES, BayesianHead, Detector, check_head_hparams
+from .bayes import HEAD_RULES, INFERENCE_MODES, BayesianHead, Detector, check_head_hparams
 from .model import CnnConfig, FineToCoarseCnn, is_finite_real
 from .preprocess import NormStats
 
 MAGIC = b"SYDETCK\x00"
 FORMAT_VERSION = 1
-_HEAD_KEYS = ("hidden", "alpha", "beta", "dropout_rate")  # d_in follows from the cnn
 
 
 class CheckpointError(ValueError):
     """File is not a readable checkpoint of a supported version."""
 
 
-def _tensor_shapes(cfg: CnnConfig, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of each stored tensor in file order (the extractor's
-    parameters and buffers, then the head's parameters), derived without
-    allocating any of them."""
-    shapes = []
-    c_in = cfg.in_channels
-    for i, k_out in enumerate(cfg.filters, start=1):
-        shapes += [(f"cnn.conv{i}.kernels", (k_out, c_in, cfg.kernel, cfg.kernel)),
-                   (f"cnn.conv{i}.bias", (k_out,))]
-        c_in = k_out
-    shapes += [(f"cnn.bn.{name}", (c_in,))
-               for name in ("scale", "shift", "running_mean", "running_var")]
-    return shapes + [("head.fc1.weights", (hidden, cfg.feature_dim)),
-                     ("head.fc1.bias", (hidden,)),
-                     ("head.fc2.weights", (1, hidden)), ("head.fc2.bias", (1,))]
+def _tensor_shapes(cnn: FineToCoarseCnn, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each stored tensor in file order: the parameters and
+    buffers of ``cnn``, then the head's parameters from the head's own shape
+    list, so that nothing sized by ``hidden`` is allocated."""
+    shapes = [(f"cnn.{name}", p.shape) for name, p in cnn.parameters()]
+    shapes += [(f"cnn.{name}", buf.shape) for name, buf in cnn.buffers()]
+    return shapes + [(f"head.{name}", shape) for name, shape
+                     in BayesianHead.parameter_shapes(cnn.feature_dim, hidden)]
 
 
-def _header(cfg: CnnConfig, head_hparams: dict, norm: NormStats | None, gamma,
+def _header(cnn: FineToCoarseCnn, head_hparams: dict, norm: NormStats | None, gamma,
             mode: str, trained: bool) -> dict:
     """The whole header for these values, the tensor directory included."""
     directory = []
     offset = 0
-    for name, shape in _tensor_shapes(cfg, head_hparams["hidden"]):
+    for name, shape in _tensor_shapes(cnn, head_hparams["hidden"]):
         directory.append({"name": name, "shape": list(shape), "offset": offset})
         offset += 8 * math.prod(shape)
     return {
-        "cnn": dataclasses.asdict(cfg),
-        "head": {"d_in": cfg.feature_dim, **head_hparams},
+        "cnn": dataclasses.asdict(cnn.config),
+        "head": {"d_in": cnn.feature_dim, **head_hparams},
         "norm": None if norm is None else dataclasses.asdict(norm),
         "gamma": gamma,
         "mode": mode,
@@ -86,7 +83,7 @@ def _canonical(value) -> bytes:
 
 def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
     head = detector.head
-    header = _header(detector.cnn.config, {k: getattr(head, k) for k in _HEAD_KEYS},
+    header = _header(detector.cnn, {k: getattr(head, k) for k in HEAD_RULES},
                      detector.norm, detector.gamma, detector.mode, detector.trained)
     arrays = {f"cnn.{name}": arr for name, arr in detector.cnn.state_arrays().items()}
     arrays.update((f"head.{name}", p.data) for name, p in head.parameters())
@@ -108,14 +105,14 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
         raise
 
 
-def _declared_values(header) -> tuple[CnnConfig, dict, NormStats | None]:
+def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats | None]:
     """Parse and range-check each value ``header`` declares, then require
     that it is, as canonical JSON, the header ``_header`` builds from those
-    values. Returns the extractor config, the head hyperparameters besides
-    d_in, and the norm stats."""
+    values. Of the geometry only ``input_size`` is read: the rest must be what
+    that preset derives. Returns the preset's (zero) extractor, the head
+    hyperparameters besides d_in, and the norm stats."""
     try:
-        cfg = CnnConfig(**{**header["cnn"], "filters": tuple(header["cnn"]["filters"])})
-        hparams = {k: header["head"][k] for k in _HEAD_KEYS}
+        hparams = {k: header["head"][k] for k in HEAD_RULES}
         check_head_hparams(**hparams)
         norm = None if header["norm"] is None else NormStats(
             mean=tuple(header["norm"]["mean"]), std=tuple(header["norm"]["std"]))
@@ -126,7 +123,8 @@ def _declared_values(header) -> tuple[CnnConfig, dict, NormStats | None]:
             raise ValueError(f"mode must be one of {INFERENCE_MODES}, got {mode!r}")
         if not isinstance(trained, bool):
             raise ValueError(f"trained flag must be true or false, got {trained!r}")
-        rebuilt = _header(cfg, hparams, norm, gamma, mode, trained)
+        cnn = FineToCoarseCnn(CnnConfig(header["cnn"]["input_size"]))
+        rebuilt = _header(cnn, hparams, norm, gamma, mode, trained)
         same = _canonical(header) == _canonical(rebuilt)
     except (TypeError, ValueError, KeyError, RecursionError) as err:
         raise CheckpointError(f"checkpoint header is malformed: {err!r}") from err
@@ -136,7 +134,7 @@ def _declared_values(header) -> tuple[CnnConfig, dict, NormStats | None]:
                   or _canonical(header[key]) != _canonical(rebuilt[key])]
         raise CheckpointError(f"checkpoint header is not the one its values give "
                               f"(differs in {', '.join(differ)})")
-    return cfg, hparams, norm
+    return cnn, hparams, norm
 
 
 def _raise_non_finite(tensors: dict[str, np.ndarray]) -> NoReturn:
@@ -166,7 +164,7 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
             header = json.loads(fh.read(hlen))
         except (ValueError, RecursionError) as err:
             raise CheckpointError(f"corrupt checkpoint header: {err}") from err
-        cfg, hparams, norm = _declared_values(header)
+        cnn, hparams, norm = _declared_values(header)
         declared = sum(8 * math.prod(entry["shape"]) for entry in header["tensors"])
         if payload_size != declared:
             raise CheckpointError(f"checkpoint payload holds {payload_size} bytes, "
@@ -178,10 +176,9 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
                 raise CheckpointError("checkpoint payload truncated")
             tensors[entry["name"]] = arr
     try:
-        head = BayesianHead(cfg.feature_dim, **hparams,
+        head = BayesianHead(cnn.feature_dim, **hparams,
                             weights=[arr for name, arr in tensors.items()
                                      if name.startswith("head.")])
-        cnn = FineToCoarseCnn(cfg)
         cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                                if name.startswith("cnn.")})
     except FloatingPointError:

@@ -1,8 +1,10 @@
 """Command-line front end: train, score, eval, perturb.
 
 Configuration comes from a flat ``key = value`` text file plus flags; flags
-win. All outputs are CSV with header rows, comma separators, '.' decimals and
-LF line endings, written atomically next to the checkpoint.
+win. ``input_size`` (224 or 32) is the one geometry setting: it selects
+``CnnConfig(input_size)``. All outputs are CSV with header rows, comma
+separators, '.' decimals and LF line endings, written atomically next to the
+checkpoint.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad input, or a path
 the operating system refuses to read or write), 3 numerical failure.
@@ -43,8 +45,8 @@ from .evaluate import (
     report_csv,
     sweep_csv,
 )
-from .model import FineToCoarseCnn, full_scale_config, reduced_scale_config
-from .perturb import TRANSFORM_NAMES, PerturbError
+from .model import CnnConfig, FineToCoarseCnn
+from .perturb import PerturbError, check_parameter
 from .preprocess import (
     DatasetError,
     DecodeError,
@@ -122,9 +124,9 @@ def _check_split_seed(split: float, seed: int) -> None:
         raise UsageError(f"seed must be >= 0, got {seed}")
 
 
-def _build_config(args) -> tuple[TrainConfig, dict]:
-    """Merge defaults <- config file <- flags into a TrainConfig plus the
-    non-training keys (split fraction, model scale)."""
+def _build_config(args) -> tuple[TrainConfig, CnnConfig, float]:
+    """Merge defaults <- config file <- flags into a TrainConfig, the
+    extractor geometry its ``input_size`` selects, and the split fraction."""
     field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     raw = _parse_config_file(args.config) if args.config else {}
     kwargs = {}
@@ -149,10 +151,11 @@ def _build_config(args) -> tuple[TrainConfig, dict]:
         extras["split"] = args.split
     try:
         cfg = TrainConfig(**kwargs)
+        cnn_config = CnnConfig(extras["input_size"])
     except ValueError as err:
         raise UsageError(str(err)) from err
     _check_split_seed(extras["split"], cfg.seed)
-    return cfg, extras
+    return cfg, cnn_config, extras["split"]
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -172,22 +175,13 @@ def _write_text(path: Path, content: str) -> None:
         raise DatasetError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _cnn_config(input_size: int):
-    if input_size == 224:
-        return full_scale_config()
-    if input_size == 32:
-        return reduced_scale_config()
-    raise UsageError(f"input_size must be 224 or 32, got {input_size}")
-
-
 def cmd_train(args) -> int:
-    cfg, extras = _build_config(args)
-    cnn_config = _cnn_config(extras["input_size"])
+    cfg, cnn_config, split_fraction = _build_config(args)
     # an --out that cannot be a directory fails here, not after training
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = load_dataset(args.data)
-    split = make_split(records, extras["split"], cfg.seed)
+    split = make_split(records, split_fraction, cfg.seed)
     cnn = FineToCoarseCnn(cnn_config, rng=np.random.default_rng(cfg.seed))
     head = BayesianHead(cnn.feature_dim, hidden=cfg.hidden, alpha=cfg.alpha,
                         beta=cfg.beta, dropout_rate=cfg.dropout_rate,
@@ -243,15 +237,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if args.transform not in TRANSFORM_NAMES:
-        raise UsageError(f"unknown transform {args.transform!r}; "
-                         f"valid names: {', '.join(TRANSFORM_NAMES)}")
     try:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip() != ""]
     except ValueError as err:
         raise UsageError(f"grid must be comma-separated numbers: {err}") from err
+    if not grid:
+        raise UsageError(f"grid holds no values, got {args.grid!r}")
     if not np.isfinite(grid).all():
         raise UsageError(f"grid values must be finite, got {args.grid!r}")
+    try:
+        for parameter in grid:
+            check_parameter(args.transform, parameter)
+    except PerturbError as err:
+        raise UsageError(str(err)) from err
     _check_split_seed(args.split, args.seed)
     detector = load_checkpoint(args.checkpoint)
     records = load_dataset(args.data)

@@ -11,12 +11,17 @@ conv, mean-pool at stride s, sigmoid, at 1/s^2 of the conv output positions.
 Valid (no-padding) windows take a 224 input through 224 -> 221 -> 109 ->
 106 -> 51 -> 48 -> 22 (pool, then conv, per stage), i.e. 22*22*32 = 15488
 features, the sizes of conv 220 -> pool 109 -> 105 -> 51 -> 47 -> 22.
+
+The geometry has one setting, ``CnnConfig(input_size)``, with two values:
+224 (full scale, 5x5 kernels and 4x4 pools, as above) and 32 (reduced
+scale, 3x3 kernels and 2x2 pools: 32 -> 31 -> 15 -> 14 -> 6 -> 5 -> 2, i.e.
+128 features). Every other field follows from it.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,40 +41,37 @@ def is_finite_real(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+# input_size -> (kernel, pool_kernel): the two geometries of the one extractor
+_PRESETS = {224: (5, 4), 32: (3, 2)}
+
+
 @dataclass(frozen=True)
 class CnnConfig:
-    input_size: int = 224
-    in_channels: int = 3
-    filters: tuple[int, ...] = (16, 24, 32)
-    kernel: int = 5
-    pool_kernel: int = 4
-    pool_stride: int = 2
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
+    """The extractor's geometry: every field follows from ``input_size``. At
+    32 px the kernels and pools shrink, since 5x5/4x4 would exhaust the map."""
+
+    input_size: int
+    in_channels: int = field(init=False, default=3)
+    filters: tuple[int, ...] = field(init=False, default=(16, 24, 32))
+    kernel: int = field(init=False)
+    pool_kernel: int = field(init=False)
+    pool_stride: int = field(init=False, default=2)
+    bn_eps: float = field(init=False, default=1e-5)
+    bn_momentum: float = field(init=False, default=0.1)
 
     def __post_init__(self):
-        sizes = (self.input_size, self.in_channels, self.kernel, self.pool_kernel,
-                 self.pool_stride, *self.filters)
-        if not self.filters or any(not is_int(s) or s < 1 for s in sizes):
-            raise ValueError(f"sizes and filter counts must be integers >= 1, got {self}")
-        if any(a >= b for a, b in zip(self.filters, self.filters[1:])):
-            raise ValueError(f"filter counts must strictly increase, got {self.filters}")
-        if not (is_finite_real(self.bn_eps) and self.bn_eps > 0):
-            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps!r}")
-        if not (is_finite_real(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
-            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
+        if not (is_int(self.input_size) and self.input_size in _PRESETS):
+            raise ValueError(f"input_size must be 224 or 32, got {self.input_size!r}")
+        kernel, pool_kernel = _PRESETS[self.input_size]
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "pool_kernel", pool_kernel)
 
     def stage_sizes(self) -> list[tuple[int, int]]:
-        """(post-conv, post-pool) spatial extent per stage; raises if any
-        stage shrinks the map below the next kernel."""
+        """(post-conv, post-pool) spatial extent per stage."""
         sizes = []
         s = self.input_size
         for _ in self.filters:
-            if self.kernel > s:
-                raise ShapeError(f"kernel {self.kernel} exceeds feature map {s}")
             c = T.conv_output_size(s, self.kernel, 1)
-            if self.pool_kernel > c:
-                raise ShapeError(f"pool window {self.pool_kernel} exceeds feature map {c}")
             p = T.conv_output_size(c, self.pool_kernel, self.pool_stride)
             sizes.append((c, p))
             s = p
@@ -80,17 +82,6 @@ class CnnConfig:
         return self.filters[-1] * self.stage_sizes()[-1][1] ** 2
 
 
-def full_scale_config() -> CnnConfig:
-    return CnnConfig()
-
-
-def reduced_scale_config() -> CnnConfig:
-    """Same topology at 32x32 for oracle tests and fast experiments: the
-    5x5/4x4 windows would exhaust a 32-pixel map, so kernels shrink to 3 and
-    pools to 2x2 while filter counts and layer order stay identical."""
-    return CnnConfig(input_size=32, kernel=3, pool_kernel=2, pool_stride=2)
-
-
 class FineToCoarseCnn:
     """Feature extractor producing the flat latent vector consumed by the
     Bayesian head. Inference on frozen parameters is read-only; training
@@ -98,7 +89,7 @@ class FineToCoarseCnn:
 
     def __init__(self, config: CnnConfig, rng: np.random.Generator | None = None):
         self.config = config
-        self.feature_dim = config.feature_dim  # validates geometry up front
+        self.feature_dim = config.feature_dim
         self.kernels: list[Tensor] = []
         self.biases: list[Tensor] = []
         c_in = config.in_channels
@@ -116,18 +107,14 @@ class FineToCoarseCnn:
             self.xavier_init(rng)
 
     def xavier_init(self, rng: np.random.Generator) -> None:
-        """Kernels uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
-        for kern, bias in zip(self.kernels, self.biases):
+        """Kernels uniform in +-sqrt(6/(fan_in+fan_out)); the biases and the
+        batch norm keep the values ``__init__`` gave them."""
+        for kern in self.kernels:
             k_out, c_in, kh, kw = kern.shape
             fan_in = c_in * kh * kw
             fan_out = k_out * kh * kw
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             kern.assign(rng.uniform(-bound, bound, size=kern.shape))
-            bias.assign(np.zeros(bias.shape))
-        self.bn_scale.assign(np.ones(self.bn_scale.shape))
-        self.bn_shift.assign(np.zeros(self.bn_shift.shape))
-        self.bn_mean[:] = 0.0
-        self.bn_var[:] = 1.0
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = []
@@ -167,7 +154,9 @@ class FineToCoarseCnn:
         return outs
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {name: p.data.copy() for name, p in self.parameters()}
+        """Parameters by reference (an update replaces a parameter's read-only
+        array) and copies of the buffers, which batch norm updates in place."""
+        out = {name: p.data for name, p in self.parameters()}
         out.update({name: b.copy() for name, b in self.buffers()})
         return out
 

@@ -108,8 +108,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     The kernel radius is ceil(3*sigma), truncated to the image extent, and the
     truncated kernel is renormalized so constants pass through exactly.
     """
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise PerturbError(f"blur scale must be finite and non-negative, got {sigma}")
+    check_parameter("blur", sigma)
     if sigma == 0:
         return img.copy()
     _, h, w = img.shape
@@ -157,8 +156,6 @@ _DCT = _dct_matrix()
 
 def scaled_quant_table(base: np.ndarray, quality: int) -> np.ndarray:
     """libjpeg quality scaling: 5000/q below 50, else 200-2q; entries in [1,255]."""
-    if not 1 <= quality <= 100:
-        raise PerturbError(f"quality must be in 1..100, got {quality}")
     scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
     table = np.floor((base * scale + 50.0) / 100.0)
     return np.clip(table, 1.0, 255.0)
@@ -189,7 +186,8 @@ def jpeg_quality(img: np.ndarray, quality: int) -> np.ndarray:
     The three level-shifted planes go through the DCT as one
     [3, H/8, W/8, 8, 8] stack of edge-padded blocks, quantized by the
     [3, 1, 1, 8, 8] table stack."""
-    tables = _quant_tables(quality)
+    check_parameter("jpeg", quality)
+    tables = _quant_tables(int(quality))
     _, h, w = img.shape
     ycc = (_RGB_TO_YCC @ (img.reshape(3, h * w) * 255.0)).reshape(3, h, w)
     ycc[0] -= 128.0
@@ -231,8 +229,7 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def resize_bilinear(img: np.ndarray, factor: float) -> np.ndarray:
     """Downsample by ``factor``, then upsample back to the original grid so
     the fixed-size crop still applies."""
-    if not 0.0 < factor <= 1.0:
-        raise PerturbError(f"resize factor must be in (0, 1], got {factor}")
+    check_parameter("resize", factor)
     _, h, w = img.shape
     out_h = int(round(h * factor))
     out_w = int(round(w * factor))
@@ -243,17 +240,24 @@ def resize_bilinear(img: np.ndarray, factor: float) -> np.ndarray:
 
 # --- registry for the sweep driver ----------------------------------------------
 
+_TRANSFORMS = {  # name: (function, its parameter's requirement, test)
+    "blur": (gaussian_blur, "finite and >= 0", lambda p: math.isfinite(p) and p >= 0),
+    "jpeg": (jpeg_quality, "an integer in 1..100",
+             lambda p: 1 <= p <= 100 and float(p).is_integer()),
+    "resize": (resize_bilinear, "in (0, 1]", lambda p: 0.0 < p <= 1.0),
+}
+
+
+def check_parameter(name: str, parameter: float) -> None:
+    """The one rule on transform ``name`` and its parameter; resize's 8 px
+    minimum depends on the image, so it is not part of it."""
+    if name not in _TRANSFORMS:
+        raise PerturbError(f"unknown transform {name!r}; valid: {', '.join(_TRANSFORMS)}")
+    _, rule, ok = _TRANSFORMS[name]
+    if not ok(parameter):
+        raise PerturbError(f"{name} parameter must be {rule}, got {parameter!r}")
+
 
 def apply_transform(name: str, img: np.ndarray, parameter: float) -> np.ndarray:
-    if name == "blur":
-        return gaussian_blur(img, float(parameter))
-    if name == "jpeg":
-        if not float(parameter).is_integer():
-            raise PerturbError(f"jpeg quality must be an integer, got {parameter}")
-        return jpeg_quality(img, int(parameter))
-    if name == "resize":
-        return resize_bilinear(img, float(parameter))
-    raise PerturbError(f"unknown transform {name!r}; valid: blur, jpeg, resize")
-
-
-TRANSFORM_NAMES = ("blur", "jpeg", "resize")
+    check_parameter(name, parameter)
+    return _TRANSFORMS[name][0](img, parameter)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes import (
+    HEAD_RULES,
     INFERENCE_MODES,
     BayesianHead,
     Detector,
@@ -62,12 +63,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _finite_positive(value) -> bool:
-    return math.isfinite(value) and value > 0
-
-
 _CONFIG_RULES = {  # every TrainConfig field: (requirement, test)
-    "lr0": ("finite and > 0", _finite_positive),
+    "lr0": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
     "decay": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
     "epochs": (">= 0", lambda v: v >= 0),
     "batch_size": (">= 2 (batch-norm constraint)", lambda v: v >= 2),
@@ -75,10 +72,7 @@ _CONFIG_RULES = {  # every TrainConfig field: (requirement, test)
     "early_stop_gap": ("finite", math.isfinite),
     "seed": (">= 0", lambda v: v >= 0),
     "inference_mode": (f"one of {INFERENCE_MODES}", lambda v: v in INFERENCE_MODES),
-    "alpha": ("finite and > 0", _finite_positive),
-    "beta": ("finite and > 0", _finite_positive),
-    "dropout_rate": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "hidden": (">= 1", lambda v: v >= 1),
+    **HEAD_RULES,
     "target": ("finite", math.isfinite),
     "percentile": ("in (0, 50]", lambda v: 0.0 < v <= 50.0),
     "n_mc": (">= 1", lambda v: v >= 1),
@@ -126,6 +120,14 @@ def _retention(scores: np.ndarray, gamma: float) -> float:
     return float((scores > gamma).mean()) if scores.size else 0.0
 
 
+def snapshot_state(cnn: FineToCoarseCnn, head: BayesianHead, gamma) -> dict:
+    """What ``train`` restores at its end: the extractor's and the head's state
+    and the epoch's provisional threshold. Parameters are held by reference
+    (see ``FineToCoarseCnn.state_arrays``); only the buffers are copied."""
+    return {"cnn": cnn.state_arrays(), "gamma": gamma,
+            "head": {name: p.data for name, p in head.parameters()}}
+
+
 def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
           cfg: TrainConfig) -> tuple[Detector, TrainReport]:
     """Run the configured number of epochs and return the best-validation
@@ -160,12 +162,8 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     else:
         trainable = [p for _, p in cnn.parameters()] + head_params
 
-    def snapshot_state(gamma):
-        return {"cnn": cnn.state_arrays(), "gamma": gamma,
-                "head": {name: p.data.copy() for name, p in head.parameters()}}
-
     report = TrainReport()
-    best_state = snapshot_state(None)
+    best_state = snapshot_state(cnn, head, None)
     n = len(x_train)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
@@ -214,7 +212,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
         if snap:
             report.best_metric = metric
             report.best_epoch = epoch
-            best_state = snapshot_state(gamma_e)
+            best_state = snapshot_state(cnn, head, gamma_e)
         report.epochs.append(EpochStats(
             epoch=epoch, lr=lr, train_loss=float(np.mean(losses)) if losses else 0.0,
             val_metric=metric, proxy_metric=proxy, gap=gap, snapshot=snap))

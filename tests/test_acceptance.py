@@ -27,7 +27,7 @@ from synthdetect.evaluate import (
     histogram_csv,
     perturbation_sweep,
 )
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import channel_stats, make_split, rgb_normalize
 from synthdetect.tensor import GradTape, Tensor, backward
 from synthdetect.textures import generate_records, write_dataset
@@ -51,7 +51,7 @@ def toy_runs():
     for fraction in SPLITS:
         split = make_split(records, fraction, seed=0)
         cfg = TrainConfig(**TOY_CONFIG)
-        cnn = FineToCoarseCnn(reduced_scale_config(),
+        cnn = FineToCoarseCnn(CnnConfig(32),
                               rng=np.random.default_rng(cfg.seed))
         head = BayesianHead(cnn.feature_dim, hidden=cfg.hidden, alpha=cfg.alpha,
                             beta=cfg.beta, dropout_rate=cfg.dropout_rate,
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
     stats = channel_stats([r.pixels for r in records])
     x = Tensor(np.stack([rgb_normalize(r.pixels, stats) for r in records]))
     targets = np.ones(6)
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(0))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
     head = BayesianHead(cnn.feature_dim, hidden=512, alpha=1e-2, beta=100.0,
                         dropout_rate=0.5, rng=np.random.default_rng(1))
     params = [p for _, p in cnn.parameters()] + [p for _, p in head.parameters()]

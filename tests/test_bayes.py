@@ -19,7 +19,7 @@ from synthdetect.bayes import (
     per_sample_gradients,
     predictive,
 )
-from synthdetect.model import FineToCoarseCnn, full_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
 from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
 
@@ -693,7 +693,7 @@ def test_per_sample_gradients_shape():
 def test_score_batch_chunks_full_scale_images(monkeypatch):
     """At 224 px the scorer runs at most 5 images per forward pass, and the
     chunked scores agree with scoring each image alone."""
-    cnn = FineToCoarseCnn(full_scale_config(), rng=np.random.default_rng(20))
+    cnn = FineToCoarseCnn(CnnConfig(224), rng=np.random.default_rng(20))
     head = BayesianHead(cnn.feature_dim, hidden=8, dropout_rate=0.0,
                         rng=np.random.default_rng(21))
     det = Detector(cnn=cnn, head=head, trained=True,

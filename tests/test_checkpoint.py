@@ -11,7 +11,7 @@ from synthdetect.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
 
 from helpers import poison_checkpoint_tensor, rewrite_checkpoint_header
@@ -22,7 +22,7 @@ _NORM = NormStats(mean=(0.4, 0.5, 0.6), std=(0.2, 0.21, 0.22))
 
 
 def _detector(seed=7, mode="variational", norm=_NORM, gamma=0.8125):
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(seed))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(seed))
     head = BayesianHead(cnn.feature_dim, hidden=24, alpha=0.5, beta=12.0,
                         dropout_rate=0.25, rng=np.random.default_rng(seed + 1))
     cnn.bn_mean[:] = np.random.default_rng(seed + 2).normal(size=cnn.bn_mean.size)
@@ -129,6 +129,8 @@ def test_rejects_future_version(tmp_path):
     lambda h: h.update(gamma=float("nan")),
     lambda h: h["head"].update(dropout_rate=2.0),
     lambda h: h["head"].update(alpha=float("nan")),
+    lambda h: h["head"].update(alpha=float("inf")),
+    lambda h: h["head"].update(beta=float("inf")),
     lambda h: h["tensors"][-1].update(offset=0),
     lambda h: h["tensors"][0].update(offset=0.0),
     lambda h: h["tensors"][0].update(name=5),
@@ -144,7 +146,8 @@ def test_rejects_future_version(tmp_path):
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
         "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
-        "gamma_nan", "dropout_out_of_range", "alpha_nan", "offsets_overlap",
+        "gamma_nan", "dropout_out_of_range", "alpha_nan", "alpha_infinite",
+        "beta_infinite", "offsets_overlap",
         "offset_not_int", "name_not_string", "norm_std_below_floor",
         "norm_mean_out_of_range", "filter_not_int", "bn_momentum_out_of_range",
         "bn_eps_infinite", "extra_key", "extra_cnn_key", "extra_head_key",
@@ -155,6 +158,27 @@ def test_rejects_malformed_header(tmp_path, edit):
     rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("geometry", [
+    {"filters": (4, 6, 8), "bn_eps": 0.3, "bn_momentum": 0.9},
+    {"input_size": 224}, {"pool_stride": 1}, {"in_channels": 1},
+], ids=["filters_and_batch_norm", "full_size_reduced_windows", "pool_stride_one",
+        "one_channel"])
+def test_rejects_consistent_non_preset_geometry(tmp_path, geometry):
+    """A file whose header, directory and payload agree, written from an
+    extractor whose geometry neither ``CnnConfig(224)`` nor ``CnnConfig(32)``
+    is, so that no ``train`` run could have written it."""
+    cfg = CnnConfig(32)
+    for name, value in geometry.items():
+        object.__setattr__(cfg, name, value)
+    cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(5))
+    head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(6))
+    path = tmp_path / "model.bin"
+    save_checkpoint_v1(path, Detector(cnn=cnn, head=head, norm=_NORM, gamma=0.5,
+                                      mode="map", trained=True))
+    with pytest.raises(CheckpointError, match="differs in cnn"):
+        load_checkpoint(path)
 
 
 def test_rejects_permuted_packed_directory(tmp_path):
@@ -258,7 +282,7 @@ def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
 
 def _save_wide(path, norm=None) -> BayesianHead:
     """Save a checkpoint whose file is nearly all of a hidden = 4096 head."""
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(3))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(3))
     head = BayesianHead(cnn.feature_dim, hidden=4096, rng=np.random.default_rng(4))
     save_checkpoint(path, Detector(cnn=cnn, head=head, norm=norm))
     return head

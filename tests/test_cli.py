@@ -258,6 +258,25 @@ def test_perturb_non_finite_grid_is_usage_error(trained_dir, toy_root, tmp_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("transform,grid", [
+    ("blur", ""), ("jpeg", ","), ("jpeg", "90,50,0"), ("jpeg", "101"), ("jpeg", "90.5"),
+    ("blur", "0,-1"), ("resize", "1,0"), ("resize", "1.5"),
+], ids=["empty", "only_separators", "jpeg_zero", "jpeg_101", "jpeg_fraction",
+        "blur_negative", "resize_zero", "resize_above_one"])
+def test_perturb_grid_out_of_range_is_usage_error_before_any_read(tmp_path, capsys,
+                                                                  transform, grid):
+    """The whole grid is checked before anything is read: neither the
+    checkpoint nor the dataset root exists."""
+    code = main(["perturb", "--checkpoint", str(tmp_path / "missing.bin"),
+                 "--data", str(tmp_path / "missing"), "--transform", transform,
+                 f"--grid={grid}", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid") or err.startswith(f"error: {transform} parameter")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_out_creates_missing_directory(trained_dir, toy_root, tmp_path, capsys):
     out = tmp_path / "new" / "dir" / "scores.csv"
     target = sorted((toy_root / "real").iterdir())[0]
@@ -328,13 +347,16 @@ def _header(edit):
     _header(lambda h: h["cnn"].update(bn_eps=None)),
     _header(lambda h: h["cnn"].update(bn_eps=-1)),
     _header(lambda h: h["cnn"].update(input_size=32.0)),
+    _header(lambda h: h["cnn"].update(bn_eps=0.3, bn_momentum=0.9)),
+    _header(lambda h: h["head"].update(beta=float("inf"))),
     _header(lambda h: h.update(gamma=10**400)),
     _header(lambda h: h.update(mode=5)),
     _header(lambda h: h.update(trained="no")),
     lambda src, dst: poison_checkpoint_tensor(src, dst, "cnn.bn.running_var", -1.0),
 ], ids=["header_without_mode", "hidden_disagrees_with_tensors", "norm_std_zero",
         "norm_mean_short", "gamma_not_number", "dropout_out_of_range", "bn_eps_text",
-        "bn_eps_null", "bn_eps_negative", "input_size_float", "gamma_past_float_range",
+        "bn_eps_null", "bn_eps_negative", "input_size_float", "geometry_not_a_preset",
+        "beta_infinite", "gamma_past_float_range",
         "mode_not_a_mode", "trained_not_bool", "bn_running_var_negative"])
 def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
                                                      capsys, corrupt):

@@ -13,7 +13,7 @@ from synthdetect.evaluate import (
     select_threshold,
     sweep_csv,
 )
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import DatasetSplit, ImageRecord, NormStats
 
 
@@ -140,7 +140,7 @@ def test_ap_rejects_single_class():
 
 
 def _toy_detector(seed=0):
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(seed))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(seed))
     head = BayesianHead(cnn.feature_dim, hidden=16, dropout_rate=0.0,
                         rng=np.random.default_rng(seed + 1))
     norm = NormStats(mean=(0.5, 0.5, 0.5), std=(0.25, 0.25, 0.25))

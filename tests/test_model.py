@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from synthdetect.model import (
-    CnnConfig,
-    FineToCoarseCnn,
-    full_scale_config,
-    reduced_scale_config,
-)
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.tensor import (
     GradTape,
     ShapeError,
@@ -24,40 +19,36 @@ from helpers import assert_grads_close, fd_gradient_coords
 
 
 def test_full_scale_shape_pipeline():
-    cfg = full_scale_config()
+    cfg = CnnConfig(224)
     assert cfg.stage_sizes() == [(220, 109), (105, 51), (47, 22)]
     assert cfg.feature_dim == 15488
 
 
 def test_reduced_scale_shape_pipeline():
-    cfg = reduced_scale_config()
+    cfg = CnnConfig(32)
     assert cfg.stage_sizes() == [(30, 15), (13, 6), (4, 2)]
     assert cfg.feature_dim == 128
 
 
-def test_filters_must_increase():
-    with pytest.raises(ValueError):
-        CnnConfig(filters=(16, 16, 32))
-
-
-@pytest.mark.parametrize("kwargs", [{"filters": ()}, {"pool_stride": 0}, {"kernel": -1}])
-def test_non_positive_sizes_rejected(kwargs):
-    with pytest.raises(ValueError):
-        CnnConfig(**kwargs)
-
-
 @pytest.mark.parametrize("kwargs", [
-    {"input_size": 32.0}, {"kernel": True}, {"filters": (16, 24.0, 32)},
-    {"bn_eps": "abc"}, {"bn_eps": None}, {"bn_eps": -1}, {"bn_eps": 0.0},
-    {"bn_eps": float("inf")}, {"bn_eps": 10**400}, {"bn_momentum": 2},
-    {"bn_momentum": float("nan")}])
+    {"input_size": 32.0}, {"input_size": True}, {"input_size": 64},
+    {"input_size": 224.0}, {"input_size": "224"}, {"input_size": None},
+    {"input_size": 0}, {"input_size": -32}, {"input_size": 33},
+    {"input_size": 10**400}, {"input_size": float("nan")}])
 def test_ill_typed_or_out_of_range_values_rejected(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input_size must be 224 or 32"):
         CnnConfig(**kwargs)
+
+
+@pytest.mark.parametrize("derived", ["in_channels", "filters", "kernel", "pool_kernel",
+                                     "pool_stride", "bn_eps", "bn_momentum"])
+def test_geometry_is_derived_from_input_size_alone(derived):
+    with pytest.raises(TypeError):
+        CnnConfig(32, **{derived: getattr(CnnConfig(32), derived)})
 
 
 def test_forward_feature_count_full_scale():
-    cnn = FineToCoarseCnn(full_scale_config(), rng=np.random.default_rng(0))
+    cnn = FineToCoarseCnn(CnnConfig(224), rng=np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).random((2, 3, 224, 224)))
     z = cnn.forward_features(x, training=False)
     assert z.shape == (2, 15488)
@@ -65,14 +56,14 @@ def test_forward_feature_count_full_scale():
 
 
 def test_zero_input_zero_bias_gives_half_activations():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(0))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
     x = Tensor(np.zeros((1, 3, 32, 32)))
     stage1 = cnn.stage_activations(x)[0]
     assert np.allclose(stage1.data, 0.5)
 
 
 def test_stage_activations_in_unit_interval():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(5))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(5))
     x = Tensor(np.random.default_rng(6).random((2, 3, 32, 32)))
     for act in cnn.stage_activations(x):
         assert np.all(act.data > 0.0)
@@ -80,14 +71,14 @@ def test_stage_activations_in_unit_interval():
 
 
 def test_forward_rejects_wrong_shape():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(0))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
         cnn.forward_features(Tensor(np.zeros((1, 3, 16, 16))), training=False)
 
 
 def test_forward_deterministic():
     def run():
-        cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(3))
+        cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(3))
         x = Tensor(np.random.default_rng(4).random((2, 3, 32, 32)))
         return cnn.forward_features(x, training=False).data
 
@@ -95,16 +86,17 @@ def test_forward_deterministic():
 
 
 def test_xavier_bound_and_moments():
-    cnn = FineToCoarseCnn(full_scale_config(), rng=np.random.default_rng(12))
+    cnn = FineToCoarseCnn(CnnConfig(224), rng=np.random.default_rng(12))
     k1 = cnn.kernels[0].data
     bound = np.sqrt(6.0 / (3 * 25 + 16 * 25))
     assert bound == pytest.approx(0.11239, abs=1e-5)
     assert np.all(np.abs(k1) <= bound)
-    draws = FineToCoarseCnn(
-        CnnConfig(input_size=224, filters=(40, 41, 42)),
-        rng=np.random.default_rng(13)).kernels[0].data.reshape(-1)
+    # the largest kernel (32x24x5x5), against its own bound
+    draws = cnn.kernels[2].data.reshape(-1)
+    bound = np.sqrt(6.0 / (24 * 25 + 32 * 25))
     n = draws.size
     assert n >= 1000
+    assert np.all(np.abs(draws) <= bound)
     assert abs(draws.mean()) <= 3 * bound / np.sqrt(n) * 2  # loose CLT bound
     for b in cnn.biases:
         assert np.array_equal(b.data, np.zeros(b.shape))
@@ -119,11 +111,11 @@ def test_xavier_mean_large_sample():
 
 
 def test_state_round_trip():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(7))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(7))
     x = Tensor(np.random.default_rng(8).random((4, 3, 32, 32)))
     cnn.forward_features(x, training=True)  # moves running stats
     state = cnn.state_arrays()
-    other = FineToCoarseCnn(reduced_scale_config())
+    other = FineToCoarseCnn(CnnConfig(32))
     other.load_state_arrays(state)
     za = cnn.forward_features(x, training=False).data
     zb = other.forward_features(x, training=False).data
@@ -131,7 +123,7 @@ def test_state_round_trip():
 
 
 def test_composed_gradient_matches_finite_differences():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(20))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(20))
     x = Tensor(np.random.default_rng(21).random((3, 3, 32, 32)))
     proj = np.random.default_rng(22).normal(size=(3, 128))
 
@@ -174,9 +166,10 @@ def _reference_features(cnn, x, training):
     return reshape(h, (h.shape[0], cnn.feature_dim))
 
 
-@pytest.mark.parametrize("config", [reduced_scale_config, full_scale_config])
-def test_fused_stages_match_conv_pool_sigmoid(config):
-    cfg = config()
+@pytest.mark.parametrize("input_size", [32, 224],
+                         ids=["reduced_scale_config", "full_scale_config"])
+def test_fused_stages_match_conv_pool_sigmoid(input_size):
+    cfg = CnnConfig(input_size)
     cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(30))
     for b in cnn.biases:
         b.assign(np.random.default_rng(31).normal(size=b.shape))
@@ -192,7 +185,7 @@ def test_fused_stages_match_conv_pool_sigmoid(config):
 
 
 def test_fused_parameter_gradients_match_reference():
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(40))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(40))
     x = Tensor(np.random.default_rng(41).random((3, 3, 32, 32)))
     proj = np.random.default_rng(42).normal(size=(3, 128))
     grads = []

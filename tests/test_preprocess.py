@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from synthdetect.bayes import BayesianHead, Detector
 from synthdetect.checkpoint import save_checkpoint
 from synthdetect.cli import main
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import (
     MAX_IMAGE_PIXELS,
     ChannelError,
@@ -519,7 +519,7 @@ def test_load_dataset_listing_matches_pathlib(tmp_path, monkeypatch):
 
 
 def _toy_checkpoint(path):
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(6))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(6))
     head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(7))
     save_checkpoint(path, Detector(cnn=cnn, head=head, gamma=0.0, trained=True,
                                    norm=NormStats(mean=(0.5,) * 3, std=(0.25,) * 3)))

@@ -1,23 +1,28 @@
-"""The CLI reaches every function that ``synthdetect.tensor`` defines.
+"""The CLI reaches every function that ``synthdetect.tensor`` and
+``synthdetect.model`` define.
 
-The tape carries what training and inference run and nothing more. This runs
-``train`` (map and variational), ``eval``, ``score`` and a blur ``perturb``
-through ``cli.main`` on a tiny 32 px corpus under ``sys.setprofile``, and
-requires that each function and method of the module was called, the
-closures and comprehensions nested in them (the ops' backward ``pull``
-functions among them) included, so an op or method that no command runs
-fails it.
+The tape carries what training and inference run and nothing more, and the
+extractor has no geometry helper that only tests call. This runs ``train``
+(map and variational), ``eval``, ``score`` and a blur ``perturb`` through
+``cli.main`` on a tiny 32 px corpus under ``sys.setprofile``, and requires
+that each function and method of each module was called, the closures and
+comprehensions nested in them (the ops' backward ``pull`` functions among
+them) included, so an op or method that no command runs fails it. Methods
+that ``dataclasses`` generates (``CnnConfig.__init__``, ``__eq__`` and the
+like) are not the module's own code and are left out.
 """
 
 import inspect
 import sys
 import types
 
-from synthdetect import tensor
+import pytest
+
+from synthdetect import model, tensor
 from synthdetect.cli import main
 from synthdetect.textures import write_dataset
 
-NOT_RUN_BY_COMMANDS = {"Tensor.__repr__"}
+NOT_RUN_BY_COMMANDS = {tensor: {"Tensor.__repr__"}, model: set()}
 
 
 def _nested(code: types.CodeType):
@@ -28,7 +33,8 @@ def _nested(code: types.CodeType):
 
 
 def _defined_code(module) -> dict[types.CodeType, str]:
-    """Code object -> qualified name of every function the module defines."""
+    """Code object -> qualified name of every function the module's source
+    file defines."""
     funcs = []
     for obj in vars(module).values():
         if inspect.isfunction(obj) and obj.__module__ == module.__name__:
@@ -40,10 +46,14 @@ def _defined_code(module) -> dict[types.CodeType, str]:
                 member = getattr(member, "__func__", member)  # class/static methods
                 if inspect.isfunction(member):
                     funcs.append(member)
-    return {code: code.co_qualname for f in funcs for code in _nested(f.__code__)}
+    return {code: code.co_qualname for f in funcs for code in _nested(f.__code__)
+            if code.co_filename == module.__file__}
 
 
-def test_cli_reaches_every_tensor_function(tmp_path):
+@pytest.fixture(scope="module")
+def called(tmp_path_factory) -> set[types.CodeType]:
+    """Every code object that ran in the commands below."""
+    tmp_path = tmp_path_factory.mktemp("reach")
     root = tmp_path / "data"
     write_dataset(root, 16, 4, size=32, seed=7)
     config = tmp_path / "train.cfg"
@@ -76,6 +86,16 @@ def test_cli_reaches_every_tensor_function(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(commands)
-    defined = _defined_code(tensor)
-    unreached = sorted(name for code, name in defined.items() if code not in called)
-    assert unreached == sorted(NOT_RUN_BY_COMMANDS)
+    return called
+
+
+def _unreached(module, called) -> list[str]:
+    return sorted(name for code, name in _defined_code(module).items() if code not in called)
+
+
+def test_cli_reaches_every_tensor_function(called):
+    assert _unreached(tensor, called) == sorted(NOT_RUN_BY_COMMANDS[tensor])
+
+
+def test_cli_reaches_every_model_function(called):
+    assert _unreached(model, called) == sorted(NOT_RUN_BY_COMMANDS[model])

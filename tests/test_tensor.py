@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.tensor import (
     GradTape,
     GradientError,
@@ -54,7 +54,7 @@ def test_tensor_operands_must_have_the_output_shape():
     assert (scalar * 3.0).shape == ()
 
 
-_CNN = FineToCoarseCnn(reduced_scale_config())
+_CNN = FineToCoarseCnn(CnnConfig(32))
 
 
 @pytest.mark.parametrize("call", [

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from synthdetect.bayes import BayesianHead
-from synthdetect.model import FineToCoarseCnn, reduced_scale_config
+from synthdetect.bayes import BayesianHead, map_objective
+from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import DatasetError, make_split
 from synthdetect.textures import generate_records
 from synthdetect.train import (
@@ -12,8 +13,10 @@ from synthdetect.train import (
     TrainConfig,
     TrainingDivergedError,
     lr_schedule,
+    snapshot_state,
     train,
 )
+from synthdetect.tensor import GradTape, Tensor, backward
 
 
 def _setup(n_real=60, n_per=20, fraction=0.5, seed=0, **cfg_over):
@@ -22,7 +25,7 @@ def _setup(n_real=60, n_per=20, fraction=0.5, seed=0, **cfg_over):
     over = dict(epochs=3, batch_size=8, seed=seed, metric_sample_cap=30)
     over.update(cfg_over)
     cfg = TrainConfig(**over)
-    cnn = FineToCoarseCnn(reduced_scale_config(), rng=np.random.default_rng(cfg.seed))
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(cfg.seed))
     head = BayesianHead(cnn.feature_dim, hidden=32, alpha=cfg.alpha, beta=cfg.beta,
                         dropout_rate=cfg.dropout_rate,
                         rng=np.random.default_rng(cfg.seed + 1))
@@ -66,7 +69,7 @@ def test_config_validation():
     {"n_mc": 0, "inference_mode": "variational"}, {"hidden": 0}, {"percentile": 90.0},
     {"percentile": 0.0}, {"metric_sample_cap": 0}, {"lr0": float("nan")},
     {"target": float("nan")}, {"improvement_threshold": float("inf")},
-    {"early_stop_gap": float("nan")}])
+    {"early_stop_gap": float("nan")}, {"hidden": True}])
 def test_config_rejects_each_bad_value(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         TrainConfig(**kwargs)
@@ -122,6 +125,35 @@ def test_report_csv_columns():
     assert lines[0] == "epoch,lr,train_loss,val_metric,snapshot_flag"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0"
+
+
+def test_snapshot_survives_a_step_and_copies_only_buffers():
+    """A snapshot holds the parameter arrays themselves, which an SGD step
+    replaces rather than writes into, and copies of the batch-norm buffers,
+    which a training-mode forward updates in place."""
+    cnn, head, _, cfg = _setup()
+    params = cnn.parameters() + head.parameters()
+    live = [p.data for _, p in params]
+    state = snapshot_state(cnn, head, 0.5)
+    saved = copy.deepcopy(state)
+    x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)))
+    with GradTape() as tape:
+        out = head.forward(cnn.forward_features(x, training=True))
+        loss = map_objective(out, np.ones(4), [p for _, p in head.parameters()],
+                             cfg.alpha, cfg.beta)
+    grads = backward(loss, tape)
+    for _, p in params:
+        p.assign(p.data - 1e-3 * grads[p.uid])
+    assert not np.array_equal(cnn.bn_mean, saved["cnn"]["bn.running_mean"])
+    for part in ("cnn", "head"):
+        for name, arr in state[part].items():
+            assert np.array_equal(arr, saved[part][name]), name
+    held = [state["cnn"][name] for name, _ in cnn.parameters()]
+    held += [state["head"][name] for name, _ in head.parameters()]
+    assert all(np.shares_memory(a, b) for a, b in zip(held, live))
+    others = live + [p.data for _, p in params] + [buf for _, buf in cnn.buffers()]
+    for name, _ in cnn.buffers():
+        assert not any(np.shares_memory(state["cnn"][name], arr) for arr in others), name
 
 
 def test_snapshot_metrics_strictly_improve():
