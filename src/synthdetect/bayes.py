@@ -12,6 +12,17 @@ a Gauss-Newton curvature approximation, giving the input-dependent variance
 A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
+Both objectives have closed-form gradients, so the autodiff tape records only
+the network. Each returns its value, the cotangents of the head outputs it
+read, which seed ``backward``, and a map from ``backward``'s result to the
+gradients of the weights it regularizes: beta * (f - y) and alpha * w for
+MAP; for the ELBO
+-beta * (f - y) / n_mc per sample, alpha * m + sum(g) for the q means and
+alpha * sigma^2 - 1 + sum(g * eps * sigma) for the log-stds, g being a sampled
+weight's tape gradient. Each sum is taken in the order a product rule gives
+it (g*r + g*r for a square; the KL term, then the samples from the last to
+the first), which keeps trained weights bit-identical to a tape-recorded loss.
+
 The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
 inference-mode outputs over N training features. At inference dropout is the
 identity, so f = w2 . (W1 z + b1) + b2 is linear in each layer's weights and
@@ -36,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,11 +80,13 @@ HEAD_RULES = {  # every head hyperparameter: (requirement, test)
 
 
 def check_head_hparams(**hparams) -> None:
-    """The head's rules, which a training config and a checkpoint header's
-    values (before any weight is read) also pass."""
-    for name, (rule, ok) in HEAD_RULES.items():
-        if not ok(hparams[name]):
-            raise ValueError(f"{name} must be {rule}, got {hparams[name]!r}")
+    """The head's rules for the given values, which a training config, a
+    checkpoint header's values (before any weight is read) and the
+    objectives' precisions also pass."""
+    for name, value in hparams.items():
+        rule, ok = HEAD_RULES[name]
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 _PARAMETER_NAMES = ("fc1.weights", "fc1.bias", "fc2.weights", "fc2.bias")
@@ -124,7 +137,7 @@ class BayesianHead:
 
     @property
     def weight_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
+        return sum(p.data.size for _, p in self.parameters())
 
     def forward(self, z, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -184,33 +197,45 @@ class BayesianHead:
 # --- objective -----------------------------------------------------------------
 
 
-def map_objective(outputs: Tensor, targets: np.ndarray,
-                  prior_params: list[Tensor], alpha: float, beta: float) -> Tensor:
-    """Negative unnormalized log posterior: -log p(targets | w) - log p(w).
+def _finite(value) -> float:
+    """``value`` as a float; an objective that overflowed raises as a
+    non-finite tensor does."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"objective is non-finite ({value})")
+    return float(value)
 
-    ``outputs`` must be recorded on an active tape; gradients then reach both
-    the feature extractor (through the likelihood) and the prior-covered head
-    weights.
+
+Gradients = Callable[[dict[int, np.ndarray]], dict[int, np.ndarray]]
+
+
+def map_objective(outputs: Tensor, targets: np.ndarray, weights: Sequence[Tensor],
+                  alpha: float, beta: float, scale: float = 1.0
+                  ) -> tuple[float, list[tuple[Tensor, np.ndarray]], Gradients]:
+    """Negative unnormalized log posterior -log p(targets | w) - log p(w) of
+    the head's recorded [B] ``outputs``, under a Gaussian prior on ``weights``.
+
+    Returns the value, the outputs' cotangent beta * (f - y) as a seed for
+    ``backward``, and ``weight_gradients``, which adds the prior term
+    alpha * w to each weight's gradient in ``backward``'s result, keyed by
+    uid. Cotangents and gradients are those of ``scale`` times the value.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError(f"precisions must be positive, got alpha={alpha}, beta={beta}")
+    check_head_hparams(alpha=alpha, beta=beta)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != outputs.shape:
-        raise T.ShapeError(f"targets {targets.shape} / outputs {outputs.shape} mismatch")
-    resid = outputs - targets
-    sse = T.sum_all(resid * resid)
-    w_dim = sum(p.size for p in prior_params)
-    sq_norm = None
-    for p in prior_params:
-        term = T.sum_all(p * p)
-        sq_norm = term if sq_norm is None else sq_norm + term
-    n = targets.size
-    const = (-0.5 * n * (math.log(beta) - LOG_2PI)
-             - 0.5 * w_dim * (math.log(alpha) - LOG_2PI))
-    obj = 0.5 * beta * sse + const
-    if sq_norm is not None:
-        obj = obj + 0.5 * alpha * sq_norm
-    return obj
+        raise ShapeError(f"targets {targets.shape} / outputs {outputs.shape} mismatch")
+    resid = outputs.data - targets
+    sq_norm = 0.0
+    for w in weights:
+        sq_norm += np.sum(w.data * w.data)
+    const = (-0.5 * targets.size * (math.log(beta) - LOG_2PI)
+             - 0.5 * sum(w.data.size for w in weights) * (math.log(alpha) - LOG_2PI))
+    value = _finite(0.5 * beta * np.sum(resid * resid) + const + 0.5 * alpha * sq_norm)
+    g_out, g_prior = scale * (0.5 * beta), scale * (0.5 * alpha)
+
+    def weight_gradients(grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        return {w.uid: grads[w.uid] + (g_prior * w.data + g_prior * w.data) for w in weights}
+
+    return value, [(outputs, g_out * resid + g_out * resid)], weight_gradients
 
 
 # --- Gauss-Newton curvature and solves -----------------------------------------
@@ -223,8 +248,8 @@ def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
     rows = []
     for z in np.asarray(features, dtype=np.float64):
         with GradTape() as tape:
-            loss = T.sum_all(head.forward(z[None, :], training=False))
-        grads = backward(loss, tape)
+            out = head.forward(z[None, :], training=False)
+        grads = backward([(out, np.ones(1))], tape)
         rows.append(np.concatenate([grads[p.uid].reshape(-1) for p in params]))
     return np.stack(rows)
 
@@ -348,50 +373,75 @@ class VariationalPosterior:
     def parameters(self) -> list[Tensor]:
         return [*self.means, *self.log_stds]
 
-    def sample_weights(self, rng: np.random.Generator) -> list[Tensor]:
-        drawn = []
-        for m, ls in zip(self.means, self.log_stds):
-            eps = rng.standard_normal(m.shape)
-            drawn.append(m + T.exp(ls) * eps)
-        return drawn
 
-
-def kl_to_prior(q: VariationalPosterior, alpha: float) -> Tensor:
-    """Closed-form KL( q || N(0, alpha^-1 I) ), summed over all weights."""
-    if alpha <= 0:
-        raise ValueError(f"prior precision must be positive, got {alpha}")
-    total = None
-    count = 0
-    for m, ls in zip(q.means, q.log_stds):
+def kl_to_prior(q: VariationalPosterior, alpha: float, scale: float = 1.0
+                ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Closed-form KL( q || N(0, alpha^-1 I) ), summed over all weights, and
+    the gradients of ``scale`` times it: alpha * m for each mean and
+    alpha * sigma^2 - 1 for each log-std."""
+    check_head_hparams(alpha=alpha)
+    total, count = 0.0, 0
+    g_means, g_log_stds = [], []
+    half = 0.5 * alpha
+    g = scale * half
+    for mean, log_std in zip(q.means, q.log_stds):
+        m, ls = mean.data, log_std.data
         count += m.size
-        sigma2 = T.exp(ls * 2.0)
-        term = T.sum_all(sigma2 * (0.5 * alpha)) + T.sum_all(m * m * (0.5 * alpha)) \
-            - T.sum_all(ls)
-        total = term if total is None else total + term
-    return total + (-0.5 * math.log(alpha) - 0.5) * count
+        sigma2 = np.exp(ls * 2.0)
+        total += np.sum(sigma2 * half) + np.sum(m * m * half) - np.sum(ls)
+        g_means.append(g * m + g * m)
+        g_log_stds.append(g * sigma2 * 2.0 - scale)
+    return _finite(total + (-0.5 * math.log(alpha) - 0.5) * count), g_means, g_log_stds
 
 
 def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
          alpha: float, beta: float, n_mc: int, rng: np.random.Generator,
-         training: bool = False, dropout_rng: np.random.Generator | None = None) -> Tensor:
+         training: bool = False, dropout_rng: np.random.Generator | None = None,
+         scale: float = 1.0) -> tuple[float, list[tuple[Tensor, np.ndarray]], Gradients]:
     """Monte-Carlo evidence lower bound E_q[log p(D|w)] - KL(q || prior).
 
-    Sampling is reparameterized, so gradients reach the q means and log-stds
-    (and, when ``features`` is a recorded tensor, the extractor beneath it).
+    Each sample w = m + sigma * eps (eps from ``rng``, then the sample's
+    dropout mask from ``dropout_rng``) runs the head on the current tape.
+    Returns the bound, one (output, cotangent -beta * (f - y) / n_mc) seed per
+    sample for ``backward``, and ``weight_gradients``, which maps
+    ``backward``'s result to the gradients of the q means (the KL term plus
+    the sum of the sampled weights' gradients g) and log-stds (the KL term
+    plus the sum of g * eps * sigma), keyed by uid. Cotangents and gradients
+    are those of ``scale`` times the bound.
     """
+    check_head_hparams(alpha=alpha, beta=beta)
     if n_mc < 1:
         raise ValueError("need at least one Monte-Carlo sample")
     targets = np.asarray(targets, dtype=np.float64)
-    n = targets.size
-    loglik = None
+    means = [m.data for m in q.means]
+    sigmas = [np.exp(ls.data) for ls in q.log_stds]
+    g_out = (scale * (1.0 / n_mc)) * (-0.5 * beta)
+    loglik = 0.0
+    seeds, samples = [], []
     for _ in range(n_mc):
-        weights = q.sample_weights(rng)
+        eps = [rng.standard_normal(m.shape) for m in means]
+        weights = [Tensor.adopt(m + sigma * e, requires_grad=True)
+                   for m, sigma, e in zip(means, sigmas, eps)]
         out = head.forward_with(features, weights, training=training, rng=dropout_rng)
-        resid = out - targets
-        term = T.sum_all(resid * resid) * (-0.5 * beta) \
-            + 0.5 * n * (math.log(beta) - LOG_2PI)
-        loglik = term if loglik is None else loglik + term
-    return loglik * (1.0 / n_mc) - kl_to_prior(q, alpha)
+        if targets.shape != out.shape:
+            raise ShapeError(f"targets {targets.shape} / outputs {out.shape} mismatch")
+        resid = out.data - targets
+        loglik += np.sum(resid * resid) * (-0.5 * beta) \
+            + 0.5 * targets.size * (math.log(beta) - LOG_2PI)
+        seeds.append((out, g_out * resid + g_out * resid))
+        samples.append((weights, eps))
+    kl, g_means, g_log_stds = kl_to_prior(q, alpha, -scale)
+    value = _finite(loglik * (1.0 / n_mc) - kl)
+
+    def weight_gradients(grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        g_m, g_ls = g_means, g_log_stds
+        for weights, eps in reversed(samples):
+            g_w = [grads[w.uid] for w in weights]
+            g_m = [a + g for a, g in zip(g_m, g_w)]
+            g_ls = [a + g * e * sigma for a, g, e, sigma in zip(g_ls, g_w, eps, sigmas)]
+        return {p.uid: g for p, g in zip(q.parameters(), g_m + g_ls)}
+
+    return value, seeds, weight_gradients
 
 
 # --- scoring -------------------------------------------------------------------

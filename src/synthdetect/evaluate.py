@@ -96,15 +96,14 @@ def _score_records(detector: Detector, records: list[ImageRecord],
     return scores
 
 
-def evaluate(split: DatasetSplit, detector: Detector, gamma: float | None = None,
+def evaluate(split: DatasetSplit, detector: Detector,
              transform: Callable[[np.ndarray], np.ndarray] | None = None) -> EvalReport:
     """Score the test part of a split and report one AP per anomaly source
     against the shared real test set, their mean, the confusion counts at the
-    threshold, and 50-bin score histograms."""
+    detector's stored threshold, and 50-bin score histograms."""
+    gamma = detector.gamma
     if gamma is None:
-        gamma = detector.gamma
-    if gamma is None:
-        raise EvaluationError("no threshold stored and none provided")
+        raise EvaluationError("the detector has no stored threshold")
     real_records = [r for r in split.test if r.is_real]
     sources = sorted({r.source for r in split.test if not r.is_real})
     if not real_records or not sources:

@@ -1,17 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Everything downstream (the conv stack, the Bayesian head, both training
-objectives) is expressed through the primitives here, so gradients of any
-recorded scalar come from a single backward pass over the tape.
+The tape records the network's layers (conv, mean pool, sigmoid, batch norm,
+linear, dropout), what training and inference run, and nothing else. It is
+batch only: ``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take
+[B,C,H,W] and ``linear`` takes [B,d]; an unbatched input raises
+``ShapeError``.
 
-The tape carries what training and inference run, and only that:
-
-- Batch only: ``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take
-  [B,C,H,W] and ``linear`` takes [B,d]; an unbatched input raises
-  ``ShapeError``.
-- Equal shapes: a tensor operand of ``add``, ``sub`` or ``mul`` has the
-  output's shape, so gradients never need reducing; only a constant (an
-  array or number, not a tensor) may be a scalar against a larger operand.
+``backward`` takes cotangent seeds, one per recorded output, and pulls them
+back to every parameter on the tape (a vector-Jacobian product). The
+training objectives live in ``bayes``: each returns the cotangents of the
+head outputs it read, in closed form, and the gradients of the weights it
+regularizes, so no loss is ever recorded.
 
 Tensors are immutable values: no operation touches an operand's buffer.
 Parameter updates go through :meth:`Tensor.assign`, which requires exclusive
@@ -32,19 +31,14 @@ __all__ = [
     "GradientError",
     "ShapeError",
     "Tensor",
-    "add",
     "backward",
     "batch_norm",
     "conv2d_valid",
     "dropout",
-    "exp",
     "linear",
     "mean_pool",
-    "mul",
     "reshape",
     "sigmoid",
-    "sub",
-    "sum_all",
 ]
 
 
@@ -76,6 +70,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(arr) -> np.ndarray:
+    """``arr`` itself as a checked, read-only float64 buffer; copied only when
+    it is not already a C-contiguous float64 array."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if not arr.flags["C_CONTIGUOUS"]:
+        arr = np.ascontiguousarray(arr)
+    return _frozen(arr)
+
+
 class Tensor:
     """Immutable dense n-dimensional array of float64 scalars."""
 
@@ -92,49 +95,28 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     @classmethod
     def adopt(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
         """Wrap ``arr`` itself, without the copy ``Tensor(arr)`` makes; the
         caller (an op, or a caller that made a private buffer) hands it over
         and must not write to it again."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         t = cls.__new__(cls)
-        t.data = _frozen(arr)
+        t.data = _owned(arr)
         t.requires_grad = requires_grad
         t.uid = next(_uids)
         return t
 
-    def assign(self, data) -> None:
-        """Replace the value in place (parameter update; exclusive access)."""
-        arr = np.array(data, dtype=np.float64)
+    def assign(self, arr) -> None:
+        """Replace the value (parameter update; exclusive access), taking
+        ``arr`` over as :meth:`adopt` does: the caller must not write to it
+        again."""
+        arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
-        self.data = _frozen(arr)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
+        self.data = _owned(arr)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -193,15 +175,23 @@ def _record(out: Tensor, inputs: Sequence[Tensor],
     tape._nodes.append(_Node(out.uid, tuple(t.uid for t in inputs), pull))
 
 
-def backward(loss: Tensor, tape: GradTape) -> dict[int, np.ndarray]:
-    """Gradients of a recorded scalar w.r.t. every parameter on the tape.
+def backward(seeds: Sequence[tuple[Tensor, np.ndarray]],
+             tape: GradTape) -> dict[int, np.ndarray]:
+    """Pull the cotangent seeds back through the tape: each seed is a
+    distinct tensor recorded on ``tape`` and a cotangent of its shape, and the
+    result is the sum over seeds of each seed's vector-Jacobian product.
 
     Returns a map from parameter uid to a gradient array of the parameter's
-    shape. Parameters with no path to the loss get exact zeros.
+    shape. Parameters with no path to a seed get exact zeros.
     """
-    if loss.ndim != 0:
-        raise GradientError(f"loss must be a scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
+    grads: dict[int, np.ndarray] = {}
+    for out, cotangent in seeds:
+        if out.uid not in tape._produced or out.uid in grads:
+            raise GradientError("each seed must be a distinct tensor recorded on the tape")
+        if np.shape(cotangent) != out.shape:
+            raise GradientError(f"cotangent shape {np.shape(cotangent)} != "
+                                f"output shape {out.shape}")
+        grads[out.uid] = np.asarray(cotangent, dtype=np.float64)
     for node in reversed(tape._nodes):
         gout = grads.pop(node.out_uid, None)
         if gout is None:
@@ -215,62 +205,6 @@ def backward(loss: Tensor, tape: GradTape) -> dict[int, np.ndarray]:
         uid: grads.get(uid, np.zeros_like(p.data))
         for uid, p in tape._params.items()
     }
-
-
-def _as_operand(x) -> tuple[np.ndarray, Tensor | None]:
-    """Split an operand into its array value and its tensor (None = constant)."""
-    if isinstance(x, Tensor):
-        return x.data, x
-    return np.asarray(x, dtype=np.float64), None
-
-
-def _binary(a, b, fwd, pull_a, pull_b) -> Tensor:
-    """Elementwise ``fwd`` of two operands, at least one a tensor. Each tensor
-    operand has the output's shape, so its gradient is the pulled value as
-    is; a constant either has that shape too or is a scalar."""
-    ad, at = _as_operand(a)
-    bd, bt = _as_operand(b)
-    shape = at.shape if at is not None else bt.shape
-    for d, t in ((ad, at), (bd, bt)):
-        if d.shape != shape and (t is not None or d.ndim != 0):
-            raise ShapeError(f"operand shapes {ad.shape} and {bd.shape} do not match")
-    out = Tensor.adopt(fwd(ad, bd))
-
-    def pull(gout: np.ndarray):
-        return tuple(p(gout, ad, bd) for p, t in ((pull_a, at), (pull_b, bt))
-                     if t is not None)
-
-    _record(out, [t for t in (at, bt) if t is not None], pull)
-    return out
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor.adopt(np.exp(a.data))
-    od = out.data
-    _record(out, [a], lambda g: (g * od,))
-    return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor.adopt(np.asarray(a.data.sum()))
-    shape = a.data.shape
-    _record(out, [a], lambda g: (np.broadcast_to(g, shape).copy(),))
-    return out
 
 
 def reshape(a: Tensor, shape) -> Tensor:

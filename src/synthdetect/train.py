@@ -184,15 +184,16 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
                     z = cnn.forward_features(xb, training=True)
                     if q is None:
                         out = head.forward(z, training=True, rng=rng)
-                        loss = map_objective(out, yb, head_params,
-                                             cfg.alpha, cfg.beta) * scale
+                        value, seeds, weight_gradients = map_objective(
+                            out, yb, head_params, cfg.alpha, cfg.beta, scale)
                     else:
-                        bound = elbo(head, q, z, yb, cfg.alpha, cfg.beta,
-                                     n_mc=cfg.n_mc, rng=rng, training=True,
-                                     dropout_rng=rng)
-                        loss = bound * -scale
-                grads = backward(loss, tape)
-                losses.append(loss.item())
+                        scale = -scale  # ascend the bound
+                        value, seeds, weight_gradients = elbo(
+                            head, q, z, yb, cfg.alpha, cfg.beta, n_mc=cfg.n_mc,
+                            rng=rng, training=True, dropout_rng=rng, scale=scale)
+                grads = backward(seeds, tape)
+                grads.update(weight_gradients(grads))
+                losses.append(value * scale)
                 for p in trainable:
                     p.assign(p.data - lr * grads[p.uid])
         except FloatingPointError as err:

@@ -14,6 +14,7 @@ def fd_gradient(f, params: list[Tensor], step: float = 1e-4) -> list[np.ndarray]
     """Central finite differences of scalar f() w.r.t. each parameter tensor.
 
     f must be deterministic given the parameter values (re-seed any rng inside).
+    ``assign`` takes its argument over, so each write goes to a copy.
     """
     grads = []
     for p in params:
@@ -24,14 +25,14 @@ def fd_gradient(f, params: list[Tensor], step: float = 1e-4) -> list[np.ndarray]
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            p.assign(base)
+            p.assign(base.copy())
             hi = f()
             flat[i] = orig - step
-            p.assign(base)
+            p.assign(base.copy())
             lo = f()
             flat[i] = orig
             gflat[i] = (hi - lo) / (2.0 * step)
-        p.assign(base)
+        p.assign(base.copy())
         grads.append(g)
     return grads
 
@@ -44,14 +45,14 @@ def fd_gradient_coords(f, param: Tensor, coords, step: float = 1e-4) -> np.ndarr
     for k, i in enumerate(coords):
         orig = flat[i]
         flat[i] = orig + step
-        param.assign(base)
+        param.assign(base.copy())
         hi = f()
         flat[i] = orig - step
-        param.assign(base)
+        param.assign(base.copy())
         lo = f()
         flat[i] = orig
         out[k] = (hi - lo) / (2.0 * step)
-    param.assign(base)
+    param.assign(base.copy())
     return out
 
 
@@ -85,12 +86,13 @@ def flat_weights(head) -> np.ndarray:
 def set_flat_weights(head, vec: np.ndarray) -> None:
     """Assign a ``flat_weights``-ordered vector to the head's tensors."""
     params = [p for _, p in head.parameters()]
-    if np.size(vec) != sum(p.size for p in params):
-        raise ValueError(f"expected {sum(p.size for p in params)} weights, got {np.size(vec)}")
+    sizes = [p.data.size for p in params]
+    if np.size(vec) != sum(sizes):
+        raise ValueError(f"expected {sum(sizes)} weights, got {np.size(vec)}")
     pos = 0
-    for p in params:
-        p.assign(np.reshape(vec[pos:pos + p.size], p.shape))
-        pos += p.size
+    for p, n in zip(params, sizes):
+        p.assign(np.reshape(vec[pos:pos + n], p.shape).copy())  # assign takes it over
+        pos += n
 
 
 def rewrite_checkpoint_header(src, dst, edit) -> None:

@@ -76,21 +76,21 @@ def test_criterion_1_gradient_correctness():
     params = [p for _, p in cnn.parameters()] + [p for _, p in head.parameters()]
     head_params = [p for _, p in head.parameters()]
 
-    def value():
+    def objective():
         drop = np.random.default_rng(777)  # identical mask on every call
-        with GradTape():
-            z = cnn.forward_features(x, training=True)
-            out = head.forward(z, training=True, rng=drop)
-            return map_objective(out, targets, head_params, 1e-2, 100.0).item()
-
-    drop = np.random.default_rng(777)
-    with GradTape() as tape:
         z = cnn.forward_features(x, training=True)
         out = head.forward(z, training=True, rng=drop)
-        loss = map_objective(out, targets, head_params, 1e-2, 100.0)
-    grads = backward(loss, tape)
+        return map_objective(out, targets, head_params, 1e-2, 100.0)
 
-    sizes = np.array([p.size for p in params])
+    def value():
+        return objective()[0]
+
+    with GradTape() as tape:
+        _, seeds, weight_gradients = objective()
+    grads = backward(seeds, tape)
+    grads.update(weight_gradients(grads))
+
+    sizes = np.array([p.data.size for p in params])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     coords = np.sort(np.random.default_rng(99).choice(
         offsets[-1], size=1000, replace=False))
@@ -104,13 +104,13 @@ def test_criterion_1_gradient_correctness():
         flat = base.reshape(-1)
         orig = flat[local]
         flat[local] = orig + step
-        p.assign(base)
+        p.assign(base.copy())  # assign takes its argument over
         hi = value()
         flat[local] = orig - step
-        p.assign(base)
+        p.assign(base.copy())
         lo = value()
         flat[local] = orig
-        p.assign(base)
+        p.assign(base.copy())
         numeric = (hi - lo) / (2 * step)
         analytic = grads[p.uid].reshape(-1)[local]
         denom = max(abs(numeric), abs(analytic))
@@ -305,13 +305,14 @@ def test_criterion_9_elbo_against_evidence():
     opt_rng = np.random.default_rng(18)
     for _ in range(200):
         with GradTape() as tape:
-            bound = elbo(head, q, Z, y, alpha, beta, n_mc=16, rng=opt_rng)
-        grads = backward(bound, tape)
+            _, seeds, weight_gradients = elbo(head, q, Z, y, alpha, beta, n_mc=16,
+                                              rng=opt_rng)
+        grads = weight_gradients(backward(seeds, tape))
         for p in q.parameters():
             p.assign(p.data + 1e-4 * grads[p.uid])
 
     estimate = elbo(head, q, Z, y, alpha, beta, n_mc=10_000,
-                    rng=np.random.default_rng(0)).item()
+                    rng=np.random.default_rng(0))[0]
     assert estimate <= evidence + 1e-6, \
         f"ELBO {estimate:.6f} exceeds evidence {evidence:.6f}"
     S = np.linalg.inv(alpha * np.eye(1) + beta * Z.T @ Z)

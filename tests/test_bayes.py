@@ -139,12 +139,10 @@ def test_map_objective_decomposes():
     set_flat_weights(head, rng.normal(size=4))
     Z = rng.normal(size=(6, 4))
     targets = rng.normal(size=6)
-    with GradTape():
-        out = head.forward(Z)
-        obj = map_objective(out, targets, [p for _, p in head.parameters()],
-                            alpha=0.5, beta=2.0)
+    out = head.forward(Z)
+    obj, _, _ = map_objective(out, targets, _params(head), alpha=0.5, beta=2.0)
     want = -log_likelihood(targets, out.data, 2.0) - log_prior(flat_weights(head), 0.5)
-    assert obj.item() == pytest.approx(want, rel=1e-12)
+    assert obj == pytest.approx(want, rel=1e-12)
 
 
 def test_map_objective_monotone_in_alpha():
@@ -156,8 +154,7 @@ def test_map_objective_monotone_in_alpha():
 
     def value(alpha):
         out = head.forward(Z)
-        return map_objective(out, targets, [p for _, p in head.parameters()],
-                             alpha=alpha, beta=1.0).item() \
+        return map_objective(out, targets, _params(head), alpha=alpha, beta=1.0)[0] \
             + log_prior(np.zeros(4), alpha)  # drop the alpha-dependent constant
 
     assert value(2.0) > value(1.0)
@@ -172,15 +169,55 @@ def test_map_objective_gradient_matches_fd():
     params = [p for _, p in head.parameters()]
 
     def build():
-        out = head.forward(Z)
-        return map_objective(out, targets, params, alpha=0.3, beta=4.0)
+        return map_objective(head.forward(Z), targets, params, alpha=0.3, beta=4.0)
 
     with GradTape() as tape:
-        loss = build()
-    analytic = backward(loss, tape)
-    numeric = fd_gradient(lambda: build().item(), params)
+        _, seeds, weight_gradients = build()
+    analytic = weight_gradients(backward(seeds, tape))
+    numeric = fd_gradient(lambda: build()[0], params)
     for p, num in zip(params, numeric):
         assert_grads_close(analytic[p.uid], num)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("alpha", math.inf), ("beta", math.inf), ("alpha", 0.0), ("beta", -2.0), ("alpha", math.nan),
+], ids=["alpha_infinite", "beta_infinite", "alpha_zero", "beta_negative", "alpha_nan"])
+def test_objectives_check_precisions_by_the_head_rules(name, value):
+    head = LinearHead(2)
+    q = VariationalPosterior(head)
+    hp = {"alpha": 1.0, "beta": 1.0, name: value}
+    Z, y = np.ones((3, 2)), np.ones(3)
+    calls = [lambda: map_objective(Tensor(np.zeros(3)), y, _params(head), **hp),
+             lambda: elbo(head, q, Z, y, **hp, n_mc=1, rng=np.random.default_rng(0))]
+    if name == "alpha":
+        calls.append(lambda: kl_to_prior(q, value))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got"):
+            call()
+
+
+def test_objective_gradients_are_those_of_scale_times_the_value():
+    rng = np.random.default_rng(19)
+    head = BayesianHead(4, hidden=3, alpha=0.6, beta=3.0, dropout_rate=0.0, rng=rng)
+    Z, y = rng.normal(size=(5, 4)), rng.normal(size=5)
+    q = VariationalPosterior(head, init_log_std=-1.0)
+    objectives = [
+        (lambda s: map_objective(head.forward(Z), y, _params(head), 0.6, 3.0, s),
+         _params(head)),
+        (lambda s: elbo(head, q, Z, y, 0.6, 3.0, 2, np.random.default_rng(5), scale=s),
+         q.parameters()),
+    ]
+    for objective, params in objectives:
+        for scale in (0.37, -2.0):
+            runs = []
+            for s in (scale, 1.0):
+                with GradTape() as tape:
+                    value, seeds, weight_gradients = objective(s)
+                runs.append((value, weight_gradients(backward(seeds, tape))))
+            (value, g), (value1, g1) = runs
+            assert value == value1
+            for p in params:
+                assert np.allclose(g[p.uid], scale * g1[p.uid], rtol=1e-12, atol=1e-15)
 
 
 # --- curvature ----------------------------------------------------------------
@@ -251,6 +288,10 @@ def _rel(a, b):
 
 def _weights(head):
     return [p.data for _, p in head.parameters()]
+
+
+def _params(head):
+    return [p for _, p in head.parameters()]
 
 
 def test_closed_form_products_match_tape():
@@ -548,7 +589,7 @@ def test_kl_zero_when_q_equals_prior():
     for m, ls in zip(q.means, q.log_stds):
         m.assign(np.zeros(m.shape))
         ls.assign(np.full(ls.shape, -0.5 * math.log(2.5)))
-    assert kl_to_prior(q, 2.5).item() == pytest.approx(0.0, abs=1e-12)
+    assert kl_to_prior(q, 2.5)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_closed_form_values():
@@ -556,9 +597,9 @@ def test_kl_closed_form_values():
     q = VariationalPosterior(head)
     q.means[0].assign(np.zeros((1, 1)))
     q.log_stds[0].assign(np.zeros((1, 1)))
-    assert kl_to_prior(q, 1.0).item() == pytest.approx(0.0, abs=1e-12)
+    assert kl_to_prior(q, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
     q.means[0].assign(np.ones((1, 1)))
-    assert kl_to_prior(q, 1.0).item() == pytest.approx(0.5, abs=1e-12)
+    assert kl_to_prior(q, 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_non_negative_random_settings():
@@ -569,7 +610,7 @@ def test_kl_non_negative_random_settings():
         alpha = float(rng.uniform(0.01, 10.0))
         q.means[0].assign(rng.normal(size=(1, 6), scale=3.0))
         q.log_stds[0].assign(rng.normal(size=(1, 6), scale=1.5))
-        assert kl_to_prior(q, alpha).item() >= -1e-10
+        assert kl_to_prior(q, alpha)[0] >= -1e-10
 
 
 def test_variational_means_are_the_head_tensors():
@@ -609,8 +650,7 @@ def test_elbo_below_evidence_and_gap_shrinks():
     def elbo_at(mean, std, seed=99, n_mc=4000):
         q.means[0].assign(np.array([[mean]]))
         q.log_stds[0].assign(np.array([[math.log(std)]]))
-        return elbo(head, q, Z, y, alpha, beta, n_mc,
-                    np.random.default_rng(seed)).item()
+        return elbo(head, q, Z, y, alpha, beta, n_mc, np.random.default_rng(seed))[0]
 
     exact_std = math.sqrt(S[0, 0])
     tight = elbo_at(m[0], exact_std)
@@ -635,9 +675,9 @@ def test_elbo_gradient_matches_fd_fixed_noise():
                     rng=np.random.default_rng(1234))
 
     with GradTape() as tape:
-        loss = build()
-    analytic = backward(loss, tape)
-    numeric = fd_gradient(lambda: build().item(), params)
+        _, seeds, weight_gradients = build()
+    analytic = weight_gradients(backward(seeds, tape))
+    numeric = fd_gradient(lambda: build()[0], params)
     for p, num in zip(params, numeric):
         assert_grads_close(analytic[p.uid], num)
 
@@ -655,12 +695,13 @@ def test_elbo_ascent_on_conjugate_problem():
     values = []
     for _ in range(200):
         with GradTape() as tape:
-            bound = elbo(head, q, Z, y, alpha, beta, n_mc=16, rng=opt_rng)
-        grads = backward(bound, tape)
+            _, seeds, weight_gradients = elbo(head, q, Z, y, alpha, beta, n_mc=16,
+                                              rng=opt_rng)
+        grads = weight_gradients(backward(seeds, tape))
         # record with a fixed evaluation seed so the trace reflects q itself,
         # not per-step sampling noise
         values.append(elbo(head, q, Z, y, alpha, beta, n_mc=128,
-                           rng=np.random.default_rng(0)).item())
+                           rng=np.random.default_rng(0))[0])
         for p in params:
             p.assign(p.data + lr * grads[p.uid])
     smoothed = np.convolve(values, np.ones(10) / 10.0, mode="valid")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,9 +193,12 @@ def test_evaluate_histogram_counts():
 def test_evaluate_confusion_counts_at_gamma():
     det = _toy_detector()
     split = _split_with_sources(["a"], n=8)
-    report = evaluate(split, det, gamma=np.median(
-        np.concatenate([evaluate(split, det).scores_real,
-                        evaluate(split, det).scores_by_source["a"]])))
+    base = evaluate(split, det)
+    median = np.median(np.concatenate([base.scores_real, base.scores_by_source["a"]]))
+    report = evaluate(split, dataclasses.replace(det, gamma=median))
+    assert report.gamma == median
+    with pytest.raises(EvaluationError, match="no stored threshold"):
+        evaluate(split, dataclasses.replace(det, gamma=None))
     src = report.sources[0]
     assert src.tp + src.fn == 8
     assert src.fp + src.tn == 8

@@ -12,7 +12,6 @@ from synthdetect.tensor import (
     mean_pool,
     reshape,
     sigmoid,
-    sum_all,
 )
 
 from helpers import assert_grads_close, fd_gradient_coords
@@ -127,29 +126,20 @@ def test_composed_gradient_matches_finite_differences():
     x = Tensor(np.random.default_rng(21).random((3, 3, 32, 32)))
     proj = np.random.default_rng(22).normal(size=(3, 128))
 
-    def objective() -> float:
-        with GradTape() as tape:
-            z = cnn.forward_features(x, training=True)
-            loss = sum_all(z * proj)
-        return loss.item(), tape
-
     def value_only() -> float:
         cnn.bn_mean[:] = 0.0  # running buffers do not affect train mode
         cnn.bn_var[:] = 1.0
-        with GradTape():
-            z = cnn.forward_features(x, training=True)
-            return sum_all(z * proj).item()
+        return float(np.sum(cnn.forward_features(x, training=True).data * proj))
 
-    loss_val, tape = objective()
+    # the gradient of sum(z * proj): ``proj`` seeds the pull-back
     with GradTape() as tape:
         z = cnn.forward_features(x, training=True)
-        loss = sum_all(z * proj)
-    grads = backward(loss, tape)
+    grads = backward([(z, proj)], tape)
 
     rng = np.random.default_rng(23)
     for name, p in cnn.parameters():
-        n_coords = min(12, p.size)
-        coords = rng.choice(p.size, size=n_coords, replace=False)
+        n_coords = min(12, p.data.size)
+        coords = rng.choice(p.data.size, size=n_coords, replace=False)
         numeric = fd_gradient_coords(value_only, p, coords)
         analytic = grads[p.uid].reshape(-1)[coords]
         assert_grads_close(analytic, numeric)
@@ -192,8 +182,8 @@ def test_fused_parameter_gradients_match_reference():
     for forward in (cnn.forward_features, lambda x, training: _reference_features(
             cnn, x, training)):
         with GradTape() as tape:
-            loss = sum_all(forward(x, training=True) * proj)
-        grads.append(backward(loss, tape))
+            z = forward(x, training=True)
+        grads.append(backward([(z, proj)], tape))
     fused, reference = grads
     for name, p in cnn.parameters():
         assert np.allclose(fused[p.uid], reference[p.uid], rtol=1e-9, atol=1e-12), name

@@ -1,15 +1,17 @@
-"""The CLI reaches every function that ``synthdetect.tensor`` and
-``synthdetect.model`` define.
+"""The CLI reaches every function that ``synthdetect.tensor``,
+``synthdetect.model``, ``synthdetect.train`` and ``synthdetect.bayes`` define,
+apart from the few listed in ``NOT_RUN_BY_COMMANDS``.
 
-The tape carries what training and inference run and nothing more, and the
-extractor has no geometry helper that only tests call. This runs ``train``
-(map and variational), ``eval``, ``score`` and a blur ``perturb`` through
-``cli.main`` on a tiny 32 px corpus under ``sys.setprofile``, and requires
-that each function and method of each module was called, the closures and
-comprehensions nested in them (the ops' backward ``pull`` functions among
-them) included, so an op or method that no command runs fails it. Methods
-that ``dataclasses`` generates (``CnnConfig.__init__``, ``__eq__`` and the
-like) are not the module's own code and are left out.
+The tape carries what training and inference run and nothing more, the
+extractor has no geometry helper that only tests call, and the objectives
+leave no helper behind. This runs ``train`` (map and variational), ``eval``,
+``score`` and a blur ``perturb`` through ``cli.main`` on a tiny 32 px corpus
+under ``sys.setprofile``, and requires that each function and method of each
+module was called, the closures and comprehensions nested in them (the ops'
+backward ``pull`` functions among them) included, so an op or method that no
+command runs fails it. Methods that ``dataclasses`` generates
+(``CnnConfig.__init__``, ``__eq__`` and the like) are not the module's own
+code and are left out.
 """
 
 import inspect
@@ -18,11 +20,30 @@ import types
 
 import pytest
 
-from synthdetect import model, tensor
+from synthdetect import bayes, model, tensor, train
 from synthdetect.cli import main
 from synthdetect.textures import write_dataset
 
-NOT_RUN_BY_COMMANDS = {tensor: {"Tensor.__repr__"}, model: set()}
+NOT_RUN_BY_COMMANDS = {
+    tensor: {"Tensor.__repr__"},
+    model: set(),
+    train: set(),
+    bayes: {
+        # the Gauss-Newton predictive and its iterative reference: the
+        # benchmark's variance32 workload and the tests run them, no command does
+        "GaussNewtonCurvature.__init__", "GaussNewtonCurvature.__init__.<locals>.<listcomp>",
+        "GaussNewtonCurvature.factor", "GaussNewtonCurvature.matvec", "predictive",
+        "cg_solve", "per_sample_gradients", "per_sample_gradients.<locals>.<listcomp>",
+        # the head's closed-form Jacobian, which only the curvature uses
+        "BayesianHead.jacobian_products", "BayesianHead.jacobian_products.<locals>.jvp",
+        "BayesianHead.jacobian_products.<locals>.vjp", "BayesianHead.gradient_coordinates",
+        "BayesianHead.gradient_gram", "BayesianHead.weight_count",
+        "BayesianHead.weight_count.<locals>.<genexpr>",
+        # the message for weights of the wrong shapes, which the checkpoint
+        # loader's header check rules out before any weight reaches the head
+        "BayesianHead.__init__.<locals>.<listcomp>",
+    },
+}
 
 
 def _nested(code: types.CodeType):
@@ -90,7 +111,7 @@ def called(tmp_path_factory) -> set[types.CodeType]:
 
 
 def _unreached(module, called) -> list[str]:
-    return sorted(name for code, name in _defined_code(module).items() if code not in called)
+    return sorted({name for code, name in _defined_code(module).items() if code not in called})
 
 
 def test_cli_reaches_every_tensor_function(called):
@@ -99,3 +120,11 @@ def test_cli_reaches_every_tensor_function(called):
 
 def test_cli_reaches_every_model_function(called):
     assert _unreached(model, called) == sorted(NOT_RUN_BY_COMMANDS[model])
+
+
+def test_cli_reaches_every_train_function(called):
+    assert _unreached(train, called) == sorted(NOT_RUN_BY_COMMANDS[train])
+
+
+def test_cli_reaches_every_bayes_function(called):
+    assert _unreached(bayes, called) == sorted(NOT_RUN_BY_COMMANDS[bayes])

@@ -139,9 +139,10 @@ def test_snapshot_survives_a_step_and_copies_only_buffers():
     x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)))
     with GradTape() as tape:
         out = head.forward(cnn.forward_features(x, training=True))
-        loss = map_objective(out, np.ones(4), [p for _, p in head.parameters()],
-                             cfg.alpha, cfg.beta)
-    grads = backward(loss, tape)
+        _, seeds, weight_gradients = map_objective(
+            out, np.ones(4), [p for _, p in head.parameters()], cfg.alpha, cfg.beta)
+    grads = backward(seeds, tape)
+    grads.update(weight_gradients(grads))
     for _, p in params:
         p.assign(p.data - 1e-3 * grads[p.uid])
     assert not np.array_equal(cnn.bn_mean, saved["cnn"]["bn.running_mean"])
