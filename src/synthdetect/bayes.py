@@ -64,10 +64,6 @@ class NumericalError(ArithmeticError):
     """An iterative solve or optimization lost its footing."""
 
 
-class UntrainedModelError(RuntimeError):
-    """Scoring requested from a model that never went through training."""
-
-
 # --- heads -------------------------------------------------------------------
 
 
@@ -134,10 +130,6 @@ class BayesianHead:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(zip(_PARAMETER_NAMES, (self.w1, self.b1, self.w2, self.b2)))
-
-    @property
-    def weight_count(self) -> int:
-        return sum(p.data.size for _, p in self.parameters())
 
     def forward(self, z, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -470,25 +462,22 @@ def posterior_scores(cnn: "FineToCoarseCnn", head, batch: np.ndarray) -> np.ndar
 
 @dataclass
 class Detector:
-    """Everything needed to score raw pixels: extractor, head, normalization
-    statistics, the stored decision threshold, and the training mode used."""
+    """What ``train`` makes, and all that scoring raw pixels needs: the
+    extractor, the head, the normalization statistics of the training images,
+    the decision threshold taken from real validation scores, and the
+    training mode used. A detector always has all of them."""
 
     cnn: "FineToCoarseCnn"
     head: BayesianHead
-    norm: NormStats | None = None
-    gamma: float | None = None
+    norm: NormStats
+    gamma: float
     mode: str = "map"
-    trained: bool = False
 
     def preprocess(self, pixels: np.ndarray) -> np.ndarray:
-        if self.norm is None:
-            raise UntrainedModelError("no normalization statistics; train first")
         return preprocess_pixels(pixels, self.cnn.config.input_size, self.norm)
 
     def score_batch(self, pixel_list) -> np.ndarray:
         """Posterior scores for a sized sequence of raw images."""
-        if not self.trained:
-            raise UntrainedModelError("cannot score with an untrained model")
         batch = np.stack([self.preprocess(p) for p in pixel_list])
         return posterior_scores(self.cnn, self.head, batch)
 

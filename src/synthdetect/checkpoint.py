@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic, uint32 format version, uint64 header length, a JSON
 header (model geometry, head hyperparameters, normalization stats, threshold,
-tensor directory), then the raw float64 little-endian tensors, back to back
-in directory order. Writes go through a temp file + rename so an interrupted
-run never leaves a truncated file that later loads.
+inference mode, the constant ``"trained": true``, tensor directory), then the
+raw float64 little-endian tensors, back to back in directory order. Writes go
+through a temp file + rename so an interrupted run never leaves a truncated
+file that later loads.
 
 The schema is stated once, by ``_header``: it builds the whole header, the
 tensor directory included, from the detector's configuration values, and
@@ -15,6 +16,11 @@ JSON and the payload is exactly as long as the directory's tensors. So a
 header has no unknown key, lists the tensors in the one order the writer
 uses, and spells each value as the writer does (0 is not 0.0, true is not
 1). All of this is checked before any payload byte is read.
+
+A checkpoint holds what ``train`` makes, so its header always has a norm
+object, a finite ``gamma`` and ``"trained": true``. A null norm or threshold,
+or any other value of the flag, is rejected like any other header ``train``
+cannot write.
 
 Of the geometry the loader reads only ``cnn.input_size``. It builds that
 preset's extractor (at most ~30k floats), which names and sizes the ``cnn.*``
@@ -57,8 +63,8 @@ def _tensor_shapes(cnn: FineToCoarseCnn, hidden: int) -> list[tuple[str, tuple[i
                      in BayesianHead.parameter_shapes(cnn.feature_dim, hidden)]
 
 
-def _header(cnn: FineToCoarseCnn, head_hparams: dict, norm: NormStats | None, gamma,
-            mode: str, trained: bool) -> dict:
+def _header(cnn: FineToCoarseCnn, head_hparams: dict, norm: NormStats, gamma: float,
+            mode: str) -> dict:
     """The whole header for these values, the tensor directory included."""
     directory = []
     offset = 0
@@ -68,10 +74,10 @@ def _header(cnn: FineToCoarseCnn, head_hparams: dict, norm: NormStats | None, ga
     return {
         "cnn": dataclasses.asdict(cnn.config),
         "head": {"d_in": cnn.feature_dim, **head_hparams},
-        "norm": None if norm is None else dataclasses.asdict(norm),
+        "norm": dataclasses.asdict(norm),
         "gamma": gamma,
         "mode": mode,
-        "trained": trained,
+        "trained": True,  # in every format-1 file: earlier readers score only if true
         "tensors": directory,
     }
 
@@ -84,7 +90,7 @@ def _canonical(value) -> bytes:
 def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
     head = detector.head
     header = _header(detector.cnn, {k: getattr(head, k) for k in HEAD_RULES},
-                     detector.norm, detector.gamma, detector.mode, detector.trained)
+                     detector.norm, detector.gamma, detector.mode)
     arrays = {f"cnn.{name}": arr for name, arr in detector.cnn.state_arrays().items()}
     arrays.update((f"head.{name}", p.data) for name, p in head.parameters())
     header_bytes = _canonical(header)
@@ -105,7 +111,7 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
         raise
 
 
-def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats | None]:
+def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats]:
     """Parse and range-check each value ``header`` declares, then require
     that it is, as canonical JSON, the header ``_header`` builds from those
     values. Of the geometry only ``input_size`` is read: the rest must be what
@@ -114,17 +120,14 @@ def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats | None]:
     try:
         hparams = {k: header["head"][k] for k in HEAD_RULES}
         check_head_hparams(**hparams)
-        norm = None if header["norm"] is None else NormStats(
-            mean=tuple(header["norm"]["mean"]), std=tuple(header["norm"]["std"]))
-        gamma, mode, trained = header["gamma"], header["mode"], header["trained"]
-        if gamma is not None and not is_finite_real(gamma):
-            raise ValueError(f"gamma must be null or a finite number, got {gamma!r}")
+        norm = NormStats(mean=tuple(header["norm"]["mean"]), std=tuple(header["norm"]["std"]))
+        gamma, mode = header["gamma"], header["mode"]
+        if not is_finite_real(gamma):
+            raise ValueError(f"gamma must be a finite number, got {gamma!r}")
         if mode not in INFERENCE_MODES:
             raise ValueError(f"mode must be one of {INFERENCE_MODES}, got {mode!r}")
-        if not isinstance(trained, bool):
-            raise ValueError(f"trained flag must be true or false, got {trained!r}")
         cnn = FineToCoarseCnn(CnnConfig(header["cnn"]["input_size"]))
-        rebuilt = _header(cnn, hparams, norm, gamma, mode, trained)
+        rebuilt = _header(cnn, hparams, norm, gamma, mode)
         same = _canonical(header) == _canonical(rebuilt)
     except (TypeError, ValueError, KeyError, RecursionError) as err:
         raise CheckpointError(f"checkpoint header is malformed: {err!r}") from err
@@ -185,5 +188,4 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
         _raise_non_finite(tensors)
     except ValueError as err:
         raise CheckpointError(f"checkpoint cnn is malformed: {err}") from err
-    return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"],
-                    mode=header["mode"], trained=header["trained"])
+    return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"], mode=header["mode"])

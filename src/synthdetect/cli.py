@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import BayesianHead, NumericalError, UntrainedModelError
+from .bayes import BayesianHead, NumericalError
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluate import (
     EvaluationError,
@@ -196,8 +196,6 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     detector = load_checkpoint(args.checkpoint)
-    if detector.gamma is None:
-        raise DatasetError("checkpoint carries no threshold; re-train first")
     target = Path(args.images)
     paths = image_paths(target) if target.is_dir() else [str(target)]
     if not paths:
@@ -312,7 +310,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetError, DecodeError, CheckpointError, EvaluationError,
-            PerturbError, UntrainedModelError, OSError) as err:
+            PerturbError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, NumericalError, FloatingPointError) as err:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bayes import Detector, score_chunk
 from .perturb import apply_transform
-from .preprocess import DatasetSplit, ImageRecord
+from .preprocess import DatasetSplit, ImageRecord, anomaly_sources
 
 REAL = "real"
 SYNTHETIC = "synthetic"
@@ -102,10 +102,8 @@ def evaluate(split: DatasetSplit, detector: Detector,
     against the shared real test set, their mean, the confusion counts at the
     detector's stored threshold, and 50-bin score histograms."""
     gamma = detector.gamma
-    if gamma is None:
-        raise EvaluationError("the detector has no stored threshold")
     real_records = [r for r in split.test if r.is_real]
-    sources = sorted({r.source for r in split.test if not r.is_real})
+    sources = anomaly_sources(split.test)
     if not real_records or not sources:
         raise EvaluationError("test split needs real samples and at least one anomaly source")
     real_scores = _score_records(detector, real_records, transform)

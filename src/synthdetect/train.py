@@ -2,6 +2,10 @@
 best-model checkpointing on validation improvement, and an early-stopping
 gap criterion.
 
+Training needs real validation samples at every epoch count, zero included:
+the detector it returns always carries the threshold placed at the
+configured lower percentile of their scores under the restored weights.
+
 Every real training sample is regressed to the constant target (default 1).
 The per-epoch validation metric is a real-retention proxy: the fraction of
 real validation samples scoring above a provisional threshold placed at a
@@ -117,14 +121,15 @@ class TrainReport:
 
 
 def _retention(scores: np.ndarray, gamma: float) -> float:
-    return float((scores > gamma).mean()) if scores.size else 0.0
+    return float((scores > gamma).mean())
 
 
-def snapshot_state(cnn: FineToCoarseCnn, head: BayesianHead, gamma) -> dict:
-    """What ``train`` restores at its end: the extractor's and the head's state
-    and the epoch's provisional threshold. Parameters are held by reference
-    (see ``FineToCoarseCnn.state_arrays``); only the buffers are copied."""
-    return {"cnn": cnn.state_arrays(), "gamma": gamma,
+def snapshot_state(cnn: FineToCoarseCnn, head: BayesianHead) -> dict:
+    """What ``train`` restores at its end: the extractor's and the head's
+    state. The threshold is not part of it: ``train`` takes that from the
+    restored weights. Parameters are held by reference (see
+    ``FineToCoarseCnn.state_arrays``); only the buffers are copied."""
+    return {"cnn": cnn.state_arrays(),
             "head": {name: p.data for name, p in head.parameters()}}
 
 
@@ -140,10 +145,9 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     stats = channel_stats([center_crop(r.pixels, size) for r in split.train])
     x_train = np.stack([preprocess_pixels(r.pixels, size, stats) for r in split.train])
     val_real_records = [r for r in split.validation if r.is_real]
-    if cfg.epochs > 0 and not val_real_records:
-        raise DatasetError("validation split has no real samples to monitor")
-    x_val = (np.stack([preprocess_pixels(r.pixels, size, stats) for r in val_real_records])
-             if val_real_records else np.empty((0, 3, size, size)))
+    if not val_real_records:
+        raise DatasetError("validation split has no real samples to set the threshold")
+    x_val = np.stack([preprocess_pixels(r.pixels, size, stats) for r in val_real_records])
     half = len(x_val) // 2
     x_metric, x_proxy = (x_val[:half], x_val[half:]) if half else (x_val, x_val)
 
@@ -163,7 +167,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
         trainable = [p for _, p in cnn.parameters()] + head_params
 
     report = TrainReport()
-    best_state = snapshot_state(cnn, head, None)
+    best_state = snapshot_state(cnn, head)
     n = len(x_train)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
@@ -213,7 +217,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
         if snap:
             report.best_metric = metric
             report.best_epoch = epoch
-            best_state = snapshot_state(cnn, head, gamma_e)
+            best_state = snapshot_state(cnn, head)
         report.epochs.append(EpochStats(
             epoch=epoch, lr=lr, train_loss=float(np.mean(losses)) if losses else 0.0,
             val_metric=metric, proxy_metric=proxy, gap=gap, snapshot=snap))
@@ -224,8 +228,6 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     cnn.load_state_arrays(best_state["cnn"])
     for name, p in head.parameters():
         p.assign(best_state["head"][name])
-    gamma = (select_threshold(posterior_scores(cnn, head, x_val), cfg.percentile)
-             if len(x_val) else best_state["gamma"])
-    detector = Detector(cnn=cnn, head=head, norm=stats, gamma=gamma,
-                        mode=cfg.inference_mode, trained=True)
+    gamma = select_threshold(posterior_scores(cnn, head, x_val), cfg.percentile)
+    detector = Detector(cnn=cnn, head=head, norm=stats, gamma=gamma, mode=cfg.inference_mode)
     return detector, report

@@ -78,6 +78,11 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
     assert not bad, f"{len(bad)} gradient entries disagree, first: {bad[:3]}"
 
 
+def weight_count(head) -> int:
+    """How many weights the head has: the length of ``flat_weights(head)``."""
+    return sum(p.data.size for _, p in head.parameters())
+
+
 def flat_weights(head) -> np.ndarray:
     """The head's weights as one vector, in ``parameters()`` order."""
     return np.concatenate([p.data.reshape(-1) for _, p in head.parameters()])

@@ -207,10 +207,6 @@ class LinearHead:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("w", self.w)]
 
-    @property
-    def weight_count(self) -> int:
-        return self.d_in
-
     def forward(self, z, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         return self.forward_with(z, [self.w], training, rng)
@@ -282,10 +278,10 @@ def save_checkpoint_v1(path, detector) -> None:
         "cnn": dataclasses.asdict(detector.cnn.config),
         "head": {k: getattr(detector.head, k)
                  for k in ("d_in", "hidden", "alpha", "beta", "dropout_rate")},
-        "norm": None if detector.norm is None else dataclasses.asdict(detector.norm),
+        "norm": dataclasses.asdict(detector.norm),
         "gamma": detector.gamma,
         "mode": detector.mode,
-        "trained": detector.trained,
+        "trained": True,
         "tensors": directory,
     }
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()

@@ -33,7 +33,7 @@ from synthdetect.tensor import GradTape, Tensor, backward
 from synthdetect.textures import generate_records, write_dataset
 from synthdetect.train import TrainConfig, train
 
-from helpers import flat_weights, set_flat_weights
+from helpers import flat_weights, set_flat_weights, weight_count
 from oracles import LinearHead, gauss_newton_dense
 
 SPLITS = (0.2, 0.4, 0.6, 0.8)
@@ -158,19 +158,19 @@ def test_criterion_3_hessian_free_solve():
     rng = np.random.default_rng(31)
     head = BayesianHead(40, hidden=24, alpha=0.05, beta=9.0, dropout_rate=0.0,
                         rng=rng)
-    assert head.weight_count <= 1024
+    assert weight_count(head) <= 1024
     Z = rng.normal(size=(120, 40))
     curv = GaussNewtonCurvature(head, Z)
-    dense = 0.05 * np.eye(head.weight_count) + 9.0 * gauss_newton_dense(head, Z)
+    dense = 0.05 * np.eye(weight_count(head)) + 9.0 * gauss_newton_dense(head, Z)
     worst = 0.0
     for _ in range(5):
-        g = rng.normal(size=head.weight_count)
+        g = rng.normal(size=weight_count(head))
         q_cg = g @ cg_solve(lambda v: 0.05 * v + 9.0 * curv.matvec(v), g)
         q_dense = g @ np.linalg.solve(dense, g)
         rel = abs(q_cg - q_dense) / abs(q_dense)
         worst = max(worst, rel)
         assert rel < 1e-6
-    print(f"\nACCEPTANCE 3 PASS: dim={head.weight_count}, worst relative "
+    print(f"\nACCEPTANCE 3 PASS: dim={weight_count(head)}, worst relative "
           f"error {worst:.2e}")
 
 

@@ -23,7 +23,7 @@ from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
 from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
 
-from helpers import assert_grads_close, fd_gradient, flat_weights, set_flat_weights
+from helpers import assert_grads_close, fd_gradient, flat_weights, set_flat_weights, weight_count
 from oracles import LinearHead, gauss_newton_dense, log_likelihood, log_prior
 
 
@@ -278,7 +278,7 @@ def test_matvec_matches_dense():
     curv = GaussNewtonCurvature(head, Z)
     H = gauss_newton_dense(head, Z)
     for _ in range(5):
-        v = rng.normal(size=head.weight_count)
+        v = rng.normal(size=weight_count(head))
         assert np.allclose(curv.matvec(v), H @ v, atol=1e-10)
 
 
@@ -306,7 +306,7 @@ def test_closed_form_products_match_tape():
         jvp, vjp = head.jacobian_products(Z, _weights(head))
         curv = GaussNewtonCurvature(head, Z)
         for _ in range(3):
-            v = rng.normal(size=head.weight_count)
+            v = rng.normal(size=weight_count(head))
             u = rng.normal(size=11)
             assert _rel(jvp(v), G @ v) <= 1e-12
             assert _rel(vjp(u), G.T @ u) <= 1e-12
@@ -332,7 +332,7 @@ def test_curvature_and_predictive_build_no_tape(monkeypatch):
 
     monkeypatch.setattr(GradTape, "__enter__", refuse)
     curv = GaussNewtonCurvature(head, Z)
-    curv.matvec(rng.normal(size=head.weight_count))
+    curv.matvec(rng.normal(size=weight_count(head)))
     _, var = predictive(rng.normal(size=6), head, curv)
     assert var >= 1.0 / 4.0
 
@@ -376,10 +376,10 @@ def test_matvec_describes_head_as_built():
     Z = rng.normal(size=(11, 6))
     G = per_sample_gradients(head, Z)
     curv = GaussNewtonCurvature(head, Z)
-    set_flat_weights(head, rng.normal(size=head.weight_count))
+    set_flat_weights(head, rng.normal(size=weight_count(head)))
     assert not np.allclose(per_sample_gradients(head, Z), G)
     for _ in range(3):
-        v = rng.normal(size=head.weight_count)
+        v = rng.normal(size=weight_count(head))
         assert _rel(curv.matvec(v), G.T @ (G @ v)) <= 1e-12
 
 
@@ -462,7 +462,7 @@ def _tape_variance(head, curv, z):
     tape's gradient and the dense curvature."""
     g = per_sample_gradients(head, z[None])[0]
     H = gauss_newton_dense(head, curv.features)
-    return g @ np.linalg.solve(head.alpha * np.eye(head.weight_count) + head.beta * H, g)
+    return g @ np.linalg.solve(head.alpha * np.eye(weight_count(head)) + head.beta * H, g)
 
 
 def _cg_variance(head, curv, z):
@@ -523,7 +523,7 @@ def test_predictive_variance_describes_head_as_built():
     built_mean = float(head.forward(z[None, :]).data[0])
     mean, var = predictive(z, head, queried)
     assert mean == built_mean
-    set_flat_weights(head, rng.normal(size=head.weight_count))
+    set_flat_weights(head, rng.normal(size=weight_count(head)))
     assert float(head.forward(z[None, :]).data[0]) != built_mean
     assert predictive(z, head, queried) == (mean, var)
     assert predictive(z, head, unqueried) == (mean, var)
@@ -725,7 +725,7 @@ def test_per_sample_gradients_shape():
     rng = np.random.default_rng(19)
     head = BayesianHead(3, hidden=2, dropout_rate=0.0, rng=rng)
     G = per_sample_gradients(head, rng.normal(size=(5, 3)))
-    assert G.shape == (5, head.weight_count)
+    assert G.shape == (5, weight_count(head))
 
 
 # --- scoring -------------------------------------------------------------------
@@ -737,7 +737,7 @@ def test_score_batch_chunks_full_scale_images(monkeypatch):
     cnn = FineToCoarseCnn(CnnConfig(224), rng=np.random.default_rng(20))
     head = BayesianHead(cnn.feature_dim, hidden=8, dropout_rate=0.0,
                         rng=np.random.default_rng(21))
-    det = Detector(cnn=cnn, head=head, trained=True,
+    det = Detector(cnn=cnn, head=head, gamma=0.0,
                    norm=NormStats(mean=(0.5, 0.5, 0.5), std=(0.25, 0.25, 0.25)))
     rng = np.random.default_rng(22)
     pixels = [rng.random((3, 224, 224)) for _ in range(12)]

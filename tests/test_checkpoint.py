@@ -27,8 +27,7 @@ def _detector(seed=7, mode="variational", norm=_NORM, gamma=0.8125):
                         dropout_rate=0.25, rng=np.random.default_rng(seed + 1))
     cnn.bn_mean[:] = np.random.default_rng(seed + 2).normal(size=cnn.bn_mean.size)
     cnn.bn_var[:] = 1.0 + np.random.default_rng(seed + 3).random(cnn.bn_var.size)
-    return Detector(cnn=cnn, head=head, norm=norm, gamma=gamma, mode=mode,
-                    trained=gamma is not None)
+    return Detector(cnn=cnn, head=head, norm=norm, gamma=gamma, mode=mode)
 
 
 def test_round_trip_scores_bitwise(tmp_path):
@@ -38,7 +37,6 @@ def test_round_trip_scores_bitwise(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.gamma == det.gamma
     assert loaded.mode == "variational"
-    assert loaded.trained
     assert loaded.norm == det.norm
     assert loaded.head.alpha == det.head.alpha
     assert loaded.head.beta == det.head.beta
@@ -143,6 +141,9 @@ def test_rejects_future_version(tmp_path):
     lambda h: h["cnn"].update(extra=1),
     lambda h: h["head"].update(extra=1),
     lambda h: h["norm"].update(extra=1),
+    lambda h: h.update(trained=False),
+    lambda h: h.update(norm=None),
+    lambda h: h.update(gamma=None),
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
         "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
@@ -151,7 +152,7 @@ def test_rejects_future_version(tmp_path):
         "offset_not_int", "name_not_string", "norm_std_below_floor",
         "norm_mean_out_of_range", "filter_not_int", "bn_momentum_out_of_range",
         "bn_eps_infinite", "extra_key", "extra_cnn_key", "extra_head_key",
-        "extra_norm_key"])
+        "extra_norm_key", "trained_false", "norm_null", "gamma_null"])
 def test_rejects_malformed_header(tmp_path, edit):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
@@ -175,8 +176,7 @@ def test_rejects_consistent_non_preset_geometry(tmp_path, geometry):
     cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(5))
     head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(6))
     path = tmp_path / "model.bin"
-    save_checkpoint_v1(path, Detector(cnn=cnn, head=head, norm=_NORM, gamma=0.5,
-                                      mode="map", trained=True))
+    save_checkpoint_v1(path, Detector(cnn=cnn, head=head, norm=_NORM, gamma=0.5, mode="map"))
     with pytest.raises(CheckpointError, match="differs in cnn"):
         load_checkpoint(path)
 
@@ -214,9 +214,8 @@ def test_rejects_trailing_payload_byte(tmp_path):
         load_checkpoint(tmp_path / "long.bin")
 
 
-@pytest.mark.parametrize("detector", [_detector(), _detector(seed=9, mode="map",
-                                                              norm=None, gamma=None)],
-                         ids=["variational", "map_untrained"])
+@pytest.mark.parametrize("detector", [_detector(), _detector(seed=9, mode="map", gamma=-0.25)],
+                         ids=["variational", "map"])
 def test_first_release_checkpoint_loads(tmp_path, detector):
     """A file from the first format-1 writer, whose directory came from the
     detector's arrays, is byte for byte what ``save_checkpoint`` writes,
@@ -225,11 +224,10 @@ def test_first_release_checkpoint_loads(tmp_path, detector):
     save_checkpoint(tmp_path / "model.bin", detector)
     assert (tmp_path / "v1.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
     loaded = load_checkpoint(tmp_path / "v1.bin")
-    assert (loaded.norm, loaded.gamma, loaded.mode, loaded.trained) == \
-        (detector.norm, detector.gamma, detector.mode, detector.trained)
-    if detector.trained:
-        pixels = [np.random.default_rng(i).random((3, 32, 32)) for i in range(4)]
-        assert np.array_equal(detector.score_batch(pixels), loaded.score_batch(pixels))
+    assert (loaded.norm, loaded.gamma, loaded.mode) == \
+        (detector.norm, detector.gamma, detector.mode)
+    pixels = [np.random.default_rng(i).random((3, 32, 32)) for i in range(4)]
+    assert np.array_equal(detector.score_batch(pixels), loaded.score_batch(pixels))
 
 
 def test_rejects_non_finite_payload(tmp_path):
@@ -280,11 +278,11 @@ def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
         assert sum(np.shares_memory(arr, p.data) for arr in checked) == 1
 
 
-def _save_wide(path, norm=None) -> BayesianHead:
+def _save_wide(path) -> BayesianHead:
     """Save a checkpoint whose file is nearly all of a hidden = 4096 head."""
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(3))
     head = BayesianHead(cnn.feature_dim, hidden=4096, rng=np.random.default_rng(4))
-    save_checkpoint(path, Detector(cnn=cnn, head=head, norm=norm))
+    save_checkpoint(path, Detector(cnn=cnn, head=head, norm=_NORM, gamma=0.5))
     return head
 
 
@@ -309,12 +307,13 @@ def test_load_peak_allocation_bounded_by_file_size(tmp_path):
     lambda h: h["head"].update(alpha=float("nan")),
     lambda h: h["head"].update(dropout_rate=2),
     lambda h: h["norm"].update(std=[0, 1, 1]),
-], ids=["alpha_nan", "dropout_rate_2", "norm_std_zero"])
+    lambda h: h.update(norm=None),
+], ids=["alpha_nan", "dropout_rate_2", "norm_std_zero", "norm_null"])
 def test_bad_header_value_rejected_before_payload_read(tmp_path, edit):
     """Every header value is checked before any tensor is read, so a bad one
     costs a small fraction of the file, however wide the head."""
     path = tmp_path / "wide.bin"
-    _save_wide(path, norm=_NORM)
+    _save_wide(path)
     rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
     tracemalloc.start()
     try:

@@ -60,8 +60,7 @@ def test_train_outputs(trained_dir):
     lines = report.read_text().splitlines()
     assert lines[0] == "epoch,lr,train_loss,val_metric,snapshot_flag"
     assert 2 <= len(lines) <= 51
-    detector = load_checkpoint(ckpt)
-    assert detector.trained and detector.gamma is not None
+    assert np.isfinite(load_checkpoint(ckpt).gamma)
 
 
 def test_train_missing_real_dir(tmp_path, config_file):
@@ -69,6 +68,20 @@ def test_train_missing_real_dir(tmp_path, config_file):
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
                  "--config", str(config_file)])
     assert code == 2
+
+
+def test_train_without_validation_reals_exits_data_error(tmp_path, capsys):
+    """Three reals at split 0.9 all train, so no real is left to set the
+    threshold: even with no epochs to run, ``train`` writes no checkpoint."""
+    write_dataset(tmp_path / "data", 3, 0, size=32, seed=4)
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("epochs = 0\nbatch_size = 2\ninput_size = 32\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(tmp_path / "data"), "--out", str(out),
+                 "--config", str(cfg), "--split", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: validation split") and err.count("\n") == 1
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_train_determinism(toy_root, config_file, tmp_path):
@@ -352,12 +365,15 @@ def _header(edit):
     _header(lambda h: h.update(gamma=10**400)),
     _header(lambda h: h.update(mode=5)),
     _header(lambda h: h.update(trained="no")),
+    _header(lambda h: h.update(trained=False)),
+    _header(lambda h: h.update(norm=None)),
     lambda src, dst: poison_checkpoint_tensor(src, dst, "cnn.bn.running_var", -1.0),
 ], ids=["header_without_mode", "hidden_disagrees_with_tensors", "norm_std_zero",
         "norm_mean_short", "gamma_not_number", "dropout_out_of_range", "bn_eps_text",
         "bn_eps_null", "bn_eps_negative", "input_size_float", "geometry_not_a_preset",
         "beta_infinite", "gamma_past_float_range",
-        "mode_not_a_mode", "trained_not_bool", "bn_running_var_negative"])
+        "mode_not_a_mode", "trained_not_bool", "trained_false", "norm_null",
+        "bn_running_var_negative"])
 def test_score_malformed_checkpoint_exits_data_error(trained_dir, toy_root, tmp_path,
                                                      capsys, corrupt):
     bad = tmp_path / "bad.bin"

@@ -521,7 +521,7 @@ def test_load_dataset_listing_matches_pathlib(tmp_path, monkeypatch):
 def _toy_checkpoint(path):
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(6))
     head = BayesianHead(cnn.feature_dim, hidden=8, rng=np.random.default_rng(7))
-    save_checkpoint(path, Detector(cnn=cnn, head=head, gamma=0.0, trained=True,
+    save_checkpoint(path, Detector(cnn=cnn, head=head, gamma=0.0,
                                    norm=NormStats(mean=(0.5,) * 3, std=(0.25,) * 3)))
     return str(path)
 

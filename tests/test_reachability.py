@@ -1,6 +1,7 @@
 """The CLI reaches every function that ``synthdetect.tensor``,
-``synthdetect.model``, ``synthdetect.train`` and ``synthdetect.bayes`` define,
-apart from the few listed in ``NOT_RUN_BY_COMMANDS``.
+``synthdetect.model``, ``synthdetect.train``, ``synthdetect.bayes``,
+``synthdetect.checkpoint`` and ``synthdetect.evaluate`` define, apart from the
+few listed in ``NOT_RUN_BY_COMMANDS``.
 
 The tape carries what training and inference run and nothing more, the
 extractor has no geometry helper that only tests call, and the objectives
@@ -9,18 +10,19 @@ leave no helper behind. This runs ``train`` (map and variational), ``eval``,
 under ``sys.setprofile``, and requires that each function and method of each
 module was called, the closures and comprehensions nested in them (the ops'
 backward ``pull`` functions among them) included, so an op or method that no
-command runs fails it. Methods that ``dataclasses`` generates
-(``CnnConfig.__init__``, ``__eq__`` and the like) are not the module's own
-code and are left out.
+command runs fails it. A property or cached property counts by its getter.
+Methods that ``dataclasses`` generates (``CnnConfig.__init__``, ``__eq__`` and
+the like) are not the module's own code and are left out.
 """
 
+import functools
 import inspect
 import sys
 import types
 
 import pytest
 
-from synthdetect import bayes, model, tensor, train
+from synthdetect import bayes, checkpoint, evaluate, model, tensor, train
 from synthdetect.cli import main
 from synthdetect.textures import write_dataset
 
@@ -32,17 +34,25 @@ NOT_RUN_BY_COMMANDS = {
         # the Gauss-Newton predictive and its iterative reference: the
         # benchmark's variance32 workload and the tests run them, no command does
         "GaussNewtonCurvature.__init__", "GaussNewtonCurvature.__init__.<locals>.<listcomp>",
-        "GaussNewtonCurvature.factor", "GaussNewtonCurvature.matvec", "predictive",
+        "GaussNewtonCurvature.factor", "GaussNewtonCurvature.matvec",
+        "GaussNewtonCurvature.weights", "GaussNewtonCurvature.weights.<locals>.<listcomp>",
+        "predictive",
         "cg_solve", "per_sample_gradients", "per_sample_gradients.<locals>.<listcomp>",
         # the head's closed-form Jacobian, which only the curvature uses
         "BayesianHead.jacobian_products", "BayesianHead.jacobian_products.<locals>.jvp",
         "BayesianHead.jacobian_products.<locals>.vjp", "BayesianHead.gradient_coordinates",
-        "BayesianHead.gradient_gram", "BayesianHead.weight_count",
-        "BayesianHead.weight_count.<locals>.<genexpr>",
+        "BayesianHead.gradient_gram",
         # the message for weights of the wrong shapes, which the checkpoint
         # loader's header check rules out before any weight reaches the head
         "BayesianHead.__init__.<locals>.<listcomp>",
     },
+    checkpoint: {
+        # error paths: naming the first non-finite tensor, and listing the
+        # keys in which a rejected header differs from the rebuilt one
+        "_raise_non_finite", "_raise_non_finite.<locals>.<genexpr>",
+        "_declared_values.<locals>.<listcomp>",
+    },
+    evaluate: set(),
 }
 
 
@@ -64,6 +74,8 @@ def _defined_code(module) -> dict[types.CodeType, str]:
             for member in vars(obj).values():
                 if isinstance(member, property):
                     member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
                 member = getattr(member, "__func__", member)  # class/static methods
                 if inspect.isfunction(member):
                     funcs.append(member)
@@ -128,3 +140,11 @@ def test_cli_reaches_every_train_function(called):
 
 def test_cli_reaches_every_bayes_function(called):
     assert _unreached(bayes, called) == sorted(NOT_RUN_BY_COMMANDS[bayes])
+
+
+def test_cli_reaches_every_checkpoint_function(called):
+    assert _unreached(checkpoint, called) == sorted(NOT_RUN_BY_COMMANDS[checkpoint])
+
+
+def test_cli_reaches_every_evaluate_function(called):
+    assert _unreached(evaluate, called) == sorted(NOT_RUN_BY_COMMANDS[evaluate])
