@@ -120,7 +120,11 @@ def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats]:
     try:
         hparams = {k: header["head"][k] for k in HEAD_RULES}
         check_head_hparams(**hparams)
-        norm = NormStats(mean=tuple(header["norm"]["mean"]), std=tuple(header["norm"]["std"]))
+        norm = header["norm"]
+        try:
+            norm = NormStats(mean=tuple(norm["mean"]), std=tuple(norm["std"]))
+        except (TypeError, KeyError) as err:
+            raise ValueError(f"norm must hold 3 means and 3 stds, got {norm!r}") from err
         gamma, mode = header["gamma"], header["mode"]
         if not is_finite_real(gamma):
             raise ValueError(f"gamma must be a finite number, got {gamma!r}")

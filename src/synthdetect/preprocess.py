@@ -15,6 +15,7 @@ training splits contain real samples exclusively.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -28,6 +29,7 @@ SUPPORTED_EXTENSIONS = (".png", ".ppm")
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _BPP = 3  # bytes per 8-bit RGB pixel
+_SPAN = 511  # a - c and b - c of two bytes lie in -255..255
 # Largest width * height either decoder accepts, checked before any pixel
 # buffer is allocated or any image data inflated: 4096 x 4096.
 MAX_IMAGE_PIXELS = 1 << 24
@@ -237,77 +239,71 @@ def _decode_png(data: bytes) -> np.ndarray:
     if len(raw) < size or not inflater.eof:
         raise TruncatedFileError("PNG scanline data incomplete")
     scanlines = np.frombuffer(raw, dtype=np.uint8).reshape(height, 3 * width + 1)
-    return _unfilter(scanlines).reshape(height, width, 3).transpose(2, 0, 1)
+    img = np.zeros((height + 1, width, _BPP), dtype=np.uint8)  # row 0: the zeros above
+    band = max(width, 64)  # rows per wavefront, see _unfilter
+    for top in range(0, height, band):
+        _unfilter(scanlines[top:top + band], img[top:top + band + 1])
+    return img[1:].transpose(2, 0, 1)
 
 
-def _unfilter(scanlines: np.ndarray) -> np.ndarray:
+def _unfilter(scanlines: np.ndarray, img: np.ndarray) -> None:
     """Undo the PNG filter of each [filter byte, 3W filtered bytes] row of
-    ``scanlines`` into a [H, 3W] uint8 image. None, Sub and Up are whole-row
-    uint8 operations that wrap as PNG arithmetic does; Average and Paeth
-    predict each byte from the byte just decoded to its left, so they run
-    one channel at a time over Python ints."""
-    height, stride = scanlines.shape[0], scanlines.shape[1] - 1
-    img = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y, ftype in enumerate(scanlines[:, 0].tolist()):
-        line, row = scanlines[y, 1:], img[y]
-        if ftype == 0:
-            row[:] = line
-        elif ftype == 1:
-            np.cumsum(line.reshape(-1, _BPP), axis=0, dtype=np.uint8,
-                      out=row.reshape(-1, _BPP))
-        elif ftype == 2:
-            np.add(line, prev, out=row)
-        elif ftype in _LEFT_PREDICTORS:
-            predict = _LEFT_PREDICTORS[ftype]
-            decoded = bytearray(stride)
-            for k in range(_BPP):
-                decoded[k::_BPP] = predict(line[k::_BPP].tobytes(), prev[k::_BPP].tobytes())
-            row[:] = np.frombuffer(decoded, dtype=np.uint8)
-        else:
-            raise UnsupportedFormatError(f"unknown PNG filter type {ftype}")
-        prev = row
-    return img
+    ``scanlines`` into ``img[1:]``, [h, W, 3] uint8, below the decoded row
+    ``img[0]``, as one diagonal wavefront: pixel (y, x) is decoded at step
+    x + lag[y], where lag[y] is 0 on the first row and on a None or Sub row,
+    and lag[y - 1] + 1 on an Up, Average or Paeth row, so its left (a), up
+    (b) and up-left (c) neighbours come from the two steps before, and
+    ``lanes[s]``, step s - 2 of every row below ``img[0]``, makes them
+    contiguous slices. A None row is decoded as the Sub row of its byte
+    differences; every row adds to a the ``_predictor_table`` entry of
+    (kind, a - c, b - c), mod 256. Lanes before a row's first step stay 0,
+    as every predictor of a = b = c = 0 is 0. With h <= max(W, 64) the lag
+    is under h: lanes of at most about twice the rows' bytes (25 KB if
+    W < 64), and under W + h steps, however tall the image."""
+    height, width, filters = scanlines.shape[0], img.shape[1], scanlines[:, 0]
+    if filters.max() > 4:
+        raise UnsupportedFormatError(f"unknown PNG filter type {filters[filters > 4][0]}")
+    rows = np.arange(height)
+    lags = (rows - np.maximum.accumulate(np.where(filters <= 1, rows, 0))).tolist()
+    lanes = np.zeros((width + max(lags) + 2, height + 1, _BPP), dtype=np.uint8)
+    lanes[1:width + 1, 0] = img[0]
+    pixels = scanlines[:, 1:].reshape(height, width, _BPP)
+    for y, lag in enumerate(lags):
+        lanes[lag + 2:lag + 2 + width, y + 1] = pixels[y]
+    lanes[3:width + 2, 1:][:, filters == 0] -= pixels[filters == 0, :-1].transpose(1, 0, 2)
+    kinds = np.maximum(filters, 1).astype(np.int32) - 1
+    base = np.repeat(kinds * _SPAN ** 2 + 255 * (_SPAN + 1), _BPP).reshape(height, _BPP)
+    index, v = np.empty((2, height, _BPP), dtype=np.int32)
+    for s in range(2, len(lanes)):
+        a, b, c = lanes[s - 1, 1:], lanes[s - 1, :-1], lanes[s - 2, :-1]
+        np.subtract(a, c, out=index, dtype=np.int32)
+        np.subtract(b, c, out=v, dtype=np.int32)
+        index *= _SPAN
+        index += v
+        index += base
+        lane = lanes[s, 1:]
+        lane += a
+        lane += _predictor_table().take(index)  # of the flat table
+    for y, lag in enumerate(lags):
+        img[y + 1] = lanes[lag + 2:lag + 2 + width, y + 1]
 
 
-def _average_channel(filtered: bytes, up: bytes) -> list[int]:
-    """One channel of an Average-filtered row: left and up are the decoded
-    neighbours, the left one 0 at the row's first pixel."""
-    out = []
-    left = 0
-    for x, b in zip(filtered, up):
-        left = (x + ((left + b) >> 1)) & 0xFF
-        out.append(left)
-    return out
-
-
-def _paeth_channel(filtered: bytes, up: bytes) -> list[int]:
-    """One channel of a Paeth-filtered row: of left (a), up (b) and up-left
-    (c), the predictor is the one nearest a + b - c, ties going a, b, c."""
-    out = []
-    a = c = 0
-    for x, b in zip(filtered, up):
-        pa = b - c  # |p - a|, p = a + b - c
-        pb = a - c  # |p - b|
-        pc = pa + pb  # |p - c|
-        if pa < 0:
-            pa = -pa
-        if pb < 0:
-            pb = -pb
-        if pc < 0:
-            pc = -pc
-        if pa <= pb and pa <= pc:
-            a = (x + a) & 0xFF
-        elif pb <= pc:
-            a = (x + b) & 0xFF
-        else:
-            a = (x + c) & 0xFF
-        out.append(a)
-        c = b
-    return out
-
-
-_LEFT_PREDICTORS = {3: _average_channel, 4: _paeth_channel}
+@functools.cache
+def _predictor_table() -> np.ndarray:
+    """The read-only uint8 [4, 511, 511] table of each predictor minus a,
+    mod 256, at (kind, a - c + 255, b - c + 255): Sub 0, Up b - a, Average
+    (a + b) >> 1 - a and Paeth 0, b - a or c - a, whichever of a, b, c is
+    nearest a + b - c, ties going a, b, c. 1.04 MB, built once per process."""
+    v = np.arange(-255, 256, dtype=np.int16)  # b - c
+    table = np.empty((4, _SPAN, _SPAN), dtype=np.uint8)
+    for lo in range(0, _SPAN, 64):  # 64 values of a - c at a time: small temporaries
+        u = v[lo:lo + 64, None]  # a - c
+        up = v - u  # b - a; (a + b) >> 1 - a is (b - a) >> 1
+        pa, pb, pc = np.abs(v), np.abs(u), np.abs(u + v)  # |p - a|, |p - b|, |p - c|
+        paeth = np.where((pa <= pb) & (pa <= pc), 0, np.where(pb <= pc, up, -u))
+        table[:, lo:lo + 64] = np.stack([np.zeros_like(up), up, up >> 1, paeth])  # wraps
+    table.flags.writeable = False
+    return table
 
 
 # --- pipeline ---------------------------------------------------------------

@@ -110,6 +110,15 @@ def test_rejects_future_version(tmp_path):
         load_checkpoint(tmp_path / "future.bin")
 
 
+# the reason a rejection gives where a bare KeyError or TypeError would not
+# name the key it is about
+_NAMED_REASONS = {
+    "no_norm_std": r"norm must hold 3 means and 3 stds, got \{'mean': \[",
+    "norm_null": r"norm must hold 3 means and 3 stds, got None",
+    "norm_not_object": r"norm must hold 3 means and 3 stds, got \[0.5, 0.5, 0.5\]",
+}
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("tensors"),
     lambda h: h["cnn"].pop("kernel"),
@@ -144,6 +153,7 @@ def test_rejects_future_version(tmp_path):
     lambda h: h.update(trained=False),
     lambda h: h.update(norm=None),
     lambda h: h.update(gamma=None),
+    lambda h: h.update(norm=[0.5, 0.5, 0.5]),
 ], ids=["no_tensors", "no_kernel", "no_norm_std", "zero_stride", "filters_decrease",
         "d_in_mismatch", "hidden_not_int", "missing_tensor", "wrong_shape",
         "negative_offset", "norm_std_zero", "norm_mean_short", "gamma_not_number",
@@ -152,12 +162,12 @@ def test_rejects_future_version(tmp_path):
         "offset_not_int", "name_not_string", "norm_std_below_floor",
         "norm_mean_out_of_range", "filter_not_int", "bn_momentum_out_of_range",
         "bn_eps_infinite", "extra_key", "extra_cnn_key", "extra_head_key",
-        "extra_norm_key", "trained_false", "norm_null", "gamma_null"])
-def test_rejects_malformed_header(tmp_path, edit):
+        "extra_norm_key", "trained_false", "norm_null", "gamma_null", "norm_not_object"])
+def test_rejects_malformed_header(tmp_path, edit, request):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
     rewrite_checkpoint_header(path, tmp_path / "bad.bin", edit)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=_NAMED_REASONS.get(request.node.callspec.id)):
         load_checkpoint(tmp_path / "bad.bin")
 
 

@@ -1,16 +1,19 @@
 """The CLI reaches every function that ``synthdetect.tensor``,
 ``synthdetect.model``, ``synthdetect.train``, ``synthdetect.bayes``,
-``synthdetect.checkpoint`` and ``synthdetect.evaluate`` define, apart from the
-few listed in ``NOT_RUN_BY_COMMANDS``.
+``synthdetect.checkpoint``, ``synthdetect.evaluate`` and
+``synthdetect.preprocess`` define, apart from the few listed in
+``NOT_RUN_BY_COMMANDS``.
 
 The tape carries what training and inference run and nothing more, the
 extractor has no geometry helper that only tests call, and the objectives
 leave no helper behind. This runs ``train`` (map and variational), ``eval``,
-``score`` and a blur ``perturb`` through ``cli.main`` on a tiny 32 px corpus
-under ``sys.setprofile``, and requires that each function and method of each
+``score`` and a blur ``perturb`` through ``cli.main`` on a tiny 32 px corpus,
+and ``score`` on PNGs whose rows use all five scanline filters, under
+``sys.setprofile``, and requires that each function and method of each
 module was called, the closures and comprehensions nested in them (the ops'
 backward ``pull`` functions among them) included, so an op or method that no
-command runs fails it. A property or cached property counts by its getter.
+command runs fails it. A property or cached property counts by its getter, a
+cached function by the function it wraps.
 Methods that ``dataclasses`` generates (``CnnConfig.__init__``, ``__eq__`` and
 the like) are not the module's own code and are left out.
 """
@@ -20,11 +23,14 @@ import inspect
 import sys
 import types
 
+import numpy as np
 import pytest
 
-from synthdetect import bayes, checkpoint, evaluate, model, tensor, train
+from synthdetect import bayes, checkpoint, evaluate, model, preprocess, tensor, train
 from synthdetect.cli import main
 from synthdetect.textures import write_dataset
+
+from imageio import write_png
 
 NOT_RUN_BY_COMMANDS = {
     tensor: {"Tensor.__repr__"},
@@ -53,6 +59,7 @@ NOT_RUN_BY_COMMANDS = {
         "_declared_values.<locals>.<listcomp>",
     },
     evaluate: set(),
+    preprocess: set(),
 }
 
 
@@ -68,6 +75,7 @@ def _defined_code(module) -> dict[types.CodeType, str]:
     file defines."""
     funcs = []
     for obj in vars(module).values():
+        obj = inspect.unwrap(obj) if callable(obj) else obj  # functools.cache
         if inspect.isfunction(obj) and obj.__module__ == module.__name__:
             funcs.append(obj)
         elif inspect.isclass(obj) and obj.__module__ == module.__name__:
@@ -94,6 +102,12 @@ def called(tmp_path_factory) -> set[types.CodeType]:
                       "metric_sample_cap = 8\n")
     variational = tmp_path / "variational.cfg"
     variational.write_text(config.read_text() + "inference_mode = variational\n")
+    pngs = tmp_path / "pngs"
+    pngs.mkdir()
+    rng = np.random.default_rng(7)
+    for k in range(2):
+        pixels = rng.integers(0, 256, (34, 33, 3), dtype=np.uint8)
+        (pngs / f"{k}.png").write_bytes(write_png(pixels, filters=list(rng.permutation(34) % 5)))
     run = tmp_path / "run"
     commands = [
         ["train", "--data", str(root), "--out", str(tmp_path / "vi"),
@@ -103,11 +117,14 @@ def called(tmp_path_factory) -> set[types.CodeType]:
          "--out", str(tmp_path / "eval"), "--split", "0.5"],
         ["score", "--checkpoint", str(run / "checkpoint.bin"), "--out",
          str(tmp_path / "scores.csv"), str(root / "real")],
+        ["score", "--checkpoint", str(run / "checkpoint.bin"), "--out",
+         str(tmp_path / "png_scores.csv"), str(pngs)],
         ["perturb", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(root),
          "--transform", "blur", "--grid", "0,1", "--split", "0.5",
          "--out", str(tmp_path / "blur.csv")],
     ]
     called = set()
+    preprocess._predictor_table.cache_clear()  # as in a fresh process: score builds it
 
     def profile(frame, event, arg):
         if event == "call":
@@ -148,3 +165,7 @@ def test_cli_reaches_every_checkpoint_function(called):
 
 def test_cli_reaches_every_evaluate_function(called):
     assert _unreached(evaluate, called) == sorted(NOT_RUN_BY_COMMANDS[evaluate])
+
+
+def test_cli_reaches_every_preprocess_function(called):
+    assert _unreached(preprocess, called) == sorted(NOT_RUN_BY_COMMANDS[preprocess])
