@@ -451,12 +451,15 @@ def score_chunk(side: int) -> int:
 def posterior_scores(cnn: "FineToCoarseCnn", head, batch: np.ndarray) -> np.ndarray:
     """Posterior scores (inference-mode predictive means at the current head
     weights, i.e. the q means under variational training) of a preprocessed
-    [N,3,S,S] batch, run ``score_chunk(S)`` images at a time."""
+    [N,3,S,S] batch, run ``score_chunk(S)`` images at a time. The one finite
+    check of the pass: a non-finite score raises ``FloatingPointError``."""
     chunk = score_chunk(batch.shape[-1])
     out = np.empty(batch.shape[0])
     for start in range(0, batch.shape[0], chunk):
         z = cnn.forward_features(Tensor(batch[start:start + chunk]), training=False)
         out[start:start + z.shape[0]] = head.forward(z, training=False).data
+    if not np.isfinite(out).all():
+        raise FloatingPointError("posterior scores hold non-finite values")
     return out
 
 

@@ -15,7 +15,8 @@ values, and accepts the file only if the two are equal as sorted, compact
 JSON and the payload is exactly as long as the directory's tensors. So a
 header has no unknown key, lists the tensors in the one order the writer
 uses, and spells each value as the writer does (0 is not 0.0, true is not
-1). All of this is checked before any payload byte is read.
+1). All of this is checked before any payload byte is read. Each tensor is
+then checked finite as it is read, and the first that is not is named.
 
 A checkpoint holds what ``train`` makes, so its header always has a norm
 object, a finite ``gamma`` and ``"trained": true``. A null norm or threshold,
@@ -37,7 +38,6 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -144,18 +144,11 @@ def _declared_values(header) -> tuple[FineToCoarseCnn, dict, NormStats]:
     return cnn, hparams, norm
 
 
-def _raise_non_finite(tensors: dict[str, np.ndarray]) -> NoReturn:
-    """Name the first non-finite tensor. Only runs once the model has refused
-    one, so a checkpoint that loads has each tensor checked exactly once."""
-    bad = next(name for name, arr in tensors.items() if not np.isfinite(arr).all())
-    raise CheckpointError(f"checkpoint tensor {bad} holds non-finite values")
-
-
 def load_checkpoint(path: str | os.PathLike) -> Detector:
     """Read the header and check it whole (see the module docstring), then
     read the tensors one after another, each straight into its own array,
-    which the model takes over without a copy. The model's own finite checks
-    cover the payload."""
+    which is checked finite as it is read and which the model takes over
+    without a copy."""
     with open(path, "rb") as fh:
         prefix = fh.read(20)
         if prefix[:8] != MAGIC or len(prefix) < 20:
@@ -181,6 +174,8 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
             arr = np.empty(entry["shape"], dtype="<f8")
             if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise CheckpointError("checkpoint payload truncated")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"checkpoint tensor {entry['name']} holds non-finite values")
             tensors[entry["name"]] = arr
     try:
         head = BayesianHead(cnn.feature_dim, **hparams,
@@ -188,8 +183,6 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
                                      if name.startswith("head.")])
         cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                                if name.startswith("cnn.")})
-    except FloatingPointError:
-        _raise_non_finite(tensors)
     except ValueError as err:
         raise CheckpointError(f"checkpoint cnn is malformed: {err}") from err
     return Detector(cnn=cnn, head=head, norm=norm, gamma=header["gamma"], mode=header["mode"])

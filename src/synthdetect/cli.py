@@ -7,7 +7,8 @@ separators, '.' decimals and LF line endings, written atomically next to the
 checkpoint.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad input, or a path
-the operating system refuses to read or write), 3 numerical failure.
+the operating system refuses to read or write), 3 numerical failure. Each
+failure is one stderr line: a command runs under ``np.errstate(all="ignore")``.
 
 ``main`` first pins glibc's malloc thresholds for the whole process: the mmap
 threshold to ``MMAP_THRESHOLD`` and then, only if glibc took that, the trim
@@ -220,11 +221,15 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_and_split(args):
+    """Check ``--split`` and ``--seed``, then load the checkpoint and the split."""
     _check_split_seed(args.split, args.seed)
     detector = load_checkpoint(args.checkpoint)
-    records = load_dataset(args.data)
-    split = make_split(records, args.split, args.seed)
+    return detector, make_split(load_dataset(args.data), args.split, args.seed)
+
+
+def cmd_eval(args) -> int:
+    detector, split = _checkpoint_and_split(args)
     report = evaluate(split, detector)
     out = Path(args.out)
     _write_text(out / "eval_report.csv", report_csv(report))
@@ -248,10 +253,7 @@ def cmd_perturb(args) -> int:
             check_parameter(args.transform, parameter)
     except PerturbError as err:
         raise UsageError(str(err)) from err
-    _check_split_seed(args.split, args.seed)
-    detector = load_checkpoint(args.checkpoint)
-    records = load_dataset(args.data)
-    split = make_split(records, args.split, args.seed)
+    detector, split = _checkpoint_and_split(args)
     results = perturbation_sweep(split, detector, args.transform, grid)
     content = sweep_csv(args.transform, results)
     if args.out:
@@ -305,7 +307,8 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

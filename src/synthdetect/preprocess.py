@@ -234,6 +234,7 @@ def _decode_png(data: bytes) -> np.ndarray:
         excess = inflater.decompress(inflater.unconsumed_tail, 1)
     except zlib.error as err:
         raise TruncatedFileError(f"PNG deflate stream corrupt: {err}") from err
+    del idat  # the compressed copy need not live beside the unfilter
     if excess:
         raise CorruptFileError("PNG image data is longer than its declared size")
     if len(raw) < size or not inflater.eof:

@@ -16,6 +16,10 @@ Tensors are immutable values: no operation touches an operand's buffer.
 Parameter updates go through :meth:`Tensor.assign`, which requires exclusive
 access (single-threaded training steps). Tapes are kept on a thread-local
 stack, so independent tapes may run concurrently on disjoint data.
+
+Finiteness is checked where a value enters, by ``Tensor(data)`` and ``assign``.
+``adopt`` and the ops check nothing: an overflow in the network shows where it
+reaches the objective or a score (``bayes``), unless a sigmoid absorbs it.
 """
 
 from __future__ import annotations
@@ -62,21 +66,19 @@ def _tape_stack() -> list["GradTape"]:
     return stack
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, checked finite and made read-only."""
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which must hold only finite values."""
     if not np.isfinite(arr).all():
         raise FloatingPointError("tensor contains non-finite values")
-    arr.setflags(write=False)
     return arr
 
 
 def _owned(arr) -> np.ndarray:
-    """``arr`` itself as a checked, read-only float64 buffer; copied only when
-    it is not already a C-contiguous float64 array."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    return _frozen(arr)
+    """``arr`` itself as a read-only float64 buffer; copied only when it is
+    not already a C-contiguous float64 array."""
+    arr = np.asarray(arr, dtype=np.float64, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 class Tensor:
@@ -86,7 +88,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         # copy: caller keeps its buffer
-        self.data: np.ndarray = _frozen(np.array(data, dtype=np.float64))
+        self.data: np.ndarray = _owned(_finite(np.array(data, dtype=np.float64)))
         self.requires_grad = requires_grad
         self.uid = next(_uids)
 
@@ -100,9 +102,9 @@ class Tensor:
 
     @classmethod
     def adopt(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """Wrap ``arr`` itself, without the copy ``Tensor(arr)`` makes; the
-        caller (an op, or a caller that made a private buffer) hands it over
-        and must not write to it again."""
+        """Wrap ``arr`` itself, without the copy or the finite check
+        ``Tensor(arr)`` makes; the caller (an op, or a caller that made a
+        private buffer) hands it over and must not write to it again."""
         t = cls.__new__(cls)
         t.data = _owned(arr)
         t.requires_grad = requires_grad
@@ -112,11 +114,11 @@ class Tensor:
     def assign(self, arr) -> None:
         """Replace the value (parameter update; exclusive access), taking
         ``arr`` over as :meth:`adopt` does: the caller must not write to it
-        again."""
+        again, and a non-finite ``arr`` raises FloatingPointError."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
-        self.data = _owned(arr)
+        self.data = _owned(_finite(arr))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -38,7 +38,7 @@ from .tensor import GradTape, Tensor, backward
 
 
 class TrainingDivergedError(ArithmeticError):
-    """The loss went non-finite; learning rate or data needs attention."""
+    """An epoch went non-finite; learning rate or data needs attention."""
 
 
 @dataclass
@@ -200,18 +200,17 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
                 losses.append(value * scale)
                 for p in trainable:
                     p.assign(p.data - lr * grads[p.uid])
+            # provisional threshold: the configured percentile of training
+            # scores, floored at half the target so retention reflects fit
+            # progress until scores actually reach the target's neighborhood
+            # (an unanchored percentile is maximized by an untrained model)
+            gamma_e = max(select_threshold(posterior_scores(cnn, head, x_sub),
+                                           cfg.percentile), 0.5 * cfg.target)
+            metric = _retention(posterior_scores(cnn, head, x_metric), gamma_e)
+            proxy = _retention(posterior_scores(cnn, head, x_proxy), gamma_e)
         except FloatingPointError as err:
             raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch} (lr={lr:.3e}): {err}") from err
-
-        # provisional threshold: the configured percentile of training scores,
-        # floored at half the target so retention reflects fit progress until
-        # scores actually reach the target's neighborhood (an unanchored
-        # percentile is maximized by an untrained model)
-        gamma_e = max(select_threshold(posterior_scores(cnn, head, x_sub),
-                                       cfg.percentile), 0.5 * cfg.target)
-        metric = _retention(posterior_scores(cnn, head, x_metric), gamma_e)
-        proxy = _retention(posterior_scores(cnn, head, x_proxy), gamma_e)
+                f"training diverged at epoch {epoch} (lr={lr:.3e}): {err}") from err
         gap = abs(proxy - metric)
         snap = metric >= report.best_metric + cfg.improvement_threshold
         if snap:

@@ -249,9 +249,12 @@ def test_rejects_non_finite_payload(tmp_path):
         load_checkpoint(tmp_path / "nan.bin")
 
 
-@pytest.mark.parametrize("name", ["cnn.conv1.kernels", "cnn.bn.running_var",
-                                  "head.fc1.weights", "head.fc2.bias"])
+@pytest.mark.parametrize("name", [
+    *(f"cnn.conv{i}.{kind}" for i in (1, 2, 3) for kind in ("kernels", "bias")),
+    "cnn.bn.scale", "cnn.bn.shift", "cnn.bn.running_mean", "cnn.bn.running_var",
+    "head.fc1.weights", "head.fc1.bias", "head.fc2.weights", "head.fc2.bias"])
 def test_non_finite_payload_names_its_tensor(tmp_path, name):
+    """Each of the 14 tensors a checkpoint holds is checked as it is read."""
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
     poison_checkpoint_tensor(path, tmp_path / "nan.bin", name)
@@ -272,7 +275,8 @@ def test_rejects_negative_running_variance(tmp_path):
 
 def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
     """The head adopts the arrays read from the file; the one finite check
-    each gets is the head's own, not a second one in the loader."""
+    each gets is the loader's, as it reads them, not a second one in the
+    head."""
     path = tmp_path / "model.bin"
     save_checkpoint(path, _detector())
     checked = []

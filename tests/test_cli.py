@@ -15,8 +15,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import synthdetect
 from synthdetect import cli
+from synthdetect import tensor as T
 from synthdetect.cli import main
-from synthdetect.checkpoint import load_checkpoint
+from synthdetect.checkpoint import load_checkpoint, save_checkpoint
+from synthdetect.preprocess import image_paths, load_image
+from synthdetect.tensor import Tensor
 from synthdetect.textures import write_dataset
 from synthdetect.train import TrainConfig
 
@@ -403,6 +406,86 @@ def test_score_nan_head_weight_names_tensor(trained_dir, toy_root, tmp_path, cap
     assert err == "data error: checkpoint tensor head.fc1.weights holds non-finite values\n"
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this package, so
+    that its stderr is what a user sees: warnings included, which pytest
+    would capture here."""
+    package_root = Path(synthdetect.__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))})
+
+
+def _overflowing_head(src, dst) -> None:
+    """A checkpoint of finite values whose every score is +inf: the first
+    hidden unit is about 1e308, and so is its output weight."""
+    poison_checkpoint_tensor(src, dst, "head.fc1.bias", 1e308)
+    poison_checkpoint_tensor(dst, dst, "head.fc2.weights", 1e308)
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_non_finite_scores_exit_numerical_failure(trained_dir, toy_root, tmp_path, command):
+    """Finite weights whose scores overflow: exit 3, with one line and no
+    numpy warning on stderr."""
+    bad = tmp_path / "inf.bin"
+    _overflowing_head(trained_dir / "checkpoint.bin", bad)
+    args = {"score": [str(toy_root / "real")],
+            "eval": ["--data", str(toy_root), "--out", str(tmp_path / "eval"),
+                     "--split", "0.5"]}[command]
+    proc = _python("-m", "synthdetect", command, "--checkpoint", str(bad), *args)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["map", "variational"])
+def test_train_divergence_exits_numerical_failure_naming_epoch(toy_root, config_file,
+                                                               tmp_path, mode):
+    """At lr0 = 1e6 the first steps diverge, wherever in the epoch that shows:
+    one line that names the epoch and its learning rate, and no checkpoint."""
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(config_file.read_text() + f"lr0 = 1e6\ninference_mode = {mode}\n")
+    out = tmp_path / "run"
+    proc = _python("-m", "synthdetect", "train", "--data", str(toy_root), "--out", str(out),
+                   "--config", str(cfg))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: training diverged at "
+                                  "epoch 0 (lr=1.000e+06): ")
+    assert proc.stderr.count("\n") == 1
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_overflowing_conv_scores_finite(trained_dir, toy_root, tmp_path, capsys):
+    """Kernels scaled by 1e308 overflow some stage-1 conv outputs to +-inf,
+    but the sigmoid takes them to 0 or 1, so every score is finite and
+    ``score`` succeeds: a non-finite value is reported where it reaches a
+    score, not inside the network."""
+    detector = load_checkpoint(trained_dir / "checkpoint.bin")
+    kernels = detector.cnn.kernels[0]
+    kernels.assign(kernels.data * 1e308)
+    save_checkpoint(tmp_path / "big.bin", detector)
+    paths = image_paths(toy_root / "real")
+    batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths]))
+    cfg = detector.cnn.config
+    with np.errstate(over="ignore"):
+        conv = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel, 1), kernels,
+                              detector.cnn.biases[0], cfg.pool_stride)
+    assert np.isinf(conv.data).any()
+    assert main(["score", "--checkpoint", str(tmp_path / "big.bin"),
+                 str(toy_root / "real")]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == len(paths) and all(np.isfinite(float(row[1])) for row in rows)
+
+
+def test_numpy_error_state_left_as_found():
+    """Importing the package sets no numpy error state, and ``main`` restores
+    the one it found once its command ends."""
+    proc = _python("-c", "import numpy as np; found = np.geterr(); "
+                   "import synthdetect.cli as c; imported = np.geterr(); "
+                   "c.main(['frobnicate']); print(found == imported == np.geterr())")
+    assert proc.stdout == "True\n", proc.stderr
+
+
 @pytest.mark.parametrize("lines", [
     "alpha = nan", "alpha = -1", "beta = inf", "seed = -1",
     "n_mc = 0\ninference_mode = variational", "hidden = 0", "percentile = 90",
@@ -472,14 +555,10 @@ def test_perturb_does_not_refault_freed_heap(tmp_path):
     cfg.write_text("input_size = 32\nbatch_size = 32\nepochs = 1\n")
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                  "--config", str(cfg), "--seed", "0"]) == 0
-    package_root = Path(synthdetect.__file__).parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", _THIRD_CALL_FAULTS, "perturb", "--checkpoint",
-         str(tmp_path / "run" / "checkpoint.bin"), "--data", str(data),
-         "--transform", "blur", "--grid", "0,0.5,1,2", "--out", str(tmp_path / "blur.csv")],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))})
+    proc = _python("-c", _THIRD_CALL_FAULTS, "perturb", "--checkpoint",
+                   str(tmp_path / "run" / "checkpoint.bin"), "--data", str(data),
+                   "--transform", "blur", "--grid", "0,0.5,1,2",
+                   "--out", str(tmp_path / "blur.csv"))
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
 

@@ -367,10 +367,12 @@ def test_decode_raster_memory_below_the_float_image(height, width):
     pixel wide (128 bands of 64 rows, where a single wavefront would hold
     8,194 x 8,193 x 3 bytes of lanes), the decode peaks below the 8 bytes
     per sample of the float64 image that ``decode_image`` makes. Measured:
-    5.1x and 4.8x the raster; at 512 x 512 the uint8 lanes are 2.0x, and
-    the compressed and inflated scanlines and the output about 1x each. The
-    1.04 MB predictor table is built once per process, so a decode before
-    the measured one builds it."""
+    4.1x and 3.6x the raster; at 512 x 512 the uint8 lanes are 2.0x, and
+    the inflated scanlines and the output about 1x each. The compressed
+    copy of the IDAT chunks, about 1x more, is released before the
+    unfilter: kept, the peaks were 5.1x and 4.7x. The 1.04 MB predictor
+    table is built once per process, so a decode before the measured one
+    builds it."""
     px = np.random.default_rng(512).integers(0, 256, size=(height, width, 3), dtype=np.uint8)
     data = write_png(px, filters=[2] * height)
     decode_raster(write_png(px[:2, :1], filters=[2, 2]))
@@ -381,7 +383,7 @@ def test_decode_raster_memory_below_the_float_image(height, width):
     finally:
         tracemalloc.stop()
     assert np.array_equal(raster, px.transpose(2, 0, 1))
-    assert peak < 8 * raster.size
+    assert peak < 4.5 * raster.size  # the float64 image would be 8x
 
 
 @pytest.mark.parametrize("ftype", [5, 255])

@@ -1,19 +1,20 @@
 """The CLI reaches every function that ``synthdetect.tensor``,
 ``synthdetect.model``, ``synthdetect.train``, ``synthdetect.bayes``,
-``synthdetect.checkpoint``, ``synthdetect.evaluate`` and
-``synthdetect.preprocess`` define, apart from the few listed in
-``NOT_RUN_BY_COMMANDS``.
+``synthdetect.checkpoint``, ``synthdetect.evaluate``,
+``synthdetect.preprocess``, ``synthdetect.perturb`` and ``synthdetect.cli``
+define, apart from the few listed in ``NOT_RUN_BY_COMMANDS``.
 
 The tape carries what training and inference run and nothing more, the
 extractor has no geometry helper that only tests call, and the objectives
 leave no helper behind. This runs ``train`` (map and variational), ``eval``,
-``score`` and a blur ``perturb`` through ``cli.main`` on a tiny 32 px corpus,
-and ``score`` on PNGs whose rows use all five scanline filters, under
-``sys.setprofile``, and requires that each function and method of each
-module was called, the closures and comprehensions nested in them (the ops'
-backward ``pull`` functions among them) included, so an op or method that no
-command runs fails it. A property or cached property counts by its getter, a
-cached function by the function it wraps.
+``score``, a blur, a jpeg and a resize ``perturb`` and one usage error
+through ``cli.main`` on a tiny 32 px corpus, and ``score`` on PNGs whose
+rows use all five scanline filters, under ``sys.setprofile``, and requires
+that each function and method of each module was called, the closures and
+comprehensions nested in them (the ops' backward ``pull`` functions among
+them) included, so an op or method that no command runs fails it. A
+property or cached property counts by its getter, a cached function by the
+function it wraps.
 Methods that ``dataclasses`` generates (``CnnConfig.__init__``, ``__eq__`` and
 the like) are not the module's own code and are left out.
 """
@@ -26,7 +27,7 @@ import types
 import numpy as np
 import pytest
 
-from synthdetect import bayes, checkpoint, evaluate, model, preprocess, tensor, train
+from synthdetect import bayes, checkpoint, cli, evaluate, model, perturb, preprocess, tensor, train
 from synthdetect.cli import main
 from synthdetect.textures import write_dataset
 
@@ -53,13 +54,16 @@ NOT_RUN_BY_COMMANDS = {
         "BayesianHead.__init__.<locals>.<listcomp>",
     },
     checkpoint: {
-        # error paths: naming the first non-finite tensor, and listing the
-        # keys in which a rejected header differs from the rebuilt one
-        "_raise_non_finite", "_raise_non_finite.<locals>.<genexpr>",
+        # error path: the keys in which a rejected header differs from the
+        # rebuilt one
         "_declared_values.<locals>.<listcomp>",
     },
     evaluate: set(),
     preprocess: set(),
+    # runs once, as the module is imported, before any command
+    perturb: {"_dct_matrix"},
+    # the console script, which calls ``main`` and exits the process
+    cli: {"entry"},
 }
 
 
@@ -119,12 +123,17 @@ def called(tmp_path_factory) -> set[types.CodeType]:
          str(tmp_path / "scores.csv"), str(root / "real")],
         ["score", "--checkpoint", str(run / "checkpoint.bin"), "--out",
          str(tmp_path / "png_scores.csv"), str(pngs)],
-        ["perturb", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(root),
-         "--transform", "blur", "--grid", "0,1", "--split", "0.5",
-         "--out", str(tmp_path / "blur.csv")],
+        *(["perturb", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(root),
+           "--transform", transform, "--grid", grid, "--split", "0.5",
+           "--out", str(tmp_path / f"{transform}.csv")]
+          for transform, grid in [("blur", "0,1"), ("jpeg", "50"), ("resize", "0.5")]),
+        ["score"],  # a usage error: no checkpoint, no images
     ]
     called = set()
-    preprocess._predictor_table.cache_clear()  # as in a fresh process: score builds it
+    # as in a fresh process: score builds the table, perturb its operators
+    for cached in (preprocess._predictor_table, perturb._blur_operator,
+                   perturb._quant_tables, perturb._resize_operator):
+        cached.cache_clear()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -135,7 +144,7 @@ def called(tmp_path_factory) -> set[types.CodeType]:
         codes = [main(argv) for argv in commands]
     finally:
         sys.setprofile(None)
-    assert codes == [0] * len(commands)
+    assert codes == [0] * (len(commands) - 1) + [1]
     return called
 
 
@@ -169,3 +178,11 @@ def test_cli_reaches_every_evaluate_function(called):
 
 def test_cli_reaches_every_preprocess_function(called):
     assert _unreached(preprocess, called) == sorted(NOT_RUN_BY_COMMANDS[preprocess])
+
+
+def test_cli_reaches_every_perturb_function(called):
+    assert _unreached(perturb, called) == sorted(NOT_RUN_BY_COMMANDS[perturb])
+
+
+def test_cli_reaches_every_cli_function(called):
+    assert _unreached(cli, called) == sorted(NOT_RUN_BY_COMMANDS[cli])

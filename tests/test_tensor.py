@@ -29,6 +29,23 @@ def test_tensor_rejects_non_finite():
         Tensor([np.nan])
 
 
+def test_assign_rejects_non_finite():
+    """A diverging parameter update stops at the step that makes it."""
+    t = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(FloatingPointError):
+        t.assign(np.array([1.0, np.inf]))
+    assert np.array_equal(t.data, [1.0, 2.0])
+
+
+def test_ops_pass_non_finite_values_through():
+    """Only where a value enters is it checked: an op's overflow is a value
+    like any other, and the sigmoid takes it to 0 or 1."""
+    with np.errstate(over="ignore"):
+        out = linear(Tensor([[2.0], [-2.0]]), Tensor([[1e308]]), Tensor([0.0]))
+    assert np.array_equal(out.data, [[np.inf], [-np.inf]])
+    assert np.array_equal(sigmoid(out).data, [[1.0], [0.0]])
+
+
 def test_tensor_is_isolated_from_caller_buffer():
     buf = np.ones(3)
     t = Tensor(buf)
