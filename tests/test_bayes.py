@@ -23,7 +23,14 @@ from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
 from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
 
-from helpers import assert_grads_close, fd_gradient, flat_weights, set_flat_weights, weight_count
+from helpers import (
+    assert_grads_close,
+    fd_gradient,
+    fd_gradient_coords,
+    flat_weights,
+    set_flat_weights,
+    weight_count,
+)
 from oracles import LinearHead, gauss_newton_dense, log_likelihood, log_prior
 
 
@@ -672,6 +679,34 @@ def test_elbo_gradient_matches_fd_fixed_noise():
     numeric = fd_gradient(lambda: build()[0], params)
     for p, num in zip(params, numeric):
         assert_grads_close(analytic[p.uid], num)
+
+
+def test_elbo_gradient_through_the_extractor_matches_fd():
+    """At n_mc = 2 both samples' head cotangents reach the shared features,
+    so the extractor's gradient sums them; the q gradients sum the samples'
+    weight gradients. Fixed eps and dropout seeds make the bound a
+    deterministic function of every weight."""
+    cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(60))
+    head = BayesianHead(cnn.feature_dim, hidden=8, alpha=0.5, beta=3.0, dropout_rate=0.5,
+                        rng=np.random.default_rng(61))
+    q = VariationalPosterior(head, init_log_std=-1.5)
+    x = Tensor(np.random.default_rng(62).random((4, 3, 32, 32)))
+    y = np.ones(4)
+
+    def build():
+        z = cnn.forward_features(x, training=True)
+        return elbo(head, q, z, y, 0.5, 3.0, n_mc=2, rng=np.random.default_rng(63),
+                    training=True, dropout_rng=np.random.default_rng(64))
+
+    with GradTape() as tape:
+        _, seeds, weight_gradients = build()
+    grads = backward(seeds, tape)
+    grads.update(weight_gradients(grads))
+    rng = np.random.default_rng(65)
+    for p in [p for _, p in cnn.parameters()] + q.parameters():
+        coords = rng.choice(p.data.size, size=min(8, p.data.size), replace=False)
+        numeric = fd_gradient_coords(lambda: build()[0], p, coords)
+        assert_grads_close(grads[p.uid].reshape(-1)[coords], numeric)
 
 
 def test_elbo_ascent_on_conjugate_problem():
