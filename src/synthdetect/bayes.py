@@ -12,16 +12,20 @@ a Gauss-Newton curvature approximation, giving the input-dependent variance
 A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
-Both objectives have closed-form gradients, so the autodiff tape records only
-the network. Each returns its value, the cotangents of the head outputs it
-read, which seed ``backward``, and a map from ``backward``'s result to the
-gradients of the weights it regularizes: beta * (f - y) and alpha * w for
-MAP; for the ELBO
--beta * (f - y) / n_mc per sample, alpha * m + sum(g) for the q means and
-alpha * sigma^2 - 1 + sum(g * eps * sigma) for the log-stds, g being a sampled
-weight's tape gradient. Each sum is taken in the order a product rule gives
-it (g*r + g*r for a square; the KL term, then the samples from the last to
-the first), which keeps trained weights bit-identical to a tape-recorded loss.
+Both objectives have closed-form gradients, so only the network is pulled
+back (``tensor.backward``), and gradients are keyed by parameter name.
+``map_objective`` returns its value, the cotangent beta * (f - y) of the head
+outputs it read, which seeds the step's one ``backward``, and a map from that
+result to the gradients of the weights it regularizes (alpha * w added).
+``elbo`` pulls each sample's head chain itself, from the cotangent
+-beta * (f - y) / n_mc, and returns the features' cotangent, the sum of the
+samples', with the q gradients: alpha * m + sum(g) for the means and
+alpha * sigma^2 - 1 + sum(g * eps * sigma) for the log-stds, g being a
+sampled weight's gradient. Each sum is taken in the order a product rule
+gives it (g*r + g*r for a square; the KL term, then the samples from the
+last to the first, as for the features), so the arithmetic and its order,
+and with them the trained weights' bits, are those of one reverse pass over
+the whole computation.
 
 The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
 inference-mode outputs over N training features. At inference dropout is the
@@ -44,7 +48,6 @@ serve only the tests and the benchmark tracer, which binds them by name.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,7 +57,7 @@ import numpy as np
 from . import tensor as T
 from .model import is_finite_real, is_int
 from .preprocess import NormStats, preprocess_pixels
-from .tensor import GradTape, ShapeError, Tensor, backward
+from .tensor import ShapeError, Tensor, backward
 
 LOG_2PI = math.log(2.0 * math.pi)
 INFERENCE_MODES = ("map", "variational")
@@ -110,8 +113,7 @@ class BayesianHead:
         elif [np.shape(w) for w in weights] != shapes:
             raise ShapeError(f"head weight shapes {[np.shape(w) for w in weights]} "
                              f"!= {shapes}")
-        self.w1, self.b1, self.w2, self.b2 = (Tensor.adopt(w, requires_grad=True)
-                                              for w in weights)
+        self.w1, self.b1, self.w2, self.b2 = (Tensor.adopt(w) for w in weights)
         if rng is not None:
             self.xavier_init(rng)
 
@@ -131,20 +133,23 @@ class BayesianHead:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return list(zip(_PARAMETER_NAMES, (self.w1, self.b1, self.w2, self.b2)))
 
-    def forward(self, z, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        return self.forward_with(z, [p for _, p in self.parameters()], training, rng)
+    def forward(self, z, training: bool = False, rng: np.random.Generator | None = None,
+                chain: T.Chain | None = None) -> Tensor:
+        return self.forward_with(z, [p.data for _, p in self.parameters()], training, rng,
+                                 chain)
 
-    def forward_with(self, z, weights, training: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-        """[B] outputs of the [B, d_in] rows ``z`` at ``weights``
-        (``parameters()`` order)."""
-        w1, b1, w2, b2 = weights
+    def forward_with(self, z, weights: Sequence[np.ndarray], training: bool = False,
+                     rng: np.random.Generator | None = None,
+                     chain: T.Chain | None = None) -> Tensor:
+        """[B] outputs of the [B, d_in] rows ``z`` at the weight arrays
+        ``weights`` (``parameters()`` order). With a ``chain``, the links of
+        the forward are appended to it, named as ``parameters()`` names them."""
+        w1, b1, w2, b2 = (Tensor.adopt(w) for w in weights)
         zt = z if isinstance(z, Tensor) else Tensor(z)
-        h = T.linear(zt, w1, b1)
-        h = T.dropout(h, self.dropout_rate, training, rng)
-        out = T.linear(h, w2, b2)
-        return T.reshape(out, (out.shape[0],))
+        h = T.link(chain, _PARAMETER_NAMES[:2], T.linear(zt, w1, b1))
+        h = T.link(chain, (), T.dropout(h, self.dropout_rate, training, rng))
+        out = T.link(chain, _PARAMETER_NAMES[2:], T.linear(h, w2, b2))
+        return T.link(chain, (), T.reshape(out, (out.shape[0],)))
 
     def jacobian_products(self, z: np.ndarray, weights: Sequence[np.ndarray]):
         """(J v, J^T u) for the Jacobian J of the inference-mode outputs at
@@ -197,19 +202,20 @@ def _finite(value) -> float:
     return float(value)
 
 
-Gradients = Callable[[dict[int, np.ndarray]], dict[int, np.ndarray]]
+Gradients = Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
 
 
-def map_objective(outputs: Tensor, targets: np.ndarray, weights: Sequence[Tensor],
-                  alpha: float, beta: float, scale: float = 1.0
-                  ) -> tuple[float, list[tuple[Tensor, np.ndarray]], Gradients]:
+def map_objective(outputs: Tensor, targets: np.ndarray,
+                  weights: Sequence[tuple[str, Tensor]], alpha: float, beta: float,
+                  scale: float = 1.0) -> tuple[float, np.ndarray, Gradients]:
     """Negative unnormalized log posterior -log p(targets | w) - log p(w) of
-    the head's recorded [B] ``outputs``, under a Gaussian prior on ``weights``.
+    the head's [B] ``outputs``, under a Gaussian prior on the named
+    ``weights``.
 
-    Returns the value, the outputs' cotangent beta * (f - y) as a seed for
+    Returns the value, the outputs' cotangent beta * (f - y) to seed
     ``backward``, and ``weight_gradients``, which adds the prior term
     alpha * w to each weight's gradient in ``backward``'s result, keyed by
-    uid. Cotangents and gradients are those of ``scale`` times the value.
+    name. Cotangents and gradients are those of ``scale`` times the value.
     """
     check_head_hparams(alpha=alpha, beta=beta)
     targets = np.asarray(targets, dtype=np.float64)
@@ -217,17 +223,18 @@ def map_objective(outputs: Tensor, targets: np.ndarray, weights: Sequence[Tensor
         raise ShapeError(f"targets {targets.shape} / outputs {outputs.shape} mismatch")
     resid = outputs.data - targets
     sq_norm = 0.0
-    for w in weights:
+    for _, w in weights:
         sq_norm += np.sum(w.data * w.data)
     const = (-0.5 * targets.size * (math.log(beta) - LOG_2PI)
-             - 0.5 * sum(w.data.size for w in weights) * (math.log(alpha) - LOG_2PI))
+             - 0.5 * sum(w.data.size for _, w in weights) * (math.log(alpha) - LOG_2PI))
     value = _finite(0.5 * beta * np.sum(resid * resid) + const + 0.5 * alpha * sq_norm)
     g_out, g_prior = scale * (0.5 * beta), scale * (0.5 * alpha)
 
-    def weight_gradients(grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        return {w.uid: grads[w.uid] + (g_prior * w.data + g_prior * w.data) for w in weights}
+    def weight_gradients(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return {name: grads[name] + (g_prior * w.data + g_prior * w.data)
+                for name, w in weights}
 
-    return value, [(outputs, g_out * resid + g_out * resid)], weight_gradients
+    return value, g_out * resid + g_out * resid, weight_gradients
 
 
 # --- Gauss-Newton curvature and solves -----------------------------------------
@@ -235,14 +242,14 @@ def map_objective(outputs: Tensor, targets: np.ndarray, weights: Sequence[Tensor
 
 def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
     """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W], at the
-    head's current weights with dropout off, one autodiff tape per row."""
-    params = [p for _, p in head.parameters()]
+    head's current weights with dropout off, one ``backward`` per row."""
+    names = [name for name, _ in head.parameters()]
     rows = []
     for z in np.asarray(features, dtype=np.float64):
-        with GradTape() as tape:
-            out = head.forward(z[None, :], training=False)
-        grads = backward([(out, np.ones(1))], tape)
-        rows.append(np.concatenate([grads[p.uid].reshape(-1) for p in params]))
+        chain = []
+        head.forward(z[None, :], training=False, chain=chain)
+        _, grads = backward(chain, np.ones(1))
+        rows.append(np.concatenate([grads[name].reshape(-1) for name in names]))
     return np.stack(rows)
 
 
@@ -263,7 +270,7 @@ class GaussNewtonCurvature:
         self.head = head
         self.features = features
         self.alpha, self.beta = head.alpha, head.beta
-        self._weights = [p.data for _, p in head.parameters()]
+        self.weights = [p.data for _, p in head.parameters()]
         self._factor = None
 
     def factor(self) -> np.ndarray:
@@ -275,7 +282,7 @@ class GaussNewtonCurvature:
         where alpha is below the rounding of beta * R M R^T."""
         if self._factor is None:
             head = self.head
-            s, U = np.linalg.eigh(head.gradient_gram(self._weights))
+            s, U = np.linalg.eigh(head.gradient_gram(self.weights))
             R = np.sqrt(np.clip(s, 0.0, None))[:, None] * U.T
             rz = R @ head.gradient_coordinates(self.features).T
             lam, V = np.linalg.eigh(rz @ rz.T)
@@ -283,15 +290,10 @@ class GaussNewtonCurvature:
             self._factor = scale[:, None] * (V.T @ R)
         return self._factor
 
-    @functools.cached_property
-    def weights(self) -> list[Tensor]:
-        """The head's weights as at build, as tensors for ``forward_with``."""
-        return [Tensor.adopt(w) for w in self._weights]
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v at the weights as at build, from the head's closed-form
         Jacobian products."""
-        jvp, vjp = self.head.jacobian_products(self.features, self._weights)
+        jvp, vjp = self.head.jacobian_products(self.features, self.weights)
         return vjp(jvp(v))
 
 
@@ -358,12 +360,16 @@ class VariationalPosterior:
 
     def __init__(self, head, init_log_std: float = -4.0):
         self.head = head
+        self.names = [name for name, _ in head.parameters()]
         self.means: list[Tensor] = [p for _, p in head.parameters()]
-        self.log_stds: list[Tensor] = [
-            Tensor(np.full(m.shape, init_log_std), requires_grad=True) for m in self.means]
+        self.log_stds: list[Tensor] = [Tensor(np.full(m.shape, init_log_std))
+                                       for m in self.means]
 
-    def parameters(self) -> list[Tensor]:
-        return [*self.means, *self.log_stds]
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        """The means under the head's names, then the log-stds under those
+        names with ``.log_std`` appended."""
+        return [*zip(self.names, self.means),
+                *((f"{name}.log_std", ls) for name, ls in zip(self.names, self.log_stds))]
 
 
 def kl_to_prior(q: VariationalPosterior, alpha: float, scale: float = 1.0
@@ -389,17 +395,18 @@ def kl_to_prior(q: VariationalPosterior, alpha: float, scale: float = 1.0
 def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
          alpha: float, beta: float, n_mc: int, rng: np.random.Generator,
          training: bool = False, dropout_rng: np.random.Generator | None = None,
-         scale: float = 1.0) -> tuple[float, list[tuple[Tensor, np.ndarray]], Gradients]:
+         scale: float = 1.0) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Monte-Carlo evidence lower bound E_q[log p(D|w)] - KL(q || prior).
 
     Each sample w = m + sigma * eps (eps from ``rng``, then the sample's
-    dropout mask from ``dropout_rng``) runs the head on the current tape.
-    Returns the bound, one (output, cotangent -beta * (f - y) / n_mc) seed per
-    sample for ``backward``, and ``weight_gradients``, which maps
-    ``backward``'s result to the gradients of the q means (the KL term plus
-    the sum of the sampled weights' gradients g) and log-stds (the KL term
-    plus the sum of g * eps * sigma), keyed by uid. Cotangents and gradients
-    are those of ``scale`` times the bound.
+    dropout mask from ``dropout_rng``) runs the head on its own chain, which
+    ``backward`` pulls from the cotangent -beta * (f - y) / n_mc. Returns the
+    bound, the cotangent of ``features`` (the samples' sum, from the last
+    sample to the first) to seed the extractor's ``backward``, and
+    ``weight_gradients``: those of the q means (the KL term plus the sum of
+    the sampled weights' gradients g) and log-stds (the KL term plus the sum
+    of g * eps * sigma), keyed by ``q.parameters()`` names. Cotangents and
+    gradients are those of ``scale`` times the bound.
     """
     check_head_hparams(alpha=alpha, beta=beta)
     if n_mc < 1:
@@ -409,31 +416,29 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
     sigmas = [np.exp(ls.data) for ls in q.log_stds]
     g_out = (scale * (1.0 / n_mc)) * (-0.5 * beta)
     loglik = 0.0
-    seeds, samples = [], []
+    samples = []
     for _ in range(n_mc):
         eps = [rng.standard_normal(m.shape) for m in means]
-        weights = [Tensor.adopt(m + sigma * e, requires_grad=True)
-                   for m, sigma, e in zip(means, sigmas, eps)]
-        out = head.forward_with(features, weights, training=training, rng=dropout_rng)
+        chain = []
+        out = head.forward_with(features, [m + sigma * e for m, sigma, e in
+                                           zip(means, sigmas, eps)],
+                                training=training, rng=dropout_rng, chain=chain)
         if targets.shape != out.shape:
             raise ShapeError(f"targets {targets.shape} / outputs {out.shape} mismatch")
         resid = out.data - targets
         loglik += np.sum(resid * resid) * (-0.5 * beta) \
             + 0.5 * targets.size * (math.log(beta) - LOG_2PI)
-        seeds.append((out, g_out * resid + g_out * resid))
-        samples.append((weights, eps))
-    kl, g_means, g_log_stds = kl_to_prior(q, alpha, -scale)
+        g_z, grads = backward(chain, g_out * resid + g_out * resid)
+        samples.append((g_z, [grads[name] for name in q.names], eps))
+    kl, g_m, g_ls = kl_to_prior(q, alpha, -scale)
     value = _finite(loglik * (1.0 / n_mc) - kl)
-
-    def weight_gradients(grads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        g_m, g_ls = g_means, g_log_stds
-        for weights, eps in reversed(samples):
-            g_w = [grads[w.uid] for w in weights]
-            g_m = [a + g for a, g in zip(g_m, g_w)]
-            g_ls = [a + g * e * sigma for a, g, e, sigma in zip(g_ls, g_w, eps, sigmas)]
-        return {p.uid: g for p, g in zip(q.parameters(), g_m + g_ls)}
-
-    return value, seeds, weight_gradients
+    g_features = None
+    for g_z, g_w, eps in reversed(samples):
+        g_features = g_z if g_features is None else g_features + g_z
+        g_m = [a + g for a, g in zip(g_m, g_w)]
+        g_ls = [a + g * e * sigma for a, g, e, sigma in zip(g_ls, g_w, eps, sigmas)]
+    names = [name for name, _ in q.parameters()]
+    return value, g_features, dict(zip(names, g_m + g_ls))
 
 
 # --- scoring -------------------------------------------------------------------

@@ -202,12 +202,15 @@ def cmd_score(args) -> int:
     if not paths:
         raise DatasetError(f"no images found at {args.images}")
     lines = ["path,score,verdict"]
-    failures = 0
+    undecoded = non_finite = 0
     for path in paths:
         try:
             score = detector.score_pixels(load_image(path))
-        except (DecodeError, ValueError) as err:
-            failures += 1
+        except (DecodeError, ValueError, FloatingPointError) as err:
+            if isinstance(err, FloatingPointError):
+                non_finite += 1
+            else:
+                undecoded += 1
             lines.append(f"{path},error,{type(err).__name__}")
             continue
         lines.append(f"{path},{score!r},{classify(score, detector.gamma)}")
@@ -216,7 +219,10 @@ def cmd_score(args) -> int:
         _write_text(Path(args.out), content)
     else:
         sys.stdout.write(content)
-    if failures == len(paths):
+    if non_finite and undecoded + non_finite == len(paths):
+        raise FloatingPointError(f"no input was scored: {non_finite} of {len(paths)} "
+                                 "scores are not finite")
+    if undecoded == len(paths):
         raise DatasetError("every input failed to decode")
     return EXIT_OK
 

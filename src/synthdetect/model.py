@@ -16,6 +16,11 @@ The geometry has one setting, ``CnnConfig(input_size)``, with two values:
 224 (full scale, 5x5 kernels and 4x4 pools, as above) and 32 (reduced
 scale, 3x3 kernels and 2x2 pools: 32 -> 31 -> 15 -> 14 -> 6 -> 5 -> 2, i.e.
 128 features). Every other field follows from it.
+
+The extractor's backward is its forward's chain of links (``tensor.link``),
+walked in reverse by ``tensor.backward``: per stage the pool (from stage 2
+on), the conv, named ``conv<i>.kernels`` and ``conv<i>.bias``, and the
+sigmoid; then the batch norm (``bn.scale``, ``bn.shift``) and the flatten.
 """
 
 from __future__ import annotations
@@ -95,12 +100,12 @@ class FineToCoarseCnn:
         c_in = config.in_channels
         for k_out in config.filters:
             self.kernels.append(Tensor(
-                np.zeros((k_out, c_in, config.kernel, config.kernel)), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(k_out), requires_grad=True))
+                np.zeros((k_out, c_in, config.kernel, config.kernel))))
+            self.biases.append(Tensor(np.zeros(k_out)))
             c_in = k_out
         c_last = config.filters[-1]
-        self.bn_scale = Tensor(np.ones(c_last), requires_grad=True)
-        self.bn_shift = Tensor(np.zeros(c_last), requires_grad=True)
+        self.bn_scale = Tensor(np.ones(c_last))
+        self.bn_shift = Tensor(np.zeros(c_last))
         self.bn_mean = np.zeros(c_last)
         self.bn_var = np.ones(c_last)
         if rng is not None:
@@ -128,28 +133,35 @@ class FineToCoarseCnn:
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         return [("bn.running_mean", self.bn_mean), ("bn.running_var", self.bn_var)]
 
-    def forward_features(self, x: Tensor, training: bool) -> Tensor:
-        """[B,3,S,S] -> [B, feature_dim] latent vectors."""
+    def forward_features(self, x: Tensor, training: bool,
+                         chain: T.Chain | None = None) -> Tensor:
+        """[B,3,S,S] -> [B, feature_dim] latent vectors. With a ``chain``, the
+        links of the forward are appended to it, named as ``parameters()``
+        names them, for ``tensor.backward``."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_size \
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(
                 f"expected [B,{cfg.in_channels},{cfg.input_size},{cfg.input_size}], got {x.shape}")
-        h = self.stage_activations(x)[-1]
-        h = T.batch_norm(h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
-                         training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-        return T.reshape(h, (h.shape[0], self.feature_dim))
+        h = self.stage_activations(x, chain)[-1]
+        h = T.link(chain, ("bn.scale", "bn.shift"), T.batch_norm(
+            h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
+            training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps))
+        return T.link(chain, (), T.reshape(h, (h.shape[0], self.feature_dim)))
 
-    def stage_activations(self, x: Tensor) -> list[Tensor]:
+    def stage_activations(self, x: Tensor, chain: T.Chain | None = None) -> list[Tensor]:
         """Per-stage post-sigmoid maps of a [B,3,S,S] batch:
         sigmoid(conv_s(mean_pool(h, p, 1))) per stage, which equals
-        sigmoid(mean_pool(conv(h), p, s))."""
+        sigmoid(mean_pool(conv(h), p, s)). Stage 1 reads the input batch, so
+        its pool is never pulled and its conv builds no input gradient."""
         cfg = self.config
         outs = []
         h = x
-        for kern, bias in zip(self.kernels, self.biases):
-            pooled = T.mean_pool(h, cfg.pool_kernel, 1)
-            h = T.sigmoid(T.conv2d_valid(pooled, kern, bias, stride=cfg.pool_stride))
+        for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
+            pooled = T.link(chain if i else None, (), T.mean_pool(h, cfg.pool_kernel, 1))
+            h = T.link(chain, (f"conv{i + 1}.kernels", f"conv{i + 1}.bias"), T.conv2d_valid(
+                pooled, kern, bias, stride=cfg.pool_stride, input_grad=i > 0))
+            h = T.link(chain, (), T.sigmoid(h))
             outs.append(h)
         return outs
 

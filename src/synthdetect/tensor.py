@@ -1,21 +1,22 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float64 tensors and the network's layers, each with its pull-back.
 
-The tape records the network's layers (conv, mean pool, sigmoid, batch norm,
-linear, dropout), what training and inference run, and nothing else. It is
-batch only: ``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take
-[B,C,H,W] and ``linear`` takes [B,d]; an unbatched input raises
-``ShapeError``.
+The layers (conv, mean pool, sigmoid, batch norm, linear, dropout, reshape)
+are what training and inference run, and nothing else. They are batch only:
+``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take [B,C,H,W] and
+``linear`` takes [B,d]; an unbatched input raises ``ShapeError``.
 
-``backward`` takes cotangent seeds, one per recorded output, and pulls them
-back to every parameter on the tape (a vector-Jacobian product). The
-training objectives live in ``bayes``: each returns the cotangents of the
-head outputs it read, in closed form, and the gradients of the weights it
-regularizes, so no loss is ever recorded.
+Each op returns its output and its ``pull``, which maps a cotangent of the
+output to the cotangents of its tensor arguments in order: the input first
+(``None`` where the caller asked for none), then the parameters. A forward
+that will be differentiated appends ``(parameter names, pull)`` links to a
+chain (``link``), and ``backward`` walks that chain in reverse (a
+vector-Jacobian product). The network is one fixed chain, written out by
+``model`` and ``bayes``; the training objectives there return the cotangents
+of the head outputs they read in closed form, so no loss is ever pulled.
 
 Tensors are immutable values: no operation touches an operand's buffer.
 Parameter updates go through :meth:`Tensor.assign`, which requires exclusive
-access (single-threaded training steps). Tapes are kept on a thread-local
-stack, so independent tapes may run concurrently on disjoint data.
+access (single-threaded training steps).
 
 Finiteness is checked where a value enters, by ``Tensor(data)`` and ``assign``.
 ``adopt`` and the ops check nothing: an overflow in the network shows where it
@@ -24,15 +25,11 @@ reaches the objective or a score (``bayes``), unless a sigmoid absorbs it.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GradTape",
-    "GradientError",
     "ShapeError",
     "Tensor",
     "backward",
@@ -40,6 +37,7 @@ __all__ = [
     "conv2d_valid",
     "dropout",
     "linear",
+    "link",
     "mean_pool",
     "reshape",
     "sigmoid",
@@ -48,22 +46,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
-
-
-class GradientError(ValueError):
-    """Backward pass asked to differentiate something it cannot."""
-
-
-_uids = itertools.count(1)
-_local = threading.local()
-
-
-def _tape_stack() -> list["GradTape"]:
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = []
-        _local.tapes = stack
-    return stack
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -84,13 +66,11 @@ def _owned(arr) -> np.ndarray:
 class Tensor:
     """Immutable dense n-dimensional array of float64 scalars."""
 
-    __slots__ = ("data", "requires_grad", "uid")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         # copy: caller keeps its buffer
         self.data: np.ndarray = _owned(_finite(np.array(data, dtype=np.float64)))
-        self.requires_grad = requires_grad
-        self.uid = next(_uids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -101,14 +81,12 @@ class Tensor:
         return self.data.ndim
 
     @classmethod
-    def adopt(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+    def adopt(cls, arr: np.ndarray) -> "Tensor":
         """Wrap ``arr`` itself, without the copy or the finite check
         ``Tensor(arr)`` makes; the caller (an op, or a caller that made a
         private buffer) hands it over and must not write to it again."""
         t = cls.__new__(cls)
         t.data = _owned(arr)
-        t.requires_grad = requires_grad
-        t.uid = next(_uids)
         return t
 
     def assign(self, arr) -> None:
@@ -120,104 +98,41 @@ class Tensor:
             raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
         self.data = _owned(_finite(arr))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+Pull = Callable[[np.ndarray], tuple]
+Chain = list[tuple[Sequence[str], Pull]]
 
 
-class _Node:
-    __slots__ = ("out_uid", "in_uids", "pull")
-
-    def __init__(self, out_uid: int, in_uids: tuple[int, ...],
-                 pull: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]):
-        self.out_uid = out_uid
-        self.in_uids = in_uids
-        self.pull = pull
-
-
-class GradTape:
-    """Ordered record of primitive operations.
-
-    The backward pass visits nodes in exact reverse of recording order, so a
-    tensor's consumers are always processed before its producer and gradient
-    accumulation needs no topological sort.
-    """
-
-    def __init__(self):
-        self._nodes: list[_Node] = []
-        self._params: dict[int, Tensor] = {}
-        self._produced: set[int] = set()
-
-    def __enter__(self) -> "GradTape":
-        _tape_stack().append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _tape_stack().pop()
-        assert popped is self
-        return False
-
-
-def _tracked(t: Tensor) -> bool:
-    """Whether a gradient w.r.t. ``t`` can reach a parameter of the current
-    tape: ``t`` is a parameter or was produced on that tape."""
-    stack = _tape_stack()
-    return bool(stack) and (t.requires_grad or t.uid in stack[-1]._produced)
-
-
-def _record(out: Tensor, inputs: Sequence[Tensor],
-            pull: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]) -> None:
-    stack = _tape_stack()
-    if not stack:
-        return
-    tape = stack[-1]
-    for t in inputs:
-        if t.requires_grad:
-            tape._params.setdefault(t.uid, t)
-    tape._produced.add(out.uid)
-    tape._nodes.append(_Node(out.uid, tuple(t.uid for t in inputs), pull))
-
-
-def backward(seeds: Sequence[tuple[Tensor, np.ndarray]],
-             tape: GradTape) -> dict[int, np.ndarray]:
-    """Pull the cotangent seeds back through the tape: each seed is a
-    distinct tensor recorded on ``tape`` and a cotangent of its shape, and the
-    result is the sum over seeds of each seed's vector-Jacobian product.
-
-    Returns a map from parameter uid to a gradient array of the parameter's
-    shape. Parameters with no path to a seed get exact zeros.
-    """
-    grads: dict[int, np.ndarray] = {}
-    for out, cotangent in seeds:
-        if out.uid not in tape._produced or out.uid in grads:
-            raise GradientError("each seed must be a distinct tensor recorded on the tape")
-        if np.shape(cotangent) != out.shape:
-            raise GradientError(f"cotangent shape {np.shape(cotangent)} != "
-                                f"output shape {out.shape}")
-        grads[out.uid] = np.asarray(cotangent, dtype=np.float64)
-    for node in reversed(tape._nodes):
-        gout = grads.pop(node.out_uid, None)
-        if gout is None:
-            continue
-        for uid, g in zip(node.in_uids, node.pull(gout)):
-            if g is None:
-                continue
-            held = grads.get(uid)
-            grads[uid] = g if held is None else held + g
-    return {
-        uid: grads.get(uid, np.zeros_like(p.data))
-        for uid, p in tape._params.items()
-    }
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = Tensor.adopt(a.data.reshape(shape))
-    old = a.data.shape
-    _record(out, [a], lambda g: (g.reshape(old),))
+def link(chain: Chain | None, names: Sequence[str], result: tuple[Tensor, Pull]) -> Tensor:
+    """The output of an op's ``result``; with a ``chain``, its pull is
+    appended to it, its parameter cotangents named by ``names``. Without one
+    the pull is dropped here, and the arrays it holds with it."""
+    out, pull = result
+    if chain is not None:
+        chain.append((names, pull))
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def backward(chain: Chain, cotangent: np.ndarray) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """Pull ``cotangent``, of the chain's last output, back through the
+    chain's links in reverse. Returns the cotangent of its first input
+    (``None`` if the first op builds none) and each parameter's gradient,
+    keyed by the names its link gave."""
+    grads: dict[str, np.ndarray] = {}
+    g = cotangent
+    for names, pull in reversed(chain):
+        g, *param_grads = pull(g)
+        grads.update(zip(names, param_grads))
+    return g, grads
+
+
+def reshape(a: Tensor, shape) -> tuple[Tensor, Pull]:
+    shape = tuple(int(s) for s in shape)
+    old = a.data.shape
+    return Tensor.adopt(a.data.reshape(shape)), lambda g: (g.reshape(old),)
+
+
+def sigmoid(a: Tensor) -> tuple[Tensor, Pull]:
     """Elementwise 1/(1+exp(-x)), computed without overflow on either tail:
     with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below.
     Both are r * exp(min(x, 0)) with r = 1/(1+e): the factor is e below 0 and
@@ -232,24 +147,21 @@ def sigmoid(a: Tensor) -> Tensor:
     np.multiply(e, r, out=e)
     res = Tensor.adopt(e)
     od = res.data
-    _record(res, [a], lambda g: (g * od * (1.0 - od),))
-    return res
+    return res, lambda g: (g * od * (1.0 - od),)
 
 
-def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+def linear(x: Tensor, weights: Tensor, bias: Tensor) -> tuple[Tensor, Pull]:
     """Affine map x W^T + b of a batch [B, d_in] to [B, d_out]."""
     xd, wd, bd = x.data, weights.data, bias.data
     if wd.ndim != 2 or bd.ndim != 1 or wd.shape[0] != bd.shape[0]:
         raise ShapeError(f"weights {wd.shape} / bias {bd.shape} are not a [d_out,d_in]/[d_out] pair")
     if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise ShapeError(f"input {xd.shape} is not a [B, {wd.shape[1]}] batch")
-    out = Tensor.adopt(xd @ wd.T + bd)
 
     def pull(gout: np.ndarray):
         return gout @ wd, gout.T @ xd, gout.sum(axis=0)
 
-    _record(out, [x, weights, bias], pull)
-    return out
+    return Tensor.adopt(xd @ wd.T + bd), pull
 
 
 def conv_output_size(extent: int, kernel: int, stride: int) -> int:
@@ -261,13 +173,14 @@ def _windows(x4: np.ndarray, kh: int, kw: int, s: int) -> np.ndarray:
     return win[:, :, ::s, ::s]
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
+                 input_grad: bool = True) -> tuple[Tensor, Pull]:
     """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels,
     at the same stride along both axes.
 
-    Lowered to an im2col matrix product so both passes run on BLAS. Backward
-    builds the input gradient only when the input is tracked by the current
-    tape; for an input batch it would be discarded.
+    Lowered to an im2col matrix product so both passes run on BLAS. The pull
+    builds the input gradient only with ``input_grad``; for an input batch
+    it would be discarded.
     """
     if stride < 1:
         raise ShapeError("stride must be >= 1")
@@ -293,13 +206,12 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> T
     out2 = kflat @ cols
     out2 += bd[:, None]
     out = Tensor.adopt(out2.reshape(K, B, Hp, Wp).transpose(1, 0, 2, 3))
-    need_gx = _tracked(x)
 
     def pull(gout: np.ndarray):
         g2 = np.ascontiguousarray(gout.transpose(1, 0, 2, 3)).reshape(K, B * Hp * Wp)
         gk = (g2 @ cols.T).reshape(K, C, kh, kw)
         gb = g2.sum(axis=1)
-        if not need_gx:
+        if not input_grad:
             return None, gk, gb
         gcols = (kflat.T @ g2).reshape(C, kh, kw, B, Hp, Wp)
         gx = np.zeros((C, B, H, W))
@@ -309,8 +221,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> T
                    j:j + stride * (Wp - 1) + 1:stride] += gcols[:, i, j]
         return gx.transpose(1, 0, 2, 3), gk, gb
 
-    _record(out, [x, kernels, bias], pull)
-    return out
+    return out, pull
 
 
 def _taps(a: np.ndarray, k: int, s: int, n: int, axis: int):
@@ -338,14 +249,13 @@ def _tap_spread(g: np.ndarray, k: int, s: int, extent: int, axis: int) -> np.nda
     return out
 
 
-def mean_pool(x: Tensor, kernel: int, stride: int) -> Tensor:
+def mean_pool(x: Tensor, kernel: int, stride: int) -> tuple[Tensor, Pull]:
     """Window-averaging downsample over the spatial dims of a [B,C,H,W] batch,
     with a square ``kernel`` x ``kernel`` window and the same stride along
     both axes.
 
     Separable: ``kernel`` strided row-slice adds, then ``kernel`` column-slice
-    adds, then one scale; the backward is the same adds transposed. A node is
-    recorded only when the input is tracked by the current tape.
+    adds, then one scale; the pull is the same adds transposed.
     """
     if stride < 1:
         raise ShapeError("stride must be >= 1")
@@ -362,21 +272,18 @@ def mean_pool(x: Tensor, kernel: int, stride: int) -> Tensor:
     inv = 1.0 / (kernel * kernel)
     out4 = _tap_sum(_tap_sum(x4, kernel, stride, Hp, 2), kernel, stride, Wp, 3)
     out4 *= inv
-    out = Tensor.adopt(out4)
-    if not _tracked(x):
-        return out
 
     def pull(gout: np.ndarray):
         return (_tap_spread(_tap_spread(gout * inv, kernel, stride, W, 3),
                             kernel, stride, H, 2),)
 
-    _record(out, [x], pull)
-    return out
+    return Tensor.adopt(out4), pull
 
 
 def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool, momentum: float = 0.1, eps: float = 1e-5
+               ) -> tuple[Tensor, Pull]:
     """Per-channel normalization of a [B,C,H,W] batch.
 
     Train mode normalizes by batch statistics and folds them into the running
@@ -419,22 +326,19 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
             gx = gxhat * inv_std.reshape(cshape)
         return gx, gscale, gshift
 
-    _record(out, [x, scale, shift], pull)
-    return out
+    return out, pull
 
 
 def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
+            rng: np.random.Generator | None = None) -> tuple[Tensor, Pull]:
     """Inverted dropout: train mode zeroes with probability ``rate`` and scales
-    survivors by 1/(1-rate); infer mode is the identity."""
+    survivors by 1/(1-rate); infer mode is the identity, and so is its pull."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return x, lambda g: (g,)
     if rng is None:
         raise ValueError("train-mode dropout needs an explicit generator")
     keep = rng.random(x.shape) >= rate
     factor = keep / (1.0 - rate)
-    out = Tensor.adopt(x.data * factor)
-    _record(out, [x], lambda g: (g * factor,))
-    return out
+    return Tensor.adopt(x.data * factor), lambda g: (g * factor,)

@@ -12,6 +12,11 @@ real validation samples scoring above a provisional threshold placed at a
 lower percentile of the training-pool scores. The early-stop rule compares
 that metric against the same retention on a held-back half of the validation
 pool (a test proxy that avoids touching the true test set).
+
+A MAP step appends the extractor's and the head's links to one chain and
+pulls the objective's cotangent back through it with one ``backward``. A
+variational step pulls each sample's head chain inside ``elbo`` and seeds
+the extractor's chain with the features' summed cotangent.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .bayes import (
 from .evaluate import select_threshold
 from .model import FineToCoarseCnn
 from .preprocess import DatasetSplit, DatasetError, channel_stats, center_crop, preprocess_pixels
-from .tensor import GradTape, Tensor, backward
+from .tensor import Tensor, backward
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -158,13 +163,12 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
 
     rng = np.random.default_rng(cfg.seed)
     targets_all = np.full(len(x_train), cfg.target)
-    head_params = [p for _, p in head.parameters()]
     q = None
     if cfg.inference_mode == "variational":
         q = VariationalPosterior(head)
-        trainable = [p for _, p in cnn.parameters()] + q.parameters()
+        trainable = cnn.parameters() + q.parameters()
     else:
-        trainable = [p for _, p in cnn.parameters()] + head_params
+        trainable = cnn.parameters() + head.parameters()
 
     report = TrainReport()
     best_state = snapshot_state(cnn, head)
@@ -184,22 +188,25 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
                 # scaled by 1/beta) so the learning rate keeps its meaning no
                 # matter how sharp the noise precision is
                 scale = 1.0 / (idx.size * cfg.beta)
-                with GradTape() as tape:
-                    z = cnn.forward_features(xb, training=True)
-                    if q is None:
-                        out = head.forward(z, training=True, rng=rng)
-                        value, seeds, weight_gradients = map_objective(
-                            out, yb, head_params, cfg.alpha, cfg.beta, scale)
-                    else:
-                        scale = -scale  # ascend the bound
-                        value, seeds, weight_gradients = elbo(
-                            head, q, z, yb, cfg.alpha, cfg.beta, n_mc=cfg.n_mc,
-                            rng=rng, training=True, dropout_rng=rng, scale=scale)
-                grads = backward(seeds, tape)
-                grads.update(weight_gradients(grads))
+                chain = []
+                z = cnn.forward_features(xb, training=True, chain=chain)
+                if q is None:
+                    # one chain, extractor and head, and one backward
+                    out = head.forward(z, training=True, rng=rng, chain=chain)
+                    value, cotangent, weight_gradients = map_objective(
+                        out, yb, head.parameters(), cfg.alpha, cfg.beta, scale)
+                    _, grads = backward(chain, cotangent)
+                    grads.update(weight_gradients(grads))
+                else:
+                    scale = -scale  # ascend the bound
+                    value, cotangent, q_gradients = elbo(
+                        head, q, z, yb, cfg.alpha, cfg.beta, n_mc=cfg.n_mc,
+                        rng=rng, training=True, dropout_rng=rng, scale=scale)
+                    _, grads = backward(chain, cotangent)
+                    grads.update(q_gradients)
                 losses.append(value * scale)
-                for p in trainable:
-                    p.assign(p.data - lr * grads[p.uid])
+                for name, p in trainable:
+                    p.assign(p.data - lr * grads[name])
             # provisional threshold: the configured percentile of training
             # scores, floored at half the target so retention reflects fit
             # progress until scores actually reach the target's neighborhood

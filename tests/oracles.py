@@ -201,21 +201,23 @@ class LinearHead:
         self.alpha = alpha
         self.beta = beta
         self.dropout_rate = 0.0
-        self.w = Tensor(np.zeros((1, d_in)), requires_grad=True)
+        self.w = Tensor(np.zeros((1, d_in)))
         self._zero_bias = Tensor(np.zeros(1))  # constant, carries no gradient
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("w", self.w)]
 
-    def forward(self, z, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        return self.forward_with(z, [self.w], training, rng)
+    def forward(self, z, training: bool = False, rng: np.random.Generator | None = None,
+                chain=None) -> Tensor:
+        return self.forward_with(z, [self.w.data], training, rng, chain)
 
     def forward_with(self, z, weights, training: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
+                     rng: np.random.Generator | None = None, chain=None) -> Tensor:
         zt = z if isinstance(z, Tensor) else Tensor(z)
-        out = T.linear(zt, weights[0], self._zero_bias)
-        return T.reshape(out, (out.shape[0],))
+        out, pull = T.linear(zt, Tensor.adopt(weights[0]), self._zero_bias)
+        # the constant bias's cotangent is dropped
+        T.link(chain, ("w",), (out, lambda g: pull(g)[:2]))
+        return T.link(chain, (), T.reshape(out, (out.shape[0],)))
 
     def jacobian_products(self, z: np.ndarray, weights):
         """(J v, J^T u) for the outputs at the rows ``z``: J is ``z`` itself,
@@ -252,8 +254,9 @@ def log_likelihood(targets: np.ndarray, outputs: np.ndarray, beta: float) -> flo
 
 
 def gauss_newton_dense(head, features: np.ndarray) -> np.ndarray:
-    """H = G^T G from the tape's per-sample gradients G at the head's current
-    weights: the dense reference for ``GaussNewtonCurvature``."""
+    """H = G^T G from the per-sample gradients G that ``backward`` gives at
+    the head's current weights: the dense reference for
+    ``GaussNewtonCurvature``."""
     G = per_sample_gradients(head, features)
     return G.T @ G
 

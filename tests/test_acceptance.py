@@ -29,7 +29,7 @@ from synthdetect.evaluate import (
 )
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import channel_stats, make_split, rgb_normalize
-from synthdetect.tensor import GradTape, Tensor, backward
+from synthdetect.tensor import Tensor, backward
 from synthdetect.textures import generate_records, write_dataset
 from synthdetect.train import TrainConfig, train
 
@@ -73,21 +73,21 @@ def test_criterion_1_gradient_correctness():
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
     head = BayesianHead(cnn.feature_dim, hidden=512, alpha=1e-2, beta=100.0,
                         dropout_rate=0.5, rng=np.random.default_rng(1))
-    params = [p for _, p in cnn.parameters()] + [p for _, p in head.parameters()]
-    head_params = [p for _, p in head.parameters()]
+    named = cnn.parameters() + head.parameters()
+    params = [p for _, p in named]
 
-    def objective():
+    def objective(chain=None):
         drop = np.random.default_rng(777)  # identical mask on every call
-        z = cnn.forward_features(x, training=True)
-        out = head.forward(z, training=True, rng=drop)
-        return map_objective(out, targets, head_params, 1e-2, 100.0)
+        z = cnn.forward_features(x, training=True, chain=chain)
+        out = head.forward(z, training=True, rng=drop, chain=chain)
+        return map_objective(out, targets, head.parameters(), 1e-2, 100.0)
 
     def value():
         return objective()[0]
 
-    with GradTape() as tape:
-        _, seeds, weight_gradients = objective()
-    grads = backward(seeds, tape)
+    chain = []
+    _, cotangent, weight_gradients = objective(chain)
+    _, grads = backward(chain, cotangent)
     grads.update(weight_gradients(grads))
 
     sizes = np.array([p.data.size for p in params])
@@ -112,7 +112,7 @@ def test_criterion_1_gradient_correctness():
         flat[local] = orig
         p.assign(base.copy())
         numeric = (hi - lo) / (2 * step)
-        analytic = grads[p.uid].reshape(-1)[local]
+        analytic = grads[named[pi][0]].reshape(-1)[local]
         denom = max(abs(numeric), abs(analytic))
         if denom < 1e-8:
             ok += abs(numeric - analytic) < 1e-8
@@ -304,12 +304,9 @@ def test_criterion_9_elbo_against_evidence():
     q = VariationalPosterior(head, init_log_std=-2.0)
     opt_rng = np.random.default_rng(18)
     for _ in range(200):
-        with GradTape() as tape:
-            _, seeds, weight_gradients = elbo(head, q, Z, y, alpha, beta, n_mc=16,
-                                              rng=opt_rng)
-        grads = weight_gradients(backward(seeds, tape))
-        for p in q.parameters():
-            p.assign(p.data + 1e-4 * grads[p.uid])
+        _, _, grads = elbo(head, q, Z, y, alpha, beta, n_mc=16, rng=opt_rng)
+        for name, p in q.parameters():
+            p.assign(p.data + 1e-4 * grads[name])
 
     estimate = elbo(head, q, Z, y, alpha, beta, n_mc=10_000,
                     rng=np.random.default_rng(0))[0]

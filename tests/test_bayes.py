@@ -21,7 +21,7 @@ from synthdetect.bayes import (
 )
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
-from synthdetect.tensor import GradTape, ShapeError, Tensor, backward
+from synthdetect.tensor import ShapeError, Tensor, backward
 
 from helpers import (
     assert_grads_close,
@@ -116,7 +116,7 @@ def test_head_takes_over_given_weights_without_copy():
                rng.normal(size=1)]
     head = BayesianHead(6, hidden=5, weights=weights)
     for (_, p), w in zip(head.parameters(), weights):
-        assert p.data is w and p.requires_grad and not w.flags.writeable
+        assert p.data is w and not w.flags.writeable
 
 
 def test_head_rejects_misshapen_weights():
@@ -128,10 +128,6 @@ def test_head_rejects_misshapen_weights():
 # --- map objective -----------------------------------------------------------
 
 
-def _head_outputs(head, Z, tape_params=True):
-    return head.forward(Z, training=False)
-
-
 def test_map_objective_decomposes():
     rng = np.random.default_rng(2)
     head = LinearHead(4, alpha=0.5, beta=2.0)
@@ -139,7 +135,7 @@ def test_map_objective_decomposes():
     Z = rng.normal(size=(6, 4))
     targets = rng.normal(size=6)
     out = head.forward(Z)
-    obj, _, _ = map_objective(out, targets, _params(head), alpha=0.5, beta=2.0)
+    obj, _, _ = map_objective(out, targets, head.parameters(), alpha=0.5, beta=2.0)
     want = -log_likelihood(targets, out.data, 2.0) - log_prior(flat_weights(head), 0.5)
     assert obj == pytest.approx(want, rel=1e-12)
 
@@ -153,7 +149,7 @@ def test_map_objective_monotone_in_alpha():
 
     def value(alpha):
         out = head.forward(Z)
-        return map_objective(out, targets, _params(head), alpha=alpha, beta=1.0)[0] \
+        return map_objective(out, targets, head.parameters(), alpha=alpha, beta=1.0)[0] \
             + log_prior(np.zeros(4), alpha)  # drop the alpha-dependent constant
 
     assert value(2.0) > value(1.0)
@@ -165,17 +161,17 @@ def test_map_objective_gradient_matches_fd():
                         rng=rng)
     Z = rng.normal(size=(7, 6))
     targets = np.ones(7)
-    params = [p for _, p in head.parameters()]
 
-    def build():
-        return map_objective(head.forward(Z), targets, params, alpha=0.3, beta=4.0)
+    def build(chain=None):
+        return map_objective(head.forward(Z, chain=chain), targets, head.parameters(),
+                             alpha=0.3, beta=4.0)
 
-    with GradTape() as tape:
-        _, seeds, weight_gradients = build()
-    analytic = weight_gradients(backward(seeds, tape))
-    numeric = fd_gradient(lambda: build()[0], params)
-    for p, num in zip(params, numeric):
-        assert_grads_close(analytic[p.uid], num)
+    chain = []
+    _, cotangent, weight_gradients = build(chain)
+    analytic = weight_gradients(backward(chain, cotangent)[1])
+    numeric = fd_gradient(lambda: build()[0], [p for _, p in head.parameters()])
+    for (name, _), num in zip(head.parameters(), numeric):
+        assert_grads_close(analytic[name], num)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -186,7 +182,7 @@ def test_objectives_check_precisions_by_the_head_rules(name, value):
     q = VariationalPosterior(head)
     hp = {"alpha": 1.0, "beta": 1.0, name: value}
     Z, y = np.ones((3, 2)), np.ones(3)
-    calls = [lambda: map_objective(Tensor(np.zeros(3)), y, _params(head), **hp),
+    calls = [lambda: map_objective(Tensor(np.zeros(3)), y, head.parameters(), **hp),
              lambda: elbo(head, q, Z, y, **hp, n_mc=1, rng=np.random.default_rng(0))]
     if name == "alpha":
         calls.append(lambda: kl_to_prior(q, value))
@@ -200,23 +196,25 @@ def test_objective_gradients_are_those_of_scale_times_the_value():
     head = BayesianHead(4, hidden=3, alpha=0.6, beta=3.0, dropout_rate=0.0, rng=rng)
     Z, y = rng.normal(size=(5, 4)), rng.normal(size=5)
     q = VariationalPosterior(head, init_log_std=-1.0)
-    objectives = [
-        (lambda s: map_objective(head.forward(Z), y, _params(head), 0.6, 3.0, s),
-         _params(head)),
-        (lambda s: elbo(head, q, Z, y, 0.6, 3.0, 2, np.random.default_rng(5), scale=s),
-         q.parameters()),
-    ]
-    for objective, params in objectives:
+
+    def map_gradients(s):
+        chain = []
+        value, cotangent, weight_gradients = map_objective(
+            head.forward(Z, chain=chain), y, head.parameters(), 0.6, 3.0, s)
+        return value, weight_gradients(backward(chain, cotangent)[1])
+
+    def elbo_gradients(s):
+        value, g_features, grads = elbo(head, q, Z, y, 0.6, 3.0, 2,
+                                        np.random.default_rng(5), scale=s)
+        return value, {**grads, "features": g_features}
+
+    for objective in (map_gradients, elbo_gradients):
         for scale in (0.37, -2.0):
-            runs = []
-            for s in (scale, 1.0):
-                with GradTape() as tape:
-                    value, seeds, weight_gradients = objective(s)
-                runs.append((value, weight_gradients(backward(seeds, tape))))
-            (value, g), (value1, g1) = runs
+            (value, g), (value1, g1) = objective(scale), objective(1.0)
             assert value == value1
-            for p in params:
-                assert np.allclose(g[p.uid], scale * g1[p.uid], rtol=1e-12, atol=1e-15)
+            assert g.keys() == g1.keys()
+            for name in g:
+                assert np.allclose(g[name], scale * g1[name], rtol=1e-12, atol=1e-15)
 
 
 # --- curvature ----------------------------------------------------------------
@@ -289,13 +287,9 @@ def _weights(head):
     return [p.data for _, p in head.parameters()]
 
 
-def _params(head):
-    return [p for _, p in head.parameters()]
-
-
 def test_closed_form_products_match_tape():
     """J v, J^T u and H v from the heads' closed forms agree with the
-    per-sample gradients the autodiff tape gives, dropout included."""
+    per-sample gradients that ``backward`` gives, dropout included."""
     rng = np.random.default_rng(8)
     linear = LinearHead(6)
     set_flat_weights(linear, rng.normal(size=6))
@@ -326,10 +320,10 @@ def test_curvature_and_predictive_build_no_tape(monkeypatch):
     head = BayesianHead(6, hidden=5, alpha=0.5, beta=4.0, rng=rng)
     Z = rng.normal(size=(10, 6))
 
-    def refuse(self):
-        raise AssertionError("a gradient tape was opened")
+    def refuse(*args):
+        raise AssertionError("a backward pass was run")
 
-    monkeypatch.setattr(GradTape, "__enter__", refuse)
+    monkeypatch.setattr(bayes, "backward", refuse)
     curv = GaussNewtonCurvature(head, Z)
     curv.matvec(rng.normal(size=weight_count(head)))
     _, var = predictive(rng.normal(size=6), head, curv)
@@ -456,9 +450,9 @@ def test_predictive_variance_floor():
         assert var >= 1.0 / 50.0 - 1e-12
 
 
-def _tape_variance(head, curv, z):
+def _backward_variance(head, curv, z):
     """Weight part of the variance, g^T (alpha*I + beta*H)^-1 g, from the
-    tape's gradient and the dense curvature."""
+    gradient ``backward`` gives and the dense curvature."""
     g = per_sample_gradients(head, z[None])[0]
     H = gauss_newton_dense(head, curv.features)
     return g @ np.linalg.solve(head.alpha * np.eye(weight_count(head)) + head.beta * H, g)
@@ -481,7 +475,7 @@ def test_predictive_matches_dense_tape_solve():
         for _ in range(5):
             z = rng.normal(size=8)
             mean, var = predictive(z, head, curv)
-            expected = _tape_variance(head, curv, z)
+            expected = _backward_variance(head, curv, z)
             assert abs((var - 1.0 / head.beta) - expected) / expected <= 1e-12
             assert mean == float(head.forward(z[None, :]).data[0])
 
@@ -557,7 +551,7 @@ def test_predictive_reaches_no_solver_and_no_tape(monkeypatch):
 
     monkeypatch.setattr(bayes, "cg_solve", refuse)
     monkeypatch.setattr(GaussNewtonCurvature, "matvec", refuse)
-    monkeypatch.setattr(GradTape, "__enter__", refuse)
+    monkeypatch.setattr(bayes, "backward", refuse)
     for _ in range(3):
         _, var = predictive(rng.normal(size=6), head, curv)
         assert var >= 1.0 / 4.0
@@ -667,18 +661,15 @@ def test_elbo_gradient_matches_fd_fixed_noise():
     q = VariationalPosterior(head)
     q.means[0].assign(rng.normal(size=(1, 3)))
     q.log_stds[0].assign(rng.normal(size=(1, 3), scale=0.3))
-    params = q.parameters()
 
     def build():
         return elbo(head, q, Z, y, 0.8, 2.0, n_mc=2,
                     rng=np.random.default_rng(1234))
 
-    with GradTape() as tape:
-        _, seeds, weight_gradients = build()
-    analytic = weight_gradients(backward(seeds, tape))
-    numeric = fd_gradient(lambda: build()[0], params)
-    for p, num in zip(params, numeric):
-        assert_grads_close(analytic[p.uid], num)
+    analytic = build()[2]
+    numeric = fd_gradient(lambda: build()[0], [p for _, p in q.parameters()])
+    for (name, _), num in zip(q.parameters(), numeric):
+        assert_grads_close(analytic[name], num)
 
 
 def test_elbo_gradient_through_the_extractor_matches_fd():
@@ -693,20 +684,20 @@ def test_elbo_gradient_through_the_extractor_matches_fd():
     x = Tensor(np.random.default_rng(62).random((4, 3, 32, 32)))
     y = np.ones(4)
 
-    def build():
-        z = cnn.forward_features(x, training=True)
+    def build(chain=None):
+        z = cnn.forward_features(x, training=True, chain=chain)
         return elbo(head, q, z, y, 0.5, 3.0, n_mc=2, rng=np.random.default_rng(63),
                     training=True, dropout_rng=np.random.default_rng(64))
 
-    with GradTape() as tape:
-        _, seeds, weight_gradients = build()
-    grads = backward(seeds, tape)
-    grads.update(weight_gradients(grads))
+    chain = []
+    _, g_features, q_gradients = build(chain)
+    _, grads = backward(chain, g_features)
+    grads.update(q_gradients)
     rng = np.random.default_rng(65)
-    for p in [p for _, p in cnn.parameters()] + q.parameters():
+    for name, p in cnn.parameters() + q.parameters():
         coords = rng.choice(p.data.size, size=min(8, p.data.size), replace=False)
         numeric = fd_gradient_coords(lambda: build()[0], p, coords)
-        assert_grads_close(grads[p.uid].reshape(-1)[coords], numeric)
+        assert_grads_close(grads[name].reshape(-1)[coords], numeric)
 
 
 def test_elbo_ascent_on_conjugate_problem():
@@ -716,21 +707,17 @@ def test_elbo_ascent_on_conjugate_problem():
     alpha, beta = 1.0, 1.0 / 0.09
     head = LinearHead(1, alpha=alpha, beta=beta)
     q = VariationalPosterior(head, init_log_std=-2.0)
-    params = q.parameters()
     lr = 1e-4
     opt_rng = np.random.default_rng(18)
     values = []
     for _ in range(200):
-        with GradTape() as tape:
-            _, seeds, weight_gradients = elbo(head, q, Z, y, alpha, beta, n_mc=16,
-                                              rng=opt_rng)
-        grads = weight_gradients(backward(seeds, tape))
+        _, _, grads = elbo(head, q, Z, y, alpha, beta, n_mc=16, rng=opt_rng)
         # record with a fixed evaluation seed so the trace reflects q itself,
         # not per-step sampling noise
         values.append(elbo(head, q, Z, y, alpha, beta, n_mc=128,
                            rng=np.random.default_rng(0))[0])
-        for p in params:
-            p.assign(p.data + lr * grads[p.uid])
+        for name, p in q.parameters():
+            p.assign(p.data + lr * grads[name])
     smoothed = np.convolve(values, np.ones(10) / 10.0, mode="valid")
     drops = np.diff(smoothed) < 0.0
     assert not drops.any(), f"smoothed ELBO fell at steps {np.where(drops)[0][:5]}"

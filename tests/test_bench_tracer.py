@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from synthdetect import cli, tensor
+from synthdetect.preprocess import load_dataset, make_split
 from synthdetect.textures import write_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -33,8 +34,10 @@ def test_tracer_wraps_and_restores_program_functions(monkeypatch):
 
 def test_traced_train_and_eval_keep_metric_sources(monkeypatch, tmp_path, capsys):
     """``train.validation_infer_s`` sums infer-mode forwards under train,
-    ``evaluate.score_chunks`` counts score_batch calls under evaluate, and
-    the model's stages reach ``tensor.mean_pool``."""
+    ``evaluate.score_chunks`` counts score_batch calls under evaluate, the
+    model's stages reach ``tensor.mean_pool``, and a MAP step calls
+    ``backward`` once, so ``train.sgd_steps`` and ``tensor.backward_calls``
+    both count the SGD steps."""
     module = _load_tracer(monkeypatch)
     data, run = tmp_path / "data", tmp_path / "run"
     write_dataset(data, 24, 8, size=32, seed=2)
@@ -61,3 +64,9 @@ def test_traced_train_and_eval_keep_metric_sources(monkeypatch, tmp_path, capsys
     assert metrics["evaluate.score_chunks"] > 0
     assert metrics["tensor.mean_pool_calls"] > 0
     assert metrics["tensor.mean_pool_s"] > 0
+    # one epoch at batch 8 over the training split; a last batch of one is skipped
+    n_train = len(make_split(load_dataset(data), 0.5, 0).train)
+    steps = sum(min(8, n_train - start) >= 2 for start in range(0, n_train, 8))
+    assert steps > 1
+    assert metrics["train.sgd_steps"] == steps
+    assert metrics["tensor.backward_calls"] == steps

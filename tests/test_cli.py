@@ -438,6 +438,42 @@ def test_non_finite_scores_exit_numerical_failure(trained_dir, toy_root, tmp_pat
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
 
+def test_score_keeps_rows_when_some_scores_overflow(trained_dir, toy_root, tmp_path, capsys):
+    """A head whose score is c * (c * z_f) for the one feature f whose |z_f|,
+    never 0, spreads most over the real files, with c * c = MAX / sqrt(max |z_f| *
+    min |z_f|): the file of largest |z_f| overflows and that of the smallest
+    does not. The overflowing files get an ``error,FloatingPointError`` row,
+    the others the row they get when scored alone, and the run exits 0.
+    (The trained head's own scores lie within 2% of each other, so no scale
+    of it overflows some files and not others.)"""
+    detector = load_checkpoint(trained_dir / "checkpoint.bin")
+    paths = image_paths(toy_root / "real")
+    batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths]))
+    z = np.abs(detector.cnn.forward_features(batch, training=False).data)
+    lo, hi = z.min(axis=0), z.max(axis=0)
+    f = int(np.argmax(np.divide(hi, lo, out=np.zeros_like(hi), where=lo > 0)))
+    c = np.sqrt(np.finfo(np.float64).max) / (z[:, f].max() * z[:, f].min()) ** 0.25
+    head = detector.head
+    w1 = np.zeros(head.w1.shape)
+    w1[0, f] = c
+    w2 = np.zeros(head.w2.shape)
+    w2[0, 0] = c
+    for param, value in ((head.w1, w1), (head.b1, np.zeros(head.b1.shape)),
+                         (head.w2, w2), (head.b2, np.zeros(1))):
+        param.assign(value)
+    save_checkpoint(tmp_path / "big.bin", detector)
+    args = ["score", "--checkpoint", str(tmp_path / "big.bin")]
+    assert main([*args, str(toy_root / "real")]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == paths
+    failed = [row.endswith(",error,FloatingPointError") for row in rows]
+    assert failed[int(z[:, f].argmax())] and not failed[int(z[:, f].argmin())]
+    for path, row, bad in zip(paths, rows, failed):
+        if not bad:
+            assert main([*args, path]) == 0
+            assert capsys.readouterr().out.splitlines()[1:] == [row]
+
+
 @pytest.mark.parametrize("mode", ["map", "variational"])
 def test_train_divergence_exits_numerical_failure_naming_epoch(toy_root, config_file,
                                                                tmp_path, mode):
@@ -468,8 +504,8 @@ def test_overflowing_conv_scores_finite(trained_dir, toy_root, tmp_path, capsys)
     batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths]))
     cfg = detector.cnn.config
     with np.errstate(over="ignore"):
-        conv = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel, 1), kernels,
-                              detector.cnn.biases[0], cfg.pool_stride)
+        conv, _ = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel, 1)[0], kernels,
+                                 detector.cnn.biases[0], cfg.pool_stride)
     assert np.isinf(conv.data).any()
     assert main(["score", "--checkpoint", str(tmp_path / "big.bin"),
                  str(toy_root / "real")]) == 0

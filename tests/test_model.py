@@ -3,12 +3,12 @@ import pytest
 
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.tensor import (
-    GradTape,
     ShapeError,
     Tensor,
     backward,
     batch_norm,
     conv2d_valid,
+    link,
     mean_pool,
     reshape,
     sigmoid,
@@ -132,28 +132,33 @@ def test_composed_gradient_matches_finite_differences():
         return float(np.sum(cnn.forward_features(x, training=True).data * proj))
 
     # the gradient of sum(z * proj): ``proj`` seeds the pull-back
-    with GradTape() as tape:
-        z = cnn.forward_features(x, training=True)
-    grads = backward([(z, proj)], tape)
+    chain = []
+    cnn.forward_features(x, training=True, chain=chain)
+    g_input, grads = backward(chain, proj)
+    assert g_input is None  # stage 1 builds no input gradient
+    assert sorted(grads) == sorted(name for name, _ in cnn.parameters())
 
     rng = np.random.default_rng(23)
     for name, p in cnn.parameters():
         n_coords = min(12, p.data.size)
         coords = rng.choice(p.data.size, size=n_coords, replace=False)
         numeric = fd_gradient_coords(value_only, p, coords)
-        analytic = grads[p.uid].reshape(-1)[coords]
+        analytic = grads[name].reshape(-1)[coords]
         assert_grads_close(analytic, numeric)
 
 
-def _reference_features(cnn, x, training):
+def _reference_features(cnn, x, training, chain=None):
     """The unfused stack: conv, then mean-pool, then sigmoid, per stage."""
     cfg = cnn.config
     h = x
-    for kern, bias in zip(cnn.kernels, cnn.biases):
-        h = sigmoid(mean_pool(conv2d_valid(h, kern, bias), cfg.pool_kernel, cfg.pool_stride))
-    h = batch_norm(h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
-                   training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-    return reshape(h, (h.shape[0], cnn.feature_dim))
+    for i, (kern, bias) in enumerate(zip(cnn.kernels, cnn.biases), start=1):
+        h = link(chain, (f"conv{i}.kernels", f"conv{i}.bias"), conv2d_valid(h, kern, bias))
+        h = link(chain, (), mean_pool(h, cfg.pool_kernel, cfg.pool_stride))
+        h = link(chain, (), sigmoid(h))
+    h = link(chain, ("bn.scale", "bn.shift"), batch_norm(
+        h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
+        training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps))
+    return link(chain, (), reshape(h, (h.shape[0], cnn.feature_dim)))
 
 
 @pytest.mark.parametrize("input_size", [32, 224],
@@ -167,9 +172,9 @@ def test_fused_stages_match_conv_pool_sigmoid(input_size):
     h = x
     for (conv_side, pool_side), kern, bias, fused in zip(
             cfg.stage_sizes(), cnn.kernels, cnn.biases, cnn.stage_activations(x)):
-        conv = conv2d_valid(h, kern, bias)
+        conv, _ = conv2d_valid(h, kern, bias)
         assert conv.shape[-1] == conv_side
-        h = sigmoid(mean_pool(conv, cfg.pool_kernel, cfg.pool_stride))
+        h, _ = sigmoid(mean_pool(conv, cfg.pool_kernel, cfg.pool_stride)[0])
         assert fused.shape == h.shape == (2, kern.shape[0], pool_side, pool_side)
         assert np.abs(fused.data - h.data).max() <= 1e-12
 
@@ -179,11 +184,11 @@ def test_fused_parameter_gradients_match_reference():
     x = Tensor(np.random.default_rng(41).random((3, 3, 32, 32)))
     proj = np.random.default_rng(42).normal(size=(3, 128))
     grads = []
-    for forward in (cnn.forward_features, lambda x, training: _reference_features(
-            cnn, x, training)):
-        with GradTape() as tape:
-            z = forward(x, training=True)
-        grads.append(backward([(z, proj)], tape))
+    for forward in (cnn.forward_features, lambda x, training, chain: _reference_features(
+            cnn, x, training, chain)):
+        chain = []
+        forward(x, training=True, chain=chain)
+        grads.append(backward(chain, proj)[1])
     fused, reference = grads
-    for name, p in cnn.parameters():
-        assert np.allclose(fused[p.uid], reference[p.uid], rtol=1e-9, atol=1e-12), name
+    for name, _ in cnn.parameters():
+        assert np.allclose(fused[name], reference[name], rtol=1e-9, atol=1e-12), name

@@ -4,9 +4,9 @@
 ``synthdetect.preprocess``, ``synthdetect.perturb`` and ``synthdetect.cli``
 define, apart from the few listed in ``NOT_RUN_BY_COMMANDS``.
 
-The tape carries what training and inference run and nothing more, the
-extractor has no geometry helper that only tests call, and the objectives
-leave no helper behind. This runs ``train`` (map and variational), ``eval``,
+The ops are what training and inference run and nothing more, each pull
+among them, the extractor has no geometry helper that only tests call, and
+the objectives leave no helper behind. This runs ``train`` (map and variational), ``eval``,
 ``score``, a blur, a jpeg and a resize ``perturb`` and one usage error
 through ``cli.main`` on a tiny 32 px corpus, and ``score`` on PNGs whose
 rows use all five scanline filters, under ``sys.setprofile``, and requires
@@ -34,7 +34,7 @@ from synthdetect.textures import write_dataset
 from imageio import write_png
 
 NOT_RUN_BY_COMMANDS = {
-    tensor: {"Tensor.__repr__"},
+    tensor: set(),
     model: set(),
     train: set(),
     bayes: {
@@ -42,7 +42,6 @@ NOT_RUN_BY_COMMANDS = {
         # benchmark's variance32 workload and the tests run them, no command does
         "GaussNewtonCurvature.__init__", "GaussNewtonCurvature.__init__.<locals>.<listcomp>",
         "GaussNewtonCurvature.factor", "GaussNewtonCurvature.matvec",
-        "GaussNewtonCurvature.weights", "GaussNewtonCurvature.weights.<locals>.<listcomp>",
         "predictive",
         "cg_solve", "per_sample_gradients", "per_sample_gradients.<locals>.<listcomp>",
         # the head's closed-form Jacobian, which only the curvature uses
@@ -105,7 +104,9 @@ def called(tmp_path_factory) -> set[types.CodeType]:
     config.write_text("epochs = 1\nbatch_size = 4\ninput_size = 32\nsplit = 0.5\n"
                       "metric_sample_cap = 8\n")
     variational = tmp_path / "variational.cfg"
-    variational.write_text(config.read_text() + "inference_mode = variational\n")
+    # no dropout: its identity pull is what such a run steps through
+    variational.write_text(config.read_text() + "inference_mode = variational\n"
+                           "dropout_rate = 0\n")
     pngs = tmp_path / "pngs"
     pngs.mkdir()
     rng = np.random.default_rng(7)

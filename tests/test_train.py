@@ -16,7 +16,7 @@ from synthdetect.train import (
     snapshot_state,
     train,
 )
-from synthdetect.tensor import GradTape, Tensor, backward
+from synthdetect.tensor import Tensor, backward
 
 
 def _setup(n_real=60, n_per=20, fraction=0.5, seed=0, **cfg_over):
@@ -137,14 +137,14 @@ def test_snapshot_survives_a_step_and_copies_only_buffers():
     state = snapshot_state(cnn, head)
     saved = copy.deepcopy(state)
     x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)))
-    with GradTape() as tape:
-        out = head.forward(cnn.forward_features(x, training=True))
-        _, seeds, weight_gradients = map_objective(
-            out, np.ones(4), [p for _, p in head.parameters()], cfg.alpha, cfg.beta)
-    grads = backward(seeds, tape)
+    chain = []
+    out = head.forward(cnn.forward_features(x, training=True, chain=chain), chain=chain)
+    _, cotangent, weight_gradients = map_objective(
+        out, np.ones(4), head.parameters(), cfg.alpha, cfg.beta)
+    _, grads = backward(chain, cotangent)
     grads.update(weight_gradients(grads))
-    for _, p in params:
-        p.assign(p.data - 1e-3 * grads[p.uid])
+    for name, p in params:
+        p.assign(p.data - 1e-3 * grads[name])
     assert not np.array_equal(cnn.bn_mean, saved["cnn"]["bn.running_mean"])
     for part in ("cnn", "head"):
         for name, arr in state[part].items():
@@ -227,10 +227,10 @@ def test_threshold_subset_scored_in_one_pass(monkeypatch):
     infer_batches = []
     forward = FineToCoarseCnn.forward_features
 
-    def counted(self, x, training):
+    def counted(self, x, training, chain=None):
         if not training:
             infer_batches.append(x.shape[0])
-        return forward(self, x, training)
+        return forward(self, x, training, chain)
 
     monkeypatch.setattr(FineToCoarseCnn, "forward_features", counted)
     _, report = train(cnn, head, split, cfg)
