@@ -13,19 +13,16 @@ A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
 Both objectives have closed-form gradients, so only the network is pulled
-back (``tensor.backward``), and gradients are keyed by parameter name.
-``map_objective`` returns its value, the cotangent beta * (f - y) of the head
-outputs it read, which seeds the step's one ``backward``, and a map from that
-result to the gradients of the weights it regularizes (alpha * w added).
-``elbo`` pulls each sample's head chain itself, from the cotangent
--beta * (f - y) / n_mc, and returns the features' cotangent, the sum of the
-samples', with the q gradients: alpha * m + sum(g) for the means and
-alpha * sigma^2 - 1 + sum(g * eps * sigma) for the log-stds, g being a
-sampled weight's gradient. Each sum is taken in the order a product rule
-gives it (g*r + g*r for a square; the KL term, then the samples from the
-last to the first, as for the features), so the arithmetic and its order,
-and with them the trained weights' bits, are those of one reverse pass over
-the whole computation.
+back, with gradients keyed by parameter name. ``map_objective`` returns the
+cotangent beta * (f - y) of the head outputs, which seeds the step's one
+``backward``, and a map that adds alpha * w to the head's gradients.
+``elbo`` pulls each sample's head chain from -beta * (f - y) / n_mc itself
+and returns the features' cotangent and the q gradients: alpha * m + sum(g)
+for the means and alpha * sigma^2 - 1 + sum(g * eps * sigma) for the
+log-stds, g being a sampled weight's gradient. Each sum is taken in the order
+a product rule gives it (g*r + g*r for a square; the KL term, then the
+samples from the last to the first, for the features too), which keeps the
+trained weights' bits those of one reverse pass over the whole computation.
 
 The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
 inference-mode outputs over N training features. At inference dropout is the

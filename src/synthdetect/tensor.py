@@ -113,7 +113,8 @@ def link(chain: Chain | None, names: Sequence[str], result: tuple[Tensor, Pull])
     return out
 
 
-def backward(chain: Chain, cotangent: np.ndarray) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+def backward(chain: Chain, cotangent: np.ndarray
+             ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Pull ``cotangent``, of the chain's last output, back through the
     chain's links in reverse. Returns the cotangent of its first input
     (``None`` if the first op builds none) and each parameter's gradient,
