@@ -6,7 +6,7 @@ map and flattening. Pooling sits between the convolution and the sigmoid, so
 weak high-frequency responses average toward zero before they are squashed.
 Correlation commutes with the window mean, so each stage pools its input
 first, with a stride-1 window mean, and then runs its own kernel at the pool
-stride: sigmoid(conv_s(mean_pool(h, p, 1), k)). That is the same map as
+stride: sigmoid(conv_s(mean_pool(h, p), k)). That is the same map as
 conv, mean-pool at stride s, sigmoid, at 1/s^2 of the conv output positions.
 Valid (no-padding) windows take a 224 input through 224 -> 221 -> 109 ->
 106 -> 51 -> 48 -> 22 (pool, then conv, per stage), i.e. 22*22*32 = 15488
@@ -17,10 +17,20 @@ The geometry has one setting, ``CnnConfig(input_size)``, with two values:
 scale, 3x3 kernels and 2x2 pools: 32 -> 31 -> 15 -> 14 -> 6 -> 5 -> 2, i.e.
 128 features). Every other field follows from it.
 
+The stages hold [C,H,W,B] maps, batch innermost (see ``tensor``), and the
+layout changes twice. On the way in, the [B,3,S,S] batch is handed to stage
+1's pool as a transposed view, which the pool's adds keep in the batch's
+memory order and stage 1's conv copies into its C-contiguous phase planes,
+so the transposition costs no copy of its own. On the way out, one
+``transpose`` link turns the last map into [B,C,H,W] before the batch norm,
+so the norm, the (C,H,W) flatten order of the features and the head see what
+they saw with a batch-major extractor.
+
 The extractor's backward is its forward's chain of links (``tensor.link``),
 walked in reverse by ``tensor.backward``: per stage the pool (from stage 2
 on), the conv, named ``conv<i>.kernels`` and ``conv<i>.bias``, and the
-sigmoid; then the batch norm (``bn.scale``, ``bn.shift``) and the flatten.
+sigmoid; then the transpose, the batch norm (``bn.scale``, ``bn.shift``) and
+the flatten.
 """
 
 from __future__ import annotations
@@ -143,22 +153,23 @@ class FineToCoarseCnn:
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(
                 f"expected [B,{cfg.in_channels},{cfg.input_size},{cfg.input_size}], got {x.shape}")
-        h = self.stage_activations(x, chain)[-1]
+        h = T.link(chain, (), T.transpose(self.stage_activations(x, chain)[-1], (3, 0, 1, 2)))
         h = T.link(chain, ("bn.scale", "bn.shift"), T.batch_norm(
             h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
             training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps))
         return T.link(chain, (), T.reshape(h, (h.shape[0], self.feature_dim)))
 
     def stage_activations(self, x: Tensor, chain: T.Chain | None = None) -> list[Tensor]:
-        """Per-stage post-sigmoid maps of a [B,3,S,S] batch:
-        sigmoid(conv_s(mean_pool(h, p, 1))) per stage, which equals
-        sigmoid(mean_pool(conv(h), p, s)). Stage 1 reads the input batch, so
-        its pool is never pulled and its conv builds no input gradient."""
+        """Per-stage post-sigmoid [C,H,W,B] maps of a [B,3,S,S] batch:
+        sigmoid(conv_s(mean_pool(h, p))) per stage, which equals
+        sigmoid(mean_pool(conv(h), p, s)). Stage 1 pools a transposed view of
+        the input batch (see the module docstring); that pool is never pulled
+        and its conv builds no input gradient."""
         cfg = self.config
         outs = []
-        h = x
+        h = Tensor.adopt(x.data.transpose(1, 2, 3, 0))
         for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
-            pooled = T.link(chain if i else None, (), T.mean_pool(h, cfg.pool_kernel, 1))
+            pooled = T.link(chain if i else None, (), T.mean_pool(h, cfg.pool_kernel))
             h = T.link(chain, (f"conv{i + 1}.kernels", f"conv{i + 1}.bias"), T.conv2d_valid(
                 pooled, kern, bias, stride=cfg.pool_stride, input_grad=i > 0))
             h = T.link(chain, (), T.sigmoid(h))

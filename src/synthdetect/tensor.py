@@ -1,9 +1,16 @@
 """Dense float64 tensors and the network's layers, each with its pull-back.
 
-The layers (conv, mean pool, sigmoid, batch norm, linear, dropout, reshape)
-are what training and inference run, and nothing else. They are batch only:
-``conv2d_valid``, ``mean_pool`` and ``batch_norm`` take [B,C,H,W] and
-``linear`` takes [B,d]; an unbatched input raises ``ShapeError``.
+The layers (conv, mean pool, sigmoid, batch norm, linear, dropout,
+transpose, reshape) are what training and inference run, and nothing else.
+They are batch only; an unbatched input raises ``ShapeError``.
+``conv2d_valid`` and ``mean_pool`` take [C,H,W,B] maps, the batch innermost:
+at 32 px the extractor's maps are 2 to 31 px wide, so with the batch inner
+every im2col gather, pool add and gradient scatter moves whole batch rows
+instead of rows of a few pixels. ``batch_norm`` takes [B,C,H,W] and
+``linear`` [B,d]. The extractor (``model``) transposes twice: its [B,3,S,S]
+input enters as a strided view that stage 1's conv copies into its phase
+planes, and its last map leaves through a ``transpose`` link before the
+batch norm.
 
 Each op returns its output and its ``pull``, which maps a cotangent of the
 output to the cotangents of its tensor arguments in order: the input first
@@ -41,6 +48,7 @@ __all__ = [
     "mean_pool",
     "reshape",
     "sigmoid",
+    "transpose",
 ]
 
 
@@ -82,11 +90,13 @@ class Tensor:
 
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "Tensor":
-        """Wrap ``arr`` itself, without the copy or the finite check
-        ``Tensor(arr)`` makes; the caller (an op, or a caller that made a
-        private buffer) hands it over and must not write to it again."""
+        """Wrap ``arr`` itself, a strided view included, without the copy or
+        the finite check ``Tensor(arr)`` makes; the caller (an op, or a caller
+        that made a private buffer) hands it over and must not write to it
+        again."""
         t = cls.__new__(cls)
-        t.data = _owned(arr)
+        t.data = np.asarray(arr, dtype=np.float64)
+        t.data.setflags(write=False)
         return t
 
     def assign(self, arr) -> None:
@@ -133,6 +143,14 @@ def reshape(a: Tensor, shape) -> tuple[Tensor, Pull]:
     return Tensor.adopt(a.data.reshape(shape)), lambda g: (g.reshape(old),)
 
 
+def transpose(a: Tensor, axes) -> tuple[Tensor, Pull]:
+    """``a`` with its axes permuted by ``axes``, in a new C-contiguous buffer."""
+    axes = tuple(int(i) for i in axes)
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
+    return (Tensor.adopt(np.ascontiguousarray(a.data.transpose(axes))),
+            lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+
+
 def sigmoid(a: Tensor) -> tuple[Tensor, Pull]:
     """Elementwise 1/(1+exp(-x)), computed without overflow on either tail:
     with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below.
@@ -169,19 +187,28 @@ def conv_output_size(extent: int, kernel: int, stride: int) -> int:
     return (extent - kernel) // stride + 1
 
 
-def _windows(x4: np.ndarray, kh: int, kw: int, s: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(2, 3))
-    return win[:, :, ::s, ::s]
+def _phase_taps(s: int, kh: int, kw: int):
+    """The taps (i, j) of a kh x kw window at stride s, grouped by their
+    phase (i % s, j % s); each tap as (i, j, i // s, j // s)."""
+    phases: dict[tuple[int, int], list] = {}
+    for i, j in np.ndindex(kh, kw):
+        phases.setdefault((i % s, j % s), []).append((i, j, i // s, j // s))
+    return phases.items()
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
                  input_grad: bool = True) -> tuple[Tensor, Pull]:
-    """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels,
-    at the same stride along both axes.
+    """Valid cross-correlation of a [C,H,W,B] map with [K,C,kh,kw] kernels,
+    at the same stride along both axes, to a [K,Ho,Wo,B] map.
 
-    Lowered to an im2col matrix product so both passes run on BLAS. The pull
-    builds the input gradient only with ``input_grad``; for an input batch
-    it would be discarded.
+    Lowered to an im2col matrix product so both passes run on BLAS, and the
+    [K, Ho*Wo*B] product is the output map itself. The [C*kh*kw, Ho*Wo*B]
+    column matrix is gathered from the stride x stride phase planes
+    x[:, r::s, q::s]: each plane is copied once into a C-contiguous buffer,
+    whatever the strides of ``x``, and every tap is then a stride-1 slice of
+    one plane, whose rows run Wo*B long. The pull adds the column gradients
+    back plane by plane the same way. It builds the input gradient only with
+    ``input_grad``; for an input batch it would be discarded.
     """
     if stride < 1:
         raise ShapeError("stride must be >= 1")
@@ -192,91 +219,94 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     if bd.shape != (K,):
         raise ShapeError(f"bias must be [K]={K}, got {bd.shape}")
     x4 = x.data
-    if x4.ndim != 4 or x4.shape[1] != C:
-        raise ShapeError(f"input {x.shape} is not a [B,{C},H,W] batch")
-    B, _, H, W = x4.shape
+    if x4.ndim != 4 or x4.shape[0] != C:
+        raise ShapeError(f"input {x.shape} is not a [{C},H,W,B] map")
+    _, H, W, B = x4.shape
     if kh > H or kw > W:
         raise ShapeError(f"kernel {kh}x{kw} exceeds input {H}x{W}")
-    win = _windows(x4, kh, kw, stride)  # [B,C,Hp,Wp,kh,kw]
-    Hp, Wp = win.shape[2], win.shape[3]
-    # channel-major columns: the gather copies whole output rows, and the
-    # product comes out in [K, B, Hp*Wp] blocks that transpose cheaply
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        C * kh * kw, B * Hp * Wp)
+    Ho = conv_output_size(H, kh, stride)
+    Wo = conv_output_size(W, kw, stride)
+    phases = _phase_taps(stride, kh, kw)
+    cols = np.empty((C, kh, kw, Ho, Wo, B))
+    for (r, q), taps in phases:
+        plane = np.ascontiguousarray(x4[:, r::stride, q::stride])
+        for i, j, a, b in taps:
+            cols[:, i, j] = plane[:, a:a + Ho, b:b + Wo]
+        del plane  # before the next plane is allocated
+    cols = cols.reshape(C * kh * kw, Ho * Wo * B)
     kflat = kd.reshape(K, C * kh * kw)
     out2 = kflat @ cols
     out2 += bd[:, None]
-    out = Tensor.adopt(out2.reshape(K, B, Hp, Wp).transpose(1, 0, 2, 3))
 
     def pull(gout: np.ndarray):
-        g2 = np.ascontiguousarray(gout.transpose(1, 0, 2, 3)).reshape(K, B * Hp * Wp)
+        g2 = gout.reshape(K, Ho * Wo * B)
         gk = (g2 @ cols.T).reshape(K, C, kh, kw)
         gb = g2.sum(axis=1)
         if not input_grad:
             return None, gk, gb
-        gcols = (kflat.T @ g2).reshape(C, kh, kw, B, Hp, Wp)
-        gx = np.zeros((C, B, H, W))
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i:i + stride * (Hp - 1) + 1:stride,
-                   j:j + stride * (Wp - 1) + 1:stride] += gcols[:, i, j]
-        return gx.transpose(1, 0, 2, 3), gk, gb
+        gcols = (kflat.T @ g2).reshape(C, kh, kw, Ho, Wo, B)
+        gx = np.zeros((C, H, W, B))
+        for (r, q), taps in phases:
+            plane = np.zeros(gx[:, r::stride, q::stride].shape)
+            for i, j, a, b in taps:
+                plane[:, a:a + Ho, b:b + Wo] += gcols[:, i, j]
+            gx[:, r::stride, q::stride] = plane
+            del plane
+        return gx, gk, gb
 
-    return out, pull
+    return Tensor.adopt(out2.reshape(K, Ho, Wo, B)), pull
 
 
-def _taps(a: np.ndarray, k: int, s: int, n: int, axis: int):
-    """The k strided views a[i : i + s*(n-1) + 1 : s] along ``axis``, i < k."""
+def _taps(a: np.ndarray, k: int, n: int, axis: int):
+    """The k views a[i : i + n] along ``axis``, i < k."""
     lead = (slice(None),) * axis
-    return [a[lead + (slice(i, i + s * (n - 1) + 1, s),)] for i in range(k)]
+    return [a[lead + (slice(i, i + n),)] for i in range(k)]
 
 
-def _tap_sum(a: np.ndarray, k: int, s: int, n: int, axis: int) -> np.ndarray:
-    """Sum of the k views of :func:`_taps`, in a new buffer."""
-    views = _taps(a, k, s, n, axis)
-    out = views[0] + views[1] if k > 1 else views[0].copy()
+def _tap_sum(a: np.ndarray, k: int, n: int, axis: int) -> np.ndarray:
+    """Sum of the k views of :func:`_taps`, in a new buffer laid out in the
+    memory order of ``a``."""
+    views = _taps(a, k, n, axis)
+    out = views[0] + views[1] if k > 1 else views[0].copy(order="K")
     for view in views[2:]:
         out += view
     return out
 
 
-def _tap_spread(g: np.ndarray, k: int, s: int, extent: int, axis: int) -> np.ndarray:
+def _tap_spread(g: np.ndarray, k: int, extent: int, axis: int) -> np.ndarray:
     """Adjoint of :func:`_tap_sum`: add ``g`` into each of the k views."""
     shape = list(g.shape)
     shape[axis] = extent
     out = np.zeros(shape)
-    for view in _taps(out, k, s, g.shape[axis], axis):
+    for view in _taps(out, k, g.shape[axis], axis):
         view += g
     return out
 
 
-def mean_pool(x: Tensor, kernel: int, stride: int) -> tuple[Tensor, Pull]:
-    """Window-averaging downsample over the spatial dims of a [B,C,H,W] batch,
-    with a square ``kernel`` x ``kernel`` window and the same stride along
-    both axes.
+def mean_pool(x: Tensor, kernel: int) -> tuple[Tensor, Pull]:
+    """Stride-1 window mean over a square ``kernel`` x ``kernel`` window of
+    the H and W axes of a [C,H,W,B] map.
 
-    Separable: ``kernel`` strided row-slice adds, then ``kernel`` column-slice
-    adds, then one scale; the pull is the same adds transposed.
+    Separable: ``kernel`` row-slice adds, then ``kernel`` column-slice adds,
+    then one scale; each add runs over whole W*B or Wp*B rows, and the pull
+    is the same adds transposed. ``x`` may be any strided view of such a map,
+    and the output keeps its memory order.
     """
-    if stride < 1:
-        raise ShapeError("stride must be >= 1")
     if kernel < 1:
         raise ShapeError("pool window must be >= 1")
     x4 = x.data
     if x4.ndim != 4:
-        raise ShapeError(f"input must be a [B,C,H,W] batch, got {x.shape}")
-    H, W = x4.shape[2:]
+        raise ShapeError(f"input must be a [C,H,W,B] map, got {x.shape}")
+    H, W = x4.shape[1:3]
     if kernel > min(H, W):
         raise ShapeError(f"pool window {kernel}x{kernel} exceeds input {H}x{W}")
-    Hp = conv_output_size(H, kernel, stride)
-    Wp = conv_output_size(W, kernel, stride)
+    Hp, Wp = H - kernel + 1, W - kernel + 1
     inv = 1.0 / (kernel * kernel)
-    out4 = _tap_sum(_tap_sum(x4, kernel, stride, Hp, 2), kernel, stride, Wp, 3)
+    out4 = _tap_sum(_tap_sum(x4, kernel, Hp, 1), kernel, Wp, 2)
     out4 *= inv
 
     def pull(gout: np.ndarray):
-        return (_tap_spread(_tap_spread(gout * inv, kernel, stride, W, 3),
-                            kernel, stride, H, 2),)
+        return (_tap_spread(_tap_spread(gout * inv, kernel, W, 2), kernel, H, 1),)
 
     return Tensor.adopt(out4), pull
 

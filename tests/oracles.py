@@ -1,6 +1,7 @@
 """Slow reference implementations that the package's fast paths are checked
-against, the reference head and densities of the Bayesian oracles, and the
-first checkpoint writer.
+against (the extractor's conv and pool among them, in the [B,C,H,W] layout),
+the reference head and densities of the Bayesian oracles, and the first
+checkpoint writer.
 Nothing under ``src/`` imports this module (``test_oracles_guard.py``)."""
 
 from __future__ import annotations
@@ -176,14 +177,60 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return e
 
 
-# --- tensor: the windowed mean pool ---------------------------------------------
+# --- tensor: the [B,C,H,W] conv and windowed mean pool ------------------------
 
 
-def mean_pool(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Square-window mean over the last two axes of a [C,H,W] or [B,C,H,W]
-    array, as ``mean`` over a strided sliding-window view."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
-    return win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1))
+def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
+                 input_grad: bool = True):
+    """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels
+    to [B,K,Ho,Wo], as an im2col product over a sliding-window view, with
+    its pull (input cotangent, ``None`` without ``input_grad``, then the
+    kernels' and the bias's)."""
+    kd, bd, x4 = kernels.data, bias.data, x.data
+    K, C, kh, kw = kd.shape
+    B, _, H, W = x4.shape
+    win = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,kh,kw]
+    Ho, Wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        C * kh * kw, B * Ho * Wo)
+    kflat = kd.reshape(K, C * kh * kw)
+    out = (kflat @ cols + bd[:, None]).reshape(K, B, Ho, Wo).transpose(1, 0, 2, 3)
+
+    def pull(gout: np.ndarray):
+        g2 = np.ascontiguousarray(gout.transpose(1, 0, 2, 3)).reshape(K, B * Ho * Wo)
+        gk = (g2 @ cols.T).reshape(K, C, kh, kw)
+        gb = g2.sum(axis=1)
+        if not input_grad:
+            return None, gk, gb
+        gcols = (kflat.T @ g2).reshape(C, kh, kw, B, Ho, Wo)
+        gx = np.zeros((C, B, H, W))
+        for i, j in np.ndindex(kh, kw):
+            gx[:, :, i:i + stride * (Ho - 1) + 1:stride,
+               j:j + stride * (Wo - 1) + 1:stride] += gcols[:, i, j]
+        return gx.transpose(1, 0, 2, 3), gk, gb
+
+    return Tensor.adopt(np.ascontiguousarray(out)), pull
+
+
+def mean_pool(x: Tensor, kernel: int, stride: int):
+    """Square-window mean over the last two axes of a [B,C,H,W] batch at
+    ``stride``, as ``mean`` over a strided sliding-window view, with its pull:
+    each window's cotangent spread evenly over the window, tap by tap."""
+    x4 = x.data
+    win = np.lib.stride_tricks.sliding_window_view(x4, (kernel, kernel), axis=(-2, -1))
+    out = win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1))
+    Ho, Wo = out.shape[-2:]
+
+    def pull(gout: np.ndarray):
+        gx = np.zeros(x4.shape)
+        share = gout / (kernel * kernel)
+        for i, j in np.ndindex(kernel, kernel):
+            gx[..., i:i + stride * (Ho - 1) + 1:stride,
+               j:j + stride * (Wo - 1) + 1:stride] += share
+        return (gx,)
+
+    return Tensor.adopt(out), pull
 
 
 # --- bayes: the conjugate-regression head, the densities, the dense curvature ---

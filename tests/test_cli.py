@@ -501,10 +501,10 @@ def test_overflowing_conv_scores_finite(trained_dir, toy_root, tmp_path, capsys)
     kernels.assign(kernels.data * 1e308)
     save_checkpoint(tmp_path / "big.bin", detector)
     paths = image_paths(toy_root / "real")
-    batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths]))
+    batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths], axis=-1))
     cfg = detector.cnn.config
     with np.errstate(over="ignore"):
-        conv, _ = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel, 1)[0], kernels,
+        conv, _ = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel)[0], kernels,
                                  detector.cnn.biases[0], cfg.pool_stride)
     assert np.isinf(conv.data).any()
     assert main(["score", "--checkpoint", str(tmp_path / "big.bin"),

@@ -1,19 +1,21 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from synthdetect import tensor as T
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.tensor import (
     ShapeError,
     Tensor,
     backward,
     batch_norm,
-    conv2d_valid,
     link,
-    mean_pool,
     reshape,
     sigmoid,
 )
 
+import oracles
 from helpers import assert_grads_close, fd_gradient_coords
 
 
@@ -148,12 +150,14 @@ def test_composed_gradient_matches_finite_differences():
 
 
 def _reference_features(cnn, x, training, chain=None):
-    """The unfused stack: conv, then mean-pool, then sigmoid, per stage."""
+    """The unfused [B,C,H,W] stack: conv, then mean-pool, then sigmoid, per
+    stage, on the reference ops of ``oracles``."""
     cfg = cnn.config
     h = x
     for i, (kern, bias) in enumerate(zip(cnn.kernels, cnn.biases), start=1):
-        h = link(chain, (f"conv{i}.kernels", f"conv{i}.bias"), conv2d_valid(h, kern, bias))
-        h = link(chain, (), mean_pool(h, cfg.pool_kernel, cfg.pool_stride))
+        h = link(chain, (f"conv{i}.kernels", f"conv{i}.bias"),
+                 oracles.conv2d_valid(h, kern, bias))
+        h = link(chain, (), oracles.mean_pool(h, cfg.pool_kernel, cfg.pool_stride))
         h = link(chain, (), sigmoid(h))
     h = link(chain, ("bn.scale", "bn.shift"), batch_norm(
         h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
@@ -172,11 +176,12 @@ def test_fused_stages_match_conv_pool_sigmoid(input_size):
     h = x
     for (conv_side, pool_side), kern, bias, fused in zip(
             cfg.stage_sizes(), cnn.kernels, cnn.biases, cnn.stage_activations(x)):
-        conv, _ = conv2d_valid(h, kern, bias)
+        conv, _ = oracles.conv2d_valid(h, kern, bias)
         assert conv.shape[-1] == conv_side
-        h, _ = sigmoid(mean_pool(conv, cfg.pool_kernel, cfg.pool_stride)[0])
-        assert fused.shape == h.shape == (2, kern.shape[0], pool_side, pool_side)
-        assert np.abs(fused.data - h.data).max() <= 1e-12
+        h, _ = sigmoid(oracles.mean_pool(conv, cfg.pool_kernel, cfg.pool_stride)[0])
+        assert h.shape == (2, kern.shape[0], pool_side, pool_side)
+        assert fused.shape == (kern.shape[0], pool_side, pool_side, 2)
+        assert np.abs(fused.data.transpose(3, 0, 1, 2) - h.data).max() <= 1e-12
 
 
 def test_fused_parameter_gradients_match_reference():
@@ -192,3 +197,58 @@ def test_fused_parameter_gradients_match_reference():
     fused, reference = grads
     for name, _ in cnn.parameters():
         assert np.allclose(fused[name], reference[name], rtol=1e-9, atol=1e-12), name
+
+
+@pytest.mark.parametrize("input_size,batch", [(32, 2), (32, 3), (32, 7), (32, 20), (224, 2)])
+def test_batched_features_are_each_images_solo_features(input_size, batch):
+    """Inference mixes no images: each row of a batched forward equals that
+    image's forward alone, and the unfused [B,C,H,W] reference stack, within
+    1e-12 relative. Distinct images, biases and batch-norm statistics make a
+    swap of images or of channels show."""
+    cfg = CnnConfig(input_size)
+    cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(50))
+    rng = np.random.default_rng(51)
+    for b in cnn.biases:
+        b.assign(rng.normal(size=b.shape))
+    c_last = cfg.filters[-1]
+    cnn.bn_scale.assign(rng.uniform(0.5, 2.0, size=c_last))
+    cnn.bn_shift.assign(rng.normal(size=c_last))
+    cnn.bn_mean[:] = rng.uniform(0.3, 0.7, size=c_last)
+    cnn.bn_var[:] = rng.uniform(0.01, 0.1, size=c_last)
+    x = rng.random((batch, 3, input_size, input_size))
+    z = cnn.forward_features(Tensor(x), training=False).data
+    ref = _reference_features(cnn, Tensor(x), training=False).data
+    for n in range(batch):
+        solo = cnn.forward_features(Tensor(x[n:n + 1]), training=False).data[0]
+        scale = np.abs(solo).max()
+        assert np.abs(z[n] - solo).max() <= 1e-12 * scale
+        assert np.abs(ref[n] - solo).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("input_size", [32, 224])
+def test_inference_keeps_no_pull_alive(input_size, monkeypatch):
+    """Without a chain the forward drops each op's pull, and the buffers it
+    closes over, at the link: by the time the next op starts, every earlier
+    link's pull has been collected."""
+    pulls = []
+
+    def no_pull_alive():
+        assert [ref for ref in pulls if ref() is not None] == []
+
+    real_link = T.link
+
+    def link(chain, names, result):
+        pulls.append(weakref.ref(result[1]))
+        return real_link(chain, names, result)
+
+    monkeypatch.setattr(T, "link", link)
+    for name in ("mean_pool", "conv2d_valid", "sigmoid", "transpose", "batch_norm", "reshape"):
+        def op(*args, _op=getattr(T, name), **kwargs):
+            no_pull_alive()
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(T, name, op)
+    cnn = FineToCoarseCnn(CnnConfig(input_size), rng=np.random.default_rng(60))
+    x = np.random.default_rng(61).random((2, 3, input_size, input_size))
+    cnn.forward_features(Tensor(x), training=False)
+    no_pull_alive()
+    assert len(pulls) == 3 * len(cnn.kernels) + 3  # stages, then transpose, norm, flatten

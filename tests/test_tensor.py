@@ -17,8 +17,9 @@ from synthdetect.tensor import (
     sigmoid,
 )
 
+import oracles
 from helpers import assert_grads_close, fd_gradient
-from oracles import mean_pool as mean_pool_oracle, sigmoid as sigmoid_oracle
+from oracles import sigmoid as sigmoid_oracle
 
 
 def test_tensor_rejects_non_finite():
@@ -64,14 +65,14 @@ _CNN = FineToCoarseCnn(CnnConfig(32))
 @pytest.mark.parametrize("call", [
     lambda: conv2d_valid(Tensor(np.zeros((3, 6, 6))), Tensor(np.zeros((2, 3, 3, 3))),
                          Tensor(np.zeros(2))),
-    lambda: mean_pool(Tensor(np.zeros((3, 6, 6))), 2, 1),
+    lambda: mean_pool(Tensor(np.zeros((3, 6, 6))), 2),
     lambda: batch_norm(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                        np.zeros(3), np.ones(3), training=False),
     lambda: linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
     lambda: _CNN.forward_features(Tensor(np.zeros((3, 32, 32))), training=False),
 ], ids=["conv2d_valid", "mean_pool", "batch_norm", "linear", "forward_features"])
 def test_unbatched_input_rejected(call):
-    """Each op takes one input rank, a leading batch axis included."""
+    """Each op takes one input rank, its batch axis included."""
     with pytest.raises(ShapeError):
         call()
 
@@ -80,16 +81,16 @@ def test_unbatched_input_rejected(call):
 
 
 def test_conv2d_one_by_one_kernel_scales():
-    x = Tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 3, 3, 1)))
     k = Tensor(np.full((1, 1, 1, 1), 2.0))
     b = Tensor(np.zeros(1))
     out, _ = conv2d_valid(x, k, b, stride=1)
-    assert out.shape == (1, 1, 3, 3)
+    assert out.shape == (1, 3, 3, 1)
     assert np.allclose(out.data, 2.0)
 
 
 def test_conv2d_hand_sum():
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
     k = Tensor(np.ones((1, 1, 2, 2)))
     b = Tensor(np.zeros(1))
     out, _ = conv2d_valid(x, k, b, stride=1)
@@ -98,22 +99,22 @@ def test_conv2d_hand_sum():
 
 
 def test_conv2d_full_scale_shape():
-    x = Tensor(np.zeros((1, 3, 224, 224)))
+    x = Tensor(np.zeros((3, 224, 224, 1)))
     k = Tensor(np.zeros((16, 3, 5, 5)))
     b = Tensor(np.zeros(16))
     out, _ = conv2d_valid(x, k, b, stride=1)
-    assert out.shape == (1, 16, 220, 220)
+    assert out.shape == (16, 220, 220, 1)
 
 
 def test_conv2d_channel_mismatch_rejected():
-    x = Tensor(np.zeros((1, 2, 4, 4)))
+    x = Tensor(np.zeros((2, 4, 4, 1)))
     k = Tensor(np.zeros((1, 3, 2, 2)))
     with pytest.raises(ShapeError):
         conv2d_valid(x, k, Tensor(np.zeros(1)))
 
 
 def test_conv2d_oversized_kernel_rejected():
-    x = Tensor(np.zeros((1, 1, 3, 3)))
+    x = Tensor(np.zeros((1, 3, 3, 1)))
     k = Tensor(np.zeros((1, 1, 4, 4)))
     with pytest.raises(ShapeError):
         conv2d_valid(x, k, Tensor(np.zeros(1)))
@@ -121,48 +122,48 @@ def test_conv2d_oversized_kernel_rejected():
 
 def test_conv2d_matches_direct_loop_oracle():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 3, 6, 7))
+    x = rng.normal(size=(3, 6, 7, 2))
     k = rng.normal(size=(4, 3, 3, 2))
     b = rng.normal(size=4)
     out = conv2d_valid(Tensor(x), Tensor(k), Tensor(b), stride=2)[0].data
     Hp = conv_output_size(6, 3, 2)
     Wp = conv_output_size(7, 2, 2)
-    assert out.shape == (2, 4, Hp, Wp)
+    assert out.shape == (4, Hp, Wp, 2)
     for n in range(2):
         for f in range(4):
             for i in range(Hp):
                 for j in range(Wp):
-                    patch = x[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 2]
+                    patch = x[:, 2 * i:2 * i + 3, 2 * j:2 * j + 2, n]
                     want = (patch * k[f]).sum() + b[f]
-                    assert out[n, f, i, j] == pytest.approx(want, rel=1e-12)
+                    assert out[f, i, j, n] == pytest.approx(want, rel=1e-12)
 
 
 # --- mean_pool ------------------------------------------------------------
 
 
 def test_mean_pool_constant_input():
-    x = Tensor(np.full((1, 2, 8, 8), 3.25))
-    out, _ = mean_pool(x, 4, 2)
-    assert out.shape == (1, 2, 3, 3)
+    x = Tensor(np.full((2, 8, 8, 1), 3.25))
+    out, _ = mean_pool(x, 4)
+    assert out.shape == (2, 5, 5, 1)
     assert np.allclose(out.data, 3.25)
 
 
 def test_mean_pool_hand_value():
-    x = Tensor(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
-    out, _ = mean_pool(x, 4, 2)
+    x = Tensor(np.arange(1.0, 17.0).reshape(1, 4, 4, 1))
+    out, _ = mean_pool(x, 4)
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == pytest.approx(8.5)
 
 
 def test_mean_pool_shape_formula():
-    x = Tensor(np.zeros((1, 5, 47, 47)))
-    out, _ = mean_pool(x, 4, 2)
-    assert out.shape == (1, 5, 22, 22)
+    x = Tensor(np.zeros((5, 47, 47, 1)))
+    out, _ = mean_pool(x, 4)
+    assert out.shape == (5, 44, 44, 1)
 
 
 def test_mean_pool_window_too_large_rejected():
     with pytest.raises(ShapeError):
-        mean_pool(Tensor(np.zeros((1, 1, 3, 3))), 4, 2)
+        mean_pool(Tensor(np.zeros((1, 3, 3, 1))), 4)
 
 
 def test_shape_closure_random_cases():
@@ -174,11 +175,11 @@ def test_shape_closure_random_cases():
         kw = int(rng.integers(1, W + 1))
         s = int(rng.integers(1, 4))
         p = min(kh, kw)
-        out, _ = mean_pool(Tensor(np.zeros((1, 1, H, W))), p, s)
-        assert out.shape == (1, 1, (H - p) // s + 1, (W - p) // s + 1)
+        out, _ = mean_pool(Tensor(np.zeros((1, H, W, 1))), p)
+        assert out.shape == (1, H - p + 1, W - p + 1, 1)
         k = Tensor(np.zeros((2, 1, kh, kw)))
-        out, _ = conv2d_valid(Tensor(np.zeros((1, 1, H, W))), k, Tensor(np.zeros(2)), s)
-        assert out.shape == (1, 2, (H - kh) // s + 1, (W - kw) // s + 1)
+        out, _ = conv2d_valid(Tensor(np.zeros((1, H, W, 1))), k, Tensor(np.zeros(2)), s)
+        assert out.shape == (2, (H - kh) // s + 1, (W - kw) // s + 1, 1)
 
 
 def test_conv2d_input_gradient_only_for_tracked_inputs():
@@ -187,8 +188,8 @@ def test_conv2d_input_gradient_only_for_tracked_inputs():
     rng = np.random.default_rng(13)
     k = Tensor(rng.normal(size=(2, 3, 2, 2)))
     b = Tensor(np.zeros(2))
-    x = Tensor(rng.normal(size=(2, 3, 5, 5)))
-    g = rng.normal(size=(2, 2, 4, 4))
+    x = Tensor(rng.normal(size=(3, 5, 5, 2)))
+    g = rng.normal(size=(2, 4, 4, 2))
     gx, gk, gb = conv2d_valid(x, k, b)[1](g)
     assert gx.shape == x.shape
     none, gk_only, gb_only = conv2d_valid(x, k, b, input_grad=False)[1](g)
@@ -202,11 +203,10 @@ def test_separable_mean_pool_matches_windowed_mean(data):
     draw = data.draw
     H, W = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     kernel = draw(st.integers(1, min(H, W)))
-    stride = draw(st.integers(1, 6))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), H, W)
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape)
-    got = mean_pool(Tensor(x), kernel, stride)[0].data
-    want = mean_pool_oracle(x, kernel, stride)
+    got = mean_pool(Tensor(x.transpose(1, 2, 3, 0)), kernel)[0].data
+    want = oracles.mean_pool(Tensor(x), kernel, 1)[0].data.transpose(1, 2, 3, 0)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
 
@@ -225,10 +225,63 @@ def test_folded_conv_equals_conv_then_mean_pool(kernel, window, stride, size):
     x = Tensor(rng.normal(size=(2, 3, size, size + 2)))
     k = Tensor(rng.normal(size=(4, 3, kh, kw)))
     b = Tensor(rng.normal(size=4))
-    want = mean_pool(conv2d_valid(x, k, b)[0], window, stride)[0].data
-    got = conv2d_valid(mean_pool(x, window, 1)[0], k, b, stride=stride)[0].data
+    want = oracles.mean_pool(oracles.conv2d_valid(x, k, b)[0], window, stride)[0].data
+    xt = Tensor(x.data.transpose(1, 2, 3, 0))
+    got = conv2d_valid(mean_pool(xt, window)[0], k, b, stride=stride)[0].data
+    got = got.transpose(3, 0, 1, 2)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
+
+
+# --- the [C,H,W,B] ops against the [B,C,H,W] oracles ----------------------
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("input_size", [32, 224])
+def test_stage_ops_match_batch_major_oracles(input_size):
+    """At each stage shape of both presets, ``mean_pool`` and the strided
+    ``conv2d_valid`` on [C,H,W,B] maps, forward and pull (the conv's with and
+    without the input gradient), equal the [B,C,H,W] references transposed.
+    Stage 1 pools a transposed view of a [B,C,H,W] batch, as the extractor
+    does. Distinct images and channels make a swap of either show."""
+    cfg = CnnConfig(input_size)
+    rng = np.random.default_rng(input_size)
+    batch = 3 if input_size == 32 else 2
+
+    def as_map(a):
+        return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
+
+    side, c_in = input_size, cfg.in_channels
+    for stage, k_out in enumerate(cfg.filters):
+        x = rng.normal(size=(batch, c_in, side, side))
+        xm = Tensor.adopt(x.transpose(1, 2, 3, 0)) if stage == 0 else Tensor(as_map(x))
+        pooled, pool_pull = mean_pool(xm, cfg.pool_kernel)
+        ref, ref_pull = oracles.mean_pool(Tensor(x), cfg.pool_kernel, 1)
+        _assert_close(pooled.data, as_map(ref.data))
+        g = rng.normal(size=ref.shape)
+        _assert_close(pool_pull(as_map(g))[0], as_map(ref_pull(g)[0]))
+
+        kern = Tensor(rng.normal(size=(k_out, c_in, cfg.kernel, cfg.kernel)))
+        bias = Tensor(rng.normal(size=k_out))
+        pooled_ref = Tensor(pooled.data.transpose(3, 0, 1, 2))
+        for input_grad in (True, False):
+            out, pull = conv2d_valid(pooled, kern, bias, cfg.pool_stride, input_grad)
+            ref, ref_pull = oracles.conv2d_valid(pooled_ref, kern, bias, cfg.pool_stride,
+                                                 input_grad)
+            _assert_close(out.data, as_map(ref.data))
+            g = rng.normal(size=ref.shape)
+            (gx, gk, gb), (rx, rk, rb) = pull(as_map(g)), ref_pull(g)
+            _assert_close(gk, rk)
+            _assert_close(gb, rb)
+            if input_grad:
+                _assert_close(gx, as_map(rx))
+            else:
+                assert gx is None and rx is None
+        side, c_in = out.shape[1], k_out
 
 
 # --- sigmoid --------------------------------------------------------------
@@ -395,35 +448,35 @@ def test_primitive_gradients_match_finite_differences(op_name):
     ``p<i>``."""
     rng = np.random.default_rng(hash(op_name) % 2 ** 31)
     if op_name == "conv":
-        params = [Tensor(rng.normal(size=(2, 2, 5, 6))),
+        params = [Tensor(rng.normal(size=(2, 5, 6, 2))),
                   Tensor(rng.normal(size=(3, 2, 2, 3))),
                   Tensor(rng.normal(size=3))]
-        proj = rng.normal(size=(2, 3, 2, 2))
+        proj = rng.normal(size=(3, 2, 2, 2))
 
         def build(chain=None):
             return link(chain, ("p1", "p2"),
                         conv2d_valid(params[0], params[1], params[2], stride=2))
     elif op_name == "pool":
-        params = [Tensor(rng.normal(size=(2, 1, 6, 6)))]
-        proj = rng.normal(size=(2, 1, 2, 2))
+        params = [Tensor(rng.normal(size=(1, 6, 6, 2)))]
+        proj = rng.normal(size=(1, 3, 3, 2))
 
         def build(chain=None):
-            return link(chain, (), mean_pool(params[0], 4, 2))
+            return link(chain, (), mean_pool(params[0], 4))
     elif op_name == "pool_stride1":
-        params = [Tensor(rng.normal(size=(2, 2, 5, 6)))]
-        proj = rng.normal(size=(2, 2, 4, 5))
+        params = [Tensor(rng.normal(size=(2, 5, 6, 2)))]
+        proj = rng.normal(size=(2, 4, 5, 2))
 
         def build(chain=None):
-            return link(chain, (), mean_pool(params[0], 2, 1))
+            return link(chain, (), mean_pool(params[0], 2))
     elif op_name == "fold":
         # a model stage below its sigmoid: pool at stride 1, conv at stride 2
-        params = [Tensor(rng.normal(size=(2, 3, 7, 8))),
+        params = [Tensor(rng.normal(size=(3, 7, 8, 2))),
                   Tensor(rng.normal(size=(2, 3, 3, 2))),
                   Tensor(rng.normal(size=2))]
-        proj = rng.normal(size=(2, 2, 2, 3))
+        proj = rng.normal(size=(2, 2, 3, 2))
 
         def build(chain=None):
-            pooled = link(chain, (), mean_pool(params[0], 2, 1))
+            pooled = link(chain, (), mean_pool(params[0], 2))
             return link(chain, ("p1", "p2"),
                         conv2d_valid(pooled, params[1], params[2], stride=2))
     elif op_name == "sigmoid":
@@ -474,12 +527,12 @@ def test_primitive_gradients_match_finite_differences(op_name):
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(42)
-        x = Tensor(rng.normal(size=(3, 2, 6, 6)))
+        x = Tensor(rng.normal(size=(2, 6, 6, 3)))
         k = Tensor(rng.normal(size=(2, 2, 3, 3)))
         b = Tensor(np.zeros(2))
         chain = []
-        h = link(chain, ("k", "b"), conv2d_valid(x, k, b))
-        h = link(chain, (), sigmoid(link(chain, (), mean_pool(h, 2, 2))))
+        h = link(chain, (), mean_pool(x, 2))
+        h = link(chain, (), sigmoid(link(chain, ("k", "b"), conv2d_valid(h, k, b, stride=2))))
         _, grads = backward(chain, 2.0 * h.data)  # the seed of sum(h * h)
         return h.data, grads["k"]
 
