@@ -12,17 +12,14 @@ a Gauss-Newton curvature approximation, giving the input-dependent variance
 A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
-Both objectives have closed-form gradients, so only the network is pulled
-back, with gradients keyed by parameter name. ``map_objective`` returns the
-cotangent beta * (f - y) of the head outputs, which seeds the step's one
-``backward``, and a map that adds alpha * w to the head's gradients.
-``elbo`` pulls each sample's head chain from -beta * (f - y) / n_mc itself
-and returns the features' cotangent and the q gradients: alpha * m + sum(g)
-for the means and alpha * sigma^2 - 1 + sum(g * eps * sigma) for the
-log-stds, g being a sampled weight's gradient. Each sum is taken in the order
-a product rule gives it (g*r + g*r for a square; the KL term, then the
-samples from the last to the first, for the features too), which keeps the
-trained weights' bits those of one reverse pass over the whole computation.
+Both objectives have closed-form gradients, returned as arrays keyed by
+parameter name, so only the network is pulled back. ``map_objective``
+returns the cotangent beta * (f - y) of the head outputs, which seeds the
+step's one ``backward``, and the prior's gradient alpha * w of each head
+weight. ``elbo`` pulls each sample's head chain from -beta * (f - y) / n_mc
+itself and returns the features' cotangent and the q gradients:
+alpha * m + sum(g) for the means and alpha * sigma^2 - 1 + sum(g * eps * sigma)
+for the log-stds, g being a sampled weight's gradient.
 
 The Gauss-Newton curvature is H = J^T J, with J the [N, W] Jacobian of the
 inference-mode outputs over N training features. At inference dropout is the
@@ -47,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,20 +196,17 @@ def _finite(value) -> float:
     return float(value)
 
 
-Gradients = Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
-
-
 def map_objective(outputs: Tensor, targets: np.ndarray,
                   weights: Sequence[tuple[str, Tensor]], alpha: float, beta: float,
-                  scale: float = 1.0) -> tuple[float, np.ndarray, Gradients]:
+                  scale: float = 1.0) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Negative unnormalized log posterior -log p(targets | w) - log p(w) of
     the head's [B] ``outputs``, under a Gaussian prior on the named
     ``weights``.
 
     Returns the value, the outputs' cotangent beta * (f - y) to seed
-    ``backward``, and ``weight_gradients``, which adds the prior term
-    alpha * w to each weight's gradient in ``backward``'s result, keyed by
-    name. Cotangents and gradients are those of ``scale`` times the value.
+    ``backward``, and the prior's gradient alpha * w of each weight as it is
+    now, keyed by name, to add to ``backward``'s. Cotangents and gradients
+    are those of ``scale`` times the value.
     """
     check_head_hparams(alpha=alpha, beta=beta)
     targets = np.asarray(targets, dtype=np.float64)
@@ -225,13 +219,8 @@ def map_objective(outputs: Tensor, targets: np.ndarray,
     const = (-0.5 * targets.size * (math.log(beta) - LOG_2PI)
              - 0.5 * sum(w.data.size for _, w in weights) * (math.log(alpha) - LOG_2PI))
     value = _finite(0.5 * beta * np.sum(resid * resid) + const + 0.5 * alpha * sq_norm)
-    g_out, g_prior = scale * (0.5 * beta), scale * (0.5 * alpha)
-
-    def weight_gradients(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {name: grads[name] + (g_prior * w.data + g_prior * w.data)
-                for name, w in weights}
-
-    return value, g_out * resid + g_out * resid, weight_gradients
+    g_prior = scale * alpha
+    return value, (scale * beta) * resid, {name: g_prior * w.data for name, w in weights}
 
 
 # --- Gauss-Newton curvature and solves -----------------------------------------
@@ -358,6 +347,7 @@ class VariationalPosterior:
     def __init__(self, head, init_log_std: float = -4.0):
         self.head = head
         self.names = [name for name, _ in head.parameters()]
+        self.std_names = [f"{name}.log_std" for name in self.names]
         self.means: list[Tensor] = [p for _, p in head.parameters()]
         self.log_stds: list[Tensor] = [Tensor(np.full(m.shape, init_log_std))
                                        for m in self.means]
@@ -365,28 +355,25 @@ class VariationalPosterior:
     def parameters(self) -> list[tuple[str, Tensor]]:
         """The means under the head's names, then the log-stds under those
         names with ``.log_std`` appended."""
-        return [*zip(self.names, self.means),
-                *((f"{name}.log_std", ls) for name, ls in zip(self.names, self.log_stds))]
+        return [*zip(self.names, self.means), *zip(self.std_names, self.log_stds)]
 
 
 def kl_to_prior(q: VariationalPosterior, alpha: float, scale: float = 1.0
-                ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+                ) -> tuple[float, dict[str, np.ndarray]]:
     """Closed-form KL( q || N(0, alpha^-1 I) ), summed over all weights, and
-    the gradients of ``scale`` times it: alpha * m for each mean and
-    alpha * sigma^2 - 1 for each log-std."""
+    the gradients of ``scale`` times it, keyed by ``q.parameters()`` names:
+    alpha * m for each mean and alpha * sigma^2 - 1 for each log-std."""
     check_head_hparams(alpha=alpha)
     total, count = 0.0, 0
-    g_means, g_log_stds = [], []
-    half = 0.5 * alpha
-    g = scale * half
-    for mean, log_std in zip(q.means, q.log_stds):
+    grads = {}
+    half, g = 0.5 * alpha, scale * alpha
+    for name, std_name, mean, log_std in zip(q.names, q.std_names, q.means, q.log_stds):
         m, ls = mean.data, log_std.data
         count += m.size
         sigma2 = np.exp(ls * 2.0)
         total += np.sum(sigma2 * half) + np.sum(m * m * half) - np.sum(ls)
-        g_means.append(g * m + g * m)
-        g_log_stds.append(g * sigma2 * 2.0 - scale)
-    return _finite(total + (-0.5 * math.log(alpha) - 0.5) * count), g_means, g_log_stds
+        grads[name], grads[std_name] = g * m, g * sigma2 - scale
+    return _finite(total + (-0.5 * math.log(alpha) - 0.5) * count), grads
 
 
 def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
@@ -397,23 +384,25 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
 
     Each sample w = m + sigma * eps (eps from ``rng``, then the sample's
     dropout mask from ``dropout_rng``) runs the head on its own chain, which
-    ``backward`` pulls from the cotangent -beta * (f - y) / n_mc. Returns the
-    bound, the cotangent of ``features`` (the samples' sum, from the last
-    sample to the first) to seed the extractor's ``backward``, and
-    ``weight_gradients``: those of the q means (the KL term plus the sum of
-    the sampled weights' gradients g) and log-stds (the KL term plus the sum
-    of g * eps * sigma), keyed by ``q.parameters()`` names. Cotangents and
+    ``backward`` pulls from the cotangent -beta * (f - y) / n_mc. The
+    gradients start from the KL's, and each sample's are added as soon as
+    its chain is pulled. Returns the bound, the cotangent of ``features``
+    (the samples' sum) to seed the extractor's ``backward``, and the
+    gradients of the q means (the KL term plus the sum of the sampled
+    weights' gradients g) and log-stds (the KL term plus the sum of
+    g * eps * sigma), keyed by ``q.parameters()`` names. Cotangents and
     gradients are those of ``scale`` times the bound.
     """
     check_head_hparams(alpha=alpha, beta=beta)
     if n_mc < 1:
         raise ValueError("need at least one Monte-Carlo sample")
     targets = np.asarray(targets, dtype=np.float64)
+    kl, grads = kl_to_prior(q, alpha, -scale)
     means = [m.data for m in q.means]
     sigmas = [np.exp(ls.data) for ls in q.log_stds]
-    g_out = (scale * (1.0 / n_mc)) * (-0.5 * beta)
+    g_out = (scale * (1.0 / n_mc)) * -beta
     loglik = 0.0
-    samples = []
+    g_features = None
     for _ in range(n_mc):
         eps = [rng.standard_normal(m.shape) for m in means]
         chain = []
@@ -425,17 +414,12 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
         resid = out.data - targets
         loglik += np.sum(resid * resid) * (-0.5 * beta) \
             + 0.5 * targets.size * (math.log(beta) - LOG_2PI)
-        g_z, grads = backward(chain, g_out * resid + g_out * resid)
-        samples.append((g_z, [grads[name] for name in q.names], eps))
-    kl, g_m, g_ls = kl_to_prior(q, alpha, -scale)
-    value = _finite(loglik * (1.0 / n_mc) - kl)
-    g_features = None
-    for g_z, g_w, eps in reversed(samples):
+        g_z, g_w = backward(chain, g_out * resid)
         g_features = g_z if g_features is None else g_features + g_z
-        g_m = [a + g for a, g in zip(g_m, g_w)]
-        g_ls = [a + g * e * sigma for a, g, e, sigma in zip(g_ls, g_w, eps, sigmas)]
-    names = [name for name, _ in q.parameters()]
-    return value, g_features, dict(zip(names, g_m + g_ls))
+        for name, std_name, sigma, e in zip(q.names, q.std_names, sigmas, eps):
+            grads[name] += g_w[name]
+            grads[std_name] += g_w[name] * e * sigma
+    return _finite(loglik * (1.0 / n_mc) - kl), g_features, grads
 
 
 # --- scoring -------------------------------------------------------------------
@@ -485,6 +469,3 @@ class Detector:
         """Posterior scores for a sized sequence of raw images."""
         batch = np.stack([self.preprocess(p) for p in pixel_list])
         return posterior_scores(self.cnn, self.head, batch)
-
-    def score_pixels(self, pixels: np.ndarray) -> float:
-        return float(self.score_batch([pixels])[0])

@@ -113,9 +113,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_EXTRA_CONFIG_KEYS = {"split": float, "input_size": int}
-
-
 def _check_split_seed(split: float, seed: int) -> None:
     """The rule every command applies to its split fraction and seed, before
     it reads any data."""
@@ -127,36 +124,30 @@ def _check_split_seed(split: float, seed: int) -> None:
 
 def _build_config(args) -> tuple[TrainConfig, CnnConfig, float]:
     """Merge defaults <- config file <- flags into a TrainConfig, the
-    extractor geometry its ``input_size`` selects, and the split fraction."""
-    field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    raw = _parse_config_file(args.config) if args.config else {}
-    kwargs = {}
-    extras = {"split": 0.8, "input_size": 224}
-    for key, value in raw.items():
-        if key in _EXTRA_CONFIG_KEYS:
-            caster, target = _EXTRA_CONFIG_KEYS[key], extras
-        elif key in field_types:
-            kind = field_types[key]
-            caster = {"int": int, "float": float, "str": str}[
-                kind if isinstance(kind, str) else kind.__name__]
-            target = kwargs
-        else:
+    extractor geometry its ``input_size`` selects, and the split fraction.
+    Each key's value is read by the type of its default."""
+    casters = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    casters.update(split=float, input_size=int)
+    values = {"split": 0.8, "input_size": 224}
+    for key, value in (_parse_config_file(args.config) if args.config else {}).items():
+        if key not in casters:
             raise UsageError(f"unknown config key {key!r}")
         try:
-            target[key] = caster(value)
+            values[key] = casters[key](value)
         except ValueError as err:
             raise UsageError(f"config key {key}: {err}") from err
     if args.seed is not None:
-        kwargs["seed"] = args.seed
+        values["seed"] = args.seed
     if args.split is not None:
-        extras["split"] = args.split
+        values["split"] = args.split
+    split, input_size = values.pop("split"), values.pop("input_size")
     try:
-        cfg = TrainConfig(**kwargs)
-        cnn_config = CnnConfig(extras["input_size"])
+        cfg = TrainConfig(**values)
+        cnn_config = CnnConfig(input_size)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    _check_split_seed(extras["split"], cfg.seed)
-    return cfg, cnn_config, extras["split"]
+    _check_split_seed(split, cfg.seed)
+    return cfg, cnn_config, split
 
 
 def _write_text(path: Path, content: str) -> None:
@@ -205,7 +196,7 @@ def cmd_score(args) -> int:
     undecoded = non_finite = 0
     for path in paths:
         try:
-            score = detector.score_pixels(load_image(path))
+            score = float(detector.score_batch([load_image(path)])[0])
         except (DecodeError, ValueError, FloatingPointError) as err:
             if isinstance(err, FloatingPointError):
                 non_finite += 1

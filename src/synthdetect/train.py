@@ -13,10 +13,11 @@ lower percentile of the training-pool scores. The early-stop rule compares
 that metric against the same retention on a held-back half of the validation
 pool (a test proxy that avoids touching the true test set).
 
-A MAP step appends the extractor's and the head's links to one chain and
-pulls the objective's cotangent back through it with one ``backward``. A
-variational step pulls each sample's head chain inside ``elbo`` and seeds
-the extractor's chain with the features' summed cotangent.
+A MAP step appends the extractor's and the head's links to one chain, pulls
+the objective's cotangent back through it with one ``backward`` and adds the
+prior's gradients to the head's. A variational step pulls each sample's head
+chain inside ``elbo``, which returns the q gradients whole, and seeds the
+extractor's chain with the features' summed cotangent.
 """
 
 from __future__ import annotations
@@ -193,10 +194,13 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
                 if q is None:
                     # one chain, extractor and head, and one backward
                     out = head.forward(z, training=True, rng=rng, chain=chain)
-                    value, cotangent, weight_gradients = map_objective(
+                    value, cotangent, prior = map_objective(
                         out, yb, head.parameters(), cfg.alpha, cfg.beta, scale)
                     _, grads = backward(chain, cotangent)
-                    grads.update(weight_gradients(grads))
+                    # in place, into the prior's own arrays: a separate sum
+                    # would keep both alive until the next step
+                    grads.update({name: np.add(g, grads[name], out=g)
+                                  for name, g in prior.items()})
                 else:
                     scale = -scale  # ascend the bound
                     value, cotangent, q_gradients = elbo(

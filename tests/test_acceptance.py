@@ -86,9 +86,9 @@ def test_criterion_1_gradient_correctness():
         return objective()[0]
 
     chain = []
-    _, cotangent, weight_gradients = objective(chain)
+    _, cotangent, prior = objective(chain)
     _, grads = backward(chain, cotangent)
-    grads.update(weight_gradients(grads))
+    grads.update({name: grads[name] + g for name, g in prior.items()})
 
     sizes = np.array([p.data.size for p in params])
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -167,11 +167,27 @@ def test_map_objective_gradient_matches_fd():
                              alpha=0.3, beta=4.0)
 
     chain = []
-    _, cotangent, weight_gradients = build(chain)
-    analytic = weight_gradients(backward(chain, cotangent)[1])
+    _, cotangent, prior = build(chain)
+    grads = backward(chain, cotangent)[1]
+    analytic = {name: grads[name] + g for name, g in prior.items()}
     numeric = fd_gradient(lambda: build()[0], [p for _, p in head.parameters()])
     for (name, _), num in zip(head.parameters(), numeric):
         assert_grads_close(analytic[name], num)
+
+
+def test_map_prior_gradients_are_values_of_the_weights_passed_in():
+    """The prior's gradients are arrays computed at the call: new head
+    weights assigned afterwards leave them those of the weights passed in."""
+    rng = np.random.default_rng(23)
+    head = BayesianHead(4, hidden=3, alpha=0.6, beta=3.0, dropout_rate=0.0, rng=rng)
+    passed = {name: p.data for name, p in head.parameters()}
+    _, _, prior = map_objective(head.forward(rng.normal(size=(5, 4))), np.ones(5),
+                                head.parameters(), 0.6, 3.0, scale=0.25)
+    for _, p in head.parameters():
+        p.assign(rng.normal(size=p.shape))
+    assert prior.keys() == passed.keys()
+    for name, w in passed.items():
+        assert np.array_equal(prior[name], (0.25 * 0.6) * w)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -199,9 +215,10 @@ def test_objective_gradients_are_those_of_scale_times_the_value():
 
     def map_gradients(s):
         chain = []
-        value, cotangent, weight_gradients = map_objective(
+        value, cotangent, prior = map_objective(
             head.forward(Z, chain=chain), y, head.parameters(), 0.6, 3.0, s)
-        return value, weight_gradients(backward(chain, cotangent)[1])
+        grads = backward(chain, cotangent)[1]
+        return value, {name: grads[name] + g for name, g in prior.items()}
 
     def elbo_gradients(s):
         value, g_features, grads = elbo(head, q, Z, y, 0.6, 3.0, 2,
@@ -765,5 +782,5 @@ def test_score_batch_chunks_full_scale_images(monkeypatch):
     monkeypatch.setattr(FineToCoarseCnn, "forward_features", counted)
     scores = det.score_batch(pixels)
     assert batches == [5, 5, 2]
-    singles = np.array([det.score_pixels(p) for p in pixels])
+    singles = np.array([det.score_batch([p])[0] for p in pixels])
     assert np.allclose(scores, singles, rtol=0.0, atol=1e-12)

@@ -553,6 +553,13 @@ def test_config_file_not_utf8_exits_usage_error(toy_root, tmp_path, capsys):
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_config_defaults_have_their_annotated_types():
+    """A config key's value is read by the type of its ``TrainConfig``
+    default, so each default must be of its field's annotated type."""
+    for f in dataclasses.fields(TrainConfig):
+        assert type(f.default).__name__ == f.type, f.name
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 1
     assert main(["frobnicate"]) == 1

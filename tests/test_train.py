@@ -139,10 +139,10 @@ def test_snapshot_survives_a_step_and_copies_only_buffers():
     x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)))
     chain = []
     out = head.forward(cnn.forward_features(x, training=True, chain=chain), chain=chain)
-    _, cotangent, weight_gradients = map_objective(
+    _, cotangent, prior = map_objective(
         out, np.ones(4), head.parameters(), cfg.alpha, cfg.beta)
     _, grads = backward(chain, cotangent)
-    grads.update(weight_gradients(grads))
+    grads.update({name: grads[name] + g for name, g in prior.items()})
     for name, p in params:
         p.assign(p.data - 1e-3 * grads[name])
     assert not np.array_equal(cnn.bn_mean, saved["cnn"]["bn.running_mean"])
@@ -212,8 +212,8 @@ def test_posterior_score_api():
     cnn, head, split, cfg = _setup(epochs=4, n_real=120, n_per=40, fraction=0.6,
                                    improvement_threshold=0.0)
     detector, _ = train(cnn, head, split, cfg)
-    first = detector.score_pixels(split.train[0].pixels)
-    assert first == detector.score_pixels(split.train[0].pixels)
+    first = detector.score_batch([split.train[0].pixels])[0]
+    assert first == detector.score_batch([split.train[0].pixels])[0]
     train_scores = detector.score_batch([r.pixels for r in split.train])
     assert (train_scores > detector.gamma).mean() > 0.5
 
