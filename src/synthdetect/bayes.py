@@ -12,6 +12,10 @@ a Gauss-Newton curvature approximation, giving the input-dependent variance
 A mean-field variational alternative (``elbo``) trains per-weight means and
 log-stds by reparameterized sampling; scores are then taken at the q means.
 
+The head's weights are one dict, ``BayesianHead.params``, keyed by their
+checkpoint names; whatever takes weights takes such a dict. q's means are
+``head.params`` itself, and q holds only its log-stds.
+
 Both objectives have closed-form gradients, returned as arrays keyed by
 parameter name, so only the network is pulled back. ``map_objective``
 returns the cotangent beta * (f - y) of the head outputs, which seeds the
@@ -44,14 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import tensor as T
 from .model import is_finite_real, is_int
 from .preprocess import NormStats, preprocess_pixels
-from .tensor import ShapeError, Tensor, backward
+from .tensor import ShapeError, Tensor, backward, frozen
 
 LOG_2PI = math.log(2.0 * math.pi)
 INFERENCE_MODES = ("map", "variational")
@@ -87,13 +89,14 @@ _PARAMETER_NAMES = ("fc1.weights", "fc1.bias", "fc2.weights", "fc2.bias")
 
 class BayesianHead:
     """Two fully connected layers with dropout between them (no activation:
-    the conv stack already squashed features through sigmoids)."""
+    the conv stack already squashed features through sigmoids), with its
+    weights in ``params``: ``fc1.weights``, ``fc1.bias``, ``fc2.*``."""
 
     def __init__(self, d_in: int, hidden: int = 512, alpha: float = 1e-2,
                  beta: float = 100.0, dropout_rate: float = 0.5,
                  rng: np.random.Generator | None = None,
-                 weights: Sequence[np.ndarray] | None = None):
-        """``weights``, in ``parameters()`` order, become the head's tensors
+                 weights: dict[str, np.ndarray] | None = None):
+        """``weights``, keyed as ``params`` is, become the head's parameters
         without a copy; without them (and without ``rng``) they are zero."""
         check_head_hparams(hidden=hidden, alpha=alpha, beta=beta, dropout_rate=dropout_rate)
         self.d_in = d_in
@@ -101,57 +104,54 @@ class BayesianHead:
         self.alpha = alpha
         self.beta = beta
         self.dropout_rate = dropout_rate
-        shapes = [shape for _, shape in self.parameter_shapes(d_in, hidden)]
+        shapes = dict(self.parameter_shapes(d_in, hidden))
         if weights is None:
-            weights = [np.zeros(shape) for shape in shapes]
-        elif [np.shape(w) for w in weights] != shapes:
-            raise ShapeError(f"head weight shapes {[np.shape(w) for w in weights]} "
-                             f"!= {shapes}")
-        self.w1, self.b1, self.w2, self.b2 = (Tensor.adopt(w) for w in weights)
+            weights = {name: np.zeros(shape) for name, shape in shapes.items()}
+        got = {name: np.shape(w) for name, w in weights.items()}
+        if got != shapes:
+            raise ShapeError(f"head weight shapes {got} != {shapes}")
+        self.params = {name: frozen(weights[name]) for name in shapes}
         if rng is not None:
             self.xavier_init(rng)
 
     def xavier_init(self, rng: np.random.Generator) -> None:
-        for w in (self.w1, self.w2):
-            d_out, d_in = w.shape
+        """Weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
+        for name in ("fc1.weights", "fc2.weights"):
+            d_out, d_in = self.params[name].shape
             bound = np.sqrt(6.0 / (d_in + d_out))
-            w.assign(rng.uniform(-bound, bound, size=w.shape))
-        self.b1.assign(np.zeros(self.hidden))
-        self.b2.assign(np.zeros(1))
+            self.params[name] = frozen(rng.uniform(-bound, bound, size=(d_out, d_in)))
+        self.params.update({"fc1.bias": frozen(np.zeros(self.hidden)),
+                            "fc2.bias": frozen(np.zeros(1))})
 
     @staticmethod
     def parameter_shapes(d_in: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
-        """Name and shape of each parameter, in ``parameters()`` order."""
+        """Name and shape of each parameter, in ``params`` order."""
         return list(zip(_PARAMETER_NAMES, [(hidden, d_in), (hidden,), (1, hidden), (1,)]))
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return list(zip(_PARAMETER_NAMES, (self.w1, self.b1, self.w2, self.b2)))
+    def forward(self, z: np.ndarray, training: bool = False, rng: np.random.Generator | None = None,
+                chain: T.Chain | None = None) -> np.ndarray:
+        return self.forward_with(z, self.params, training, rng, chain)
 
-    def forward(self, z, training: bool = False, rng: np.random.Generator | None = None,
-                chain: T.Chain | None = None) -> Tensor:
-        return self.forward_with(z, [p.data for _, p in self.parameters()], training, rng,
-                                 chain)
-
-    def forward_with(self, z, weights: Sequence[np.ndarray], training: bool = False,
-                     rng: np.random.Generator | None = None,
-                     chain: T.Chain | None = None) -> Tensor:
+    def forward_with(self, z: np.ndarray, weights: dict[str, np.ndarray],
+                     training: bool = False, rng: np.random.Generator | None = None,
+                     chain: T.Chain | None = None) -> np.ndarray:
         """[B] outputs of the [B, d_in] rows ``z`` at the weight arrays
-        ``weights`` (``parameters()`` order). With a ``chain``, the links of
-        the forward are appended to it, named as ``parameters()`` names them."""
-        w1, b1, w2, b2 = (Tensor.adopt(w) for w in weights)
-        zt = z if isinstance(z, Tensor) else Tensor(z)
-        h = T.link(chain, _PARAMETER_NAMES[:2], T.linear(zt, w1, b1))
+        ``weights``, keyed as ``params`` is. With a ``chain``, the links of
+        the forward are appended to it, named by those keys."""
+        h = T.link(chain, _PARAMETER_NAMES[:2],
+                   T.linear(z, weights["fc1.weights"], weights["fc1.bias"]))
         h = T.link(chain, (), T.dropout(h, self.dropout_rate, training, rng))
-        out = T.link(chain, _PARAMETER_NAMES[2:], T.linear(h, w2, b2))
+        out = T.link(chain, _PARAMETER_NAMES[2:],
+                     T.linear(h, weights["fc2.weights"], weights["fc2.bias"]))
         return T.link(chain, (), T.reshape(out, (out.shape[0],)))
 
-    def jacobian_products(self, z: np.ndarray, weights: Sequence[np.ndarray]):
+    def jacobian_products(self, z: np.ndarray, weights: dict[str, np.ndarray]):
         """(J v, J^T u) for the Jacobian J of the inference-mode outputs at
-        the [N, d_in] rows ``z`` w.r.t. the given weight arrays
-        (``parameters()`` order), flat in that order. Row n of J is
+        the [N, d_in] rows ``z`` w.r.t. the weight arrays ``weights`` (keyed
+        as ``params`` is), flat in ``params`` order. Row n of J is
         [w2 (x) z_n, w2, h_n, 1], h = z W1^T + b1."""
-        w1, b1, w2, _ = weights
-        w2 = w2[0]
+        w1, b1 = weights["fc1.weights"], weights["fc1.bias"]
+        w2 = weights["fc2.weights"][0]
         hid = z @ w1.T
         hid += b1
         split = np.cumsum([w1.size, self.hidden, self.hidden])
@@ -173,14 +173,14 @@ class BayesianHead:
         at z_n is A z~ for one [W, d_in + 1] matrix A of the weights."""
         return np.hstack([z, np.ones((z.shape[0], 1))])
 
-    def gradient_gram(self, weights: Sequence[np.ndarray]) -> np.ndarray:
-        """K = A^T A at the given weight arrays (``parameters()`` order). The
-        blocks of g = A z~ are w2 (x) z, w2, [W1 b1] z~ and 1, so
+    def gradient_gram(self, weights: dict[str, np.ndarray]) -> np.ndarray:
+        """K = A^T A at the weight arrays ``weights`` (keyed as ``params``
+        is). The blocks of g = A z~ are w2 (x) z, w2, [W1 b1] z~ and 1, so
         K = |w2|^2 I + [W1 b1]^T [W1 b1] + e e^T, e the last unit vector."""
-        w1, b1, w2, _ = weights
-        wb = np.hstack([w1, b1[:, None]])
+        wb = np.hstack([weights["fc1.weights"], weights["fc1.bias"][:, None]])
+        w2 = weights["fc2.weights"][0]
         K = wb.T @ wb
-        K[np.diag_indices_from(K)] += float(w2[0] @ w2[0])
+        K[np.diag_indices_from(K)] += float(w2 @ w2)
         K[-1, -1] += 1.0
         return K
 
@@ -196,8 +196,8 @@ def _finite(value) -> float:
     return float(value)
 
 
-def map_objective(outputs: Tensor, targets: np.ndarray,
-                  weights: Sequence[tuple[str, Tensor]], alpha: float, beta: float,
+def map_objective(outputs: np.ndarray, targets: np.ndarray,
+                  weights: dict[str, np.ndarray], alpha: float, beta: float,
                   scale: float = 1.0) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Negative unnormalized log posterior -log p(targets | w) - log p(w) of
     the head's [B] ``outputs``, under a Gaussian prior on the named
@@ -212,15 +212,16 @@ def map_objective(outputs: Tensor, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != outputs.shape:
         raise ShapeError(f"targets {targets.shape} / outputs {outputs.shape} mismatch")
-    resid = outputs.data - targets
-    sq_norm = 0.0
-    for _, w in weights:
-        sq_norm += np.sum(w.data * w.data)
+    resid = outputs - targets
+    sq_norm, count = 0.0, 0
+    for w in weights.values():
+        sq_norm += np.sum(w * w)
+        count += w.size
     const = (-0.5 * targets.size * (math.log(beta) - LOG_2PI)
-             - 0.5 * sum(w.data.size for _, w in weights) * (math.log(alpha) - LOG_2PI))
+             - 0.5 * count * (math.log(alpha) - LOG_2PI))
     value = _finite(0.5 * beta * np.sum(resid * resid) + const + 0.5 * alpha * sq_norm)
     g_prior = scale * alpha
-    return value, (scale * beta) * resid, {name: g_prior * w.data for name, w in weights}
+    return value, (scale * beta) * resid, {name: g_prior * w for name, w in weights.items()}
 
 
 # --- Gauss-Newton curvature and solves -----------------------------------------
@@ -229,20 +230,19 @@ def map_objective(outputs: Tensor, targets: np.ndarray,
 def per_sample_gradients(head, features: np.ndarray) -> np.ndarray:
     """Rows g_n = grad_w f(z_n, w) for each feature row, as [N, W], at the
     head's current weights with dropout off, one ``backward`` per row."""
-    names = [name for name, _ in head.parameters()]
     rows = []
     for z in np.asarray(features, dtype=np.float64):
         chain = []
         head.forward(z[None, :], training=False, chain=chain)
         _, grads = backward(chain, np.ones(1))
-        rows.append(np.concatenate([grads[name].reshape(-1) for name in names]))
+        rows.append(np.concatenate([grads[name].reshape(-1) for name in head.params]))
     return np.stack(rows)
 
 
 class GaussNewtonCurvature:
     """H = J^T J = sum_n g_n g_n^T over a batch of feature rows, for the head
-    as it is at build: the weight arrays and precisions are kept (tensors
-    never change in place) and the predictive factor is built on first use."""
+    as it is at build: a shallow copy of ``head.params`` and the precisions
+    are kept, and the predictive factor is built on first use."""
 
     def __init__(self, head, features: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
@@ -256,7 +256,7 @@ class GaussNewtonCurvature:
         self.head = head
         self.features = features
         self.alpha, self.beta = head.alpha, head.beta
-        self.weights = [p.data for _, p in head.parameters()]
+        self.weights = dict(head.params)
         self._factor = None
 
     def factor(self) -> np.ndarray:
@@ -330,7 +330,7 @@ def predictive(z_row: np.ndarray, head,
     if head is not curvature.head:
         raise ValueError("curvature was built for a different head")
     z = np.asarray(z_row, dtype=np.float64)[None, :]
-    mean = float(head.forward_with(z, curvature.weights, training=False).data[0])
+    mean = float(head.forward_with(z, curvature.weights, training=False)[0])
     b = curvature.factor() @ head.gradient_coordinates(z)[0]
     return mean, 1.0 / curvature.beta + float(b @ b)
 
@@ -339,40 +339,32 @@ def predictive(z_row: np.ndarray, head,
 
 
 class VariationalPosterior:
-    """Mean-field Gaussian over the head weights: one (mean, log_std) pair per
-    weight, stored per parameter tensor. The means are the head's own
-    parameter tensors, so ``head.forward`` scores at the q means. Standard
-    deviations are exp(log_std), hence strictly positive after any update."""
+    """Mean-field Gaussian over the head weights. The means are the head's
+    own ``params``, so ``head.forward`` scores at them; ``log_stds`` holds
+    one array per parameter, keyed ``<name>.log_std``. Standard deviations
+    are exp(log_std), hence strictly positive after any update."""
 
     def __init__(self, head, init_log_std: float = -4.0):
         self.head = head
-        self.names = [name for name, _ in head.parameters()]
-        self.std_names = [f"{name}.log_std" for name in self.names]
-        self.means: list[Tensor] = [p for _, p in head.parameters()]
-        self.log_stds: list[Tensor] = [Tensor(np.full(m.shape, init_log_std))
-                                       for m in self.means]
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """The means under the head's names, then the log-stds under those
-        names with ``.log_std`` appended."""
-        return [*zip(self.names, self.means), *zip(self.std_names, self.log_stds)]
+        self.log_stds = {f"{name}.log_std": frozen(np.full(m.shape, init_log_std))
+                         for name, m in head.params.items()}
 
 
 def kl_to_prior(q: VariationalPosterior, alpha: float, scale: float = 1.0
                 ) -> tuple[float, dict[str, np.ndarray]]:
     """Closed-form KL( q || N(0, alpha^-1 I) ), summed over all weights, and
-    the gradients of ``scale`` times it, keyed by ``q.parameters()`` names:
-    alpha * m for each mean and alpha * sigma^2 - 1 for each log-std."""
+    the gradients of ``scale`` times it, keyed as ``q.head.params`` and
+    ``q.log_stds`` are: alpha * m per mean, alpha * sigma^2 - 1 per log-std."""
     check_head_hparams(alpha=alpha)
     total, count = 0.0, 0
     grads = {}
     half, g = 0.5 * alpha, scale * alpha
-    for name, std_name, mean, log_std in zip(q.names, q.std_names, q.means, q.log_stds):
-        m, ls = mean.data, log_std.data
+    for name, m in q.head.params.items():
+        ls = q.log_stds[f"{name}.log_std"]
         count += m.size
         sigma2 = np.exp(ls * 2.0)
         total += np.sum(sigma2 * half) + np.sum(m * m * half) - np.sum(ls)
-        grads[name], grads[std_name] = g * m, g * sigma2 - scale
+        grads[name], grads[f"{name}.log_std"] = g * m, g * sigma2 - scale
     return _finite(total + (-0.5 * math.log(alpha) - 0.5) * count), grads
 
 
@@ -390,7 +382,7 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
     (the samples' sum) to seed the extractor's ``backward``, and the
     gradients of the q means (the KL term plus the sum of the sampled
     weights' gradients g) and log-stds (the KL term plus the sum of
-    g * eps * sigma), keyed by ``q.parameters()`` names. Cotangents and
+    g * eps * sigma), keyed as ``kl_to_prior`` keys them. Cotangents and
     gradients are those of ``scale`` times the bound.
     """
     check_head_hparams(alpha=alpha, beta=beta)
@@ -398,27 +390,27 @@ def elbo(head, q: VariationalPosterior, features, targets: np.ndarray,
         raise ValueError("need at least one Monte-Carlo sample")
     targets = np.asarray(targets, dtype=np.float64)
     kl, grads = kl_to_prior(q, alpha, -scale)
-    means = [m.data for m in q.means]
-    sigmas = [np.exp(ls.data) for ls in q.log_stds]
+    means = q.head.params
+    sigmas = {name: np.exp(q.log_stds[f"{name}.log_std"]) for name in means}
     g_out = (scale * (1.0 / n_mc)) * -beta
     loglik = 0.0
     g_features = None
     for _ in range(n_mc):
-        eps = [rng.standard_normal(m.shape) for m in means]
+        eps = {name: rng.standard_normal(m.shape) for name, m in means.items()}
         chain = []
-        out = head.forward_with(features, [m + sigma * e for m, sigma, e in
-                                           zip(means, sigmas, eps)],
+        out = head.forward_with(features, {name: m + sigmas[name] * eps[name]
+                                           for name, m in means.items()},
                                 training=training, rng=dropout_rng, chain=chain)
         if targets.shape != out.shape:
             raise ShapeError(f"targets {targets.shape} / outputs {out.shape} mismatch")
-        resid = out.data - targets
+        resid = out - targets
         loglik += np.sum(resid * resid) * (-0.5 * beta) \
             + 0.5 * targets.size * (math.log(beta) - LOG_2PI)
         g_z, g_w = backward(chain, g_out * resid)
         g_features = g_z if g_features is None else g_features + g_z
-        for name, std_name, sigma, e in zip(q.names, q.std_names, sigmas, eps):
+        for name, sigma in sigmas.items():
             grads[name] += g_w[name]
-            grads[std_name] += g_w[name] * e * sigma
+            grads[f"{name}.log_std"] += g_w[name] * eps[name] * sigma
     return _finite(loglik * (1.0 / n_mc) - kl), g_features, grads
 
 
@@ -442,8 +434,8 @@ def posterior_scores(cnn: "FineToCoarseCnn", head, batch: np.ndarray) -> np.ndar
     chunk = score_chunk(batch.shape[-1])
     out = np.empty(batch.shape[0])
     for start in range(0, batch.shape[0], chunk):
-        z = cnn.forward_features(Tensor(batch[start:start + chunk]), training=False)
-        out[start:start + z.shape[0]] = head.forward(z, training=False).data
+        z = cnn.forward_features(Tensor(batch[start:start + chunk]), training=False).data
+        out[start:start + z.shape[0]] = head.forward(z, training=False)
     if not np.isfinite(out).all():
         raise FloatingPointError("posterior scores hold non-finite values")
     return out

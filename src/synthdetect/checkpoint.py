@@ -57,8 +57,7 @@ def _tensor_shapes(cnn: FineToCoarseCnn, hidden: int) -> list[tuple[str, tuple[i
     """Name and shape of each stored tensor in file order: the parameters and
     buffers of ``cnn``, then the head's parameters from the head's own shape
     list, so that nothing sized by ``hidden`` is allocated."""
-    shapes = [(f"cnn.{name}", p.shape) for name, p in cnn.parameters()]
-    shapes += [(f"cnn.{name}", buf.shape) for name, buf in cnn.buffers()]
+    shapes = [(f"cnn.{name}", a.shape) for name, a in {**cnn.params, **cnn.buffers}.items()]
     return shapes + [(f"head.{name}", shape) for name, shape
                      in BayesianHead.parameter_shapes(cnn.feature_dim, hidden)]
 
@@ -92,7 +91,7 @@ def save_checkpoint(path: str | os.PathLike, detector: Detector) -> None:
     header = _header(detector.cnn, {k: getattr(head, k) for k in HEAD_RULES},
                      detector.norm, detector.gamma, detector.mode)
     arrays = {f"cnn.{name}": arr for name, arr in detector.cnn.state_arrays().items()}
-    arrays.update((f"head.{name}", p.data) for name, p in head.parameters())
+    arrays.update((f"head.{name}", w) for name, w in head.params.items())
     header_bytes = _canonical(header)
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -179,8 +178,8 @@ def load_checkpoint(path: str | os.PathLike) -> Detector:
             tensors[entry["name"]] = arr
     try:
         head = BayesianHead(cnn.feature_dim, **hparams,
-                            weights=[arr for name, arr in tensors.items()
-                                     if name.startswith("head.")])
+                            weights={name[len("head."):]: arr for name, arr in tensors.items()
+                                     if name.startswith("head.")})
         cnn.load_state_arrays({name[len("cnn."):]: arr for name, arr in tensors.items()
                                if name.startswith("cnn.")})
     except ValueError as err:

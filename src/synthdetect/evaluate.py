@@ -37,8 +37,13 @@ def select_threshold(real_val_scores, percentile: float = 5.0) -> float:
     return float(np.percentile(scores, percentile, method="linear"))
 
 
+def is_real(scores, gamma: float) -> np.ndarray:
+    """The decision rule, elementwise: real exactly when score > ``gamma``."""
+    return np.asarray(scores) > gamma
+
+
 def classify(score: float, gamma: float) -> str:
-    return REAL if score > gamma else SYNTHETIC
+    return REAL if is_real(score, gamma) else SYNTHETIC
 
 
 def average_precision(scores, labels) -> float:
@@ -107,8 +112,8 @@ def evaluate(split: DatasetSplit, detector: Detector,
     if not real_records or not sources:
         raise EvaluationError("test split needs real samples and at least one anomaly source")
     real_scores = _score_records(detector, real_records, transform)
-    fp = int((real_scores <= gamma).sum())
-    tn = real_scores.size - fp
+    tn = int(is_real(real_scores, gamma).sum())
+    fp = real_scores.size - tn
     results = []
     by_source: dict[str, np.ndarray] = {}
     for source in sources:
@@ -118,9 +123,9 @@ def evaluate(split: DatasetSplit, detector: Detector,
         ap = average_precision(
             np.concatenate([real_scores, scores]),
             np.concatenate([np.zeros(real_scores.size, bool), np.ones(scores.size, bool)]))
-        tp = int((scores <= gamma).sum())
-        results.append(SourceResult(source=source, ap=ap, tp=tp, fp=fp,
-                                    tn=tn, fn=scores.size - tp))
+        fn = int(is_real(scores, gamma).sum())
+        results.append(SourceResult(source=source, ap=ap, tp=scores.size - fn, fp=fp,
+                                    tn=tn, fn=fn))
     anom_scores = np.concatenate(list(by_source.values()))
     combined = np.concatenate([real_scores, anom_scores])
     edges = np.histogram_bin_edges(combined, bins=50)

@@ -30,7 +30,8 @@ The extractor's backward is its forward's chain of links (``tensor.link``),
 walked in reverse by ``tensor.backward``: per stage the pool (from stage 2
 on), the conv, named ``conv<i>.kernels`` and ``conv<i>.bias``, and the
 sigmoid; then the transpose, the batch norm (``bn.scale``, ``bn.shift``) and
-the flatten.
+the flatten. Those names key the extractor's ``params`` dict and, with a
+``cnn.`` prefix, its checkpoint tensors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, frozen
 
 
 def is_int(value) -> bool:
@@ -99,67 +100,56 @@ class CnnConfig:
 
 class FineToCoarseCnn:
     """Feature extractor producing the flat latent vector consumed by the
-    Bayesian head. Inference on frozen parameters is read-only; training
-    steps mutate parameters and need exclusive access."""
+    Bayesian head: ``params`` holds its parameters, ``buffers`` the batch-norm
+    statistics, which a training-mode forward updates in place."""
 
     def __init__(self, config: CnnConfig, rng: np.random.Generator | None = None):
         self.config = config
         self.feature_dim = config.feature_dim
-        self.kernels: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self.params: dict[str, np.ndarray] = {}
         c_in = config.in_channels
-        for k_out in config.filters:
-            self.kernels.append(Tensor(
-                np.zeros((k_out, c_in, config.kernel, config.kernel))))
-            self.biases.append(Tensor(np.zeros(k_out)))
+        for i, k_out in enumerate(config.filters, start=1):
+            self.params[f"conv{i}.kernels"] = frozen(
+                np.zeros((k_out, c_in, config.kernel, config.kernel)))
+            self.params[f"conv{i}.bias"] = frozen(np.zeros(k_out))
             c_in = k_out
         c_last = config.filters[-1]
-        self.bn_scale = Tensor(np.ones(c_last))
-        self.bn_shift = Tensor(np.zeros(c_last))
-        self.bn_mean = np.zeros(c_last)
-        self.bn_var = np.ones(c_last)
+        self.params["bn.scale"] = frozen(np.ones(c_last))
+        self.params["bn.shift"] = frozen(np.zeros(c_last))
+        self.buffers = {"bn.running_mean": np.zeros(c_last), "bn.running_var": np.ones(c_last)}
         if rng is not None:
             self.xavier_init(rng)
 
     def xavier_init(self, rng: np.random.Generator) -> None:
         """Kernels uniform in +-sqrt(6/(fan_in+fan_out)); the biases and the
         batch norm keep the values ``__init__`` gave them."""
-        for kern in self.kernels:
-            k_out, c_in, kh, kw = kern.shape
+        for i in range(1, len(self.config.filters) + 1):
+            name = f"conv{i}.kernels"
+            k_out, c_in, kh, kw = self.params[name].shape
             fan_in = c_in * kh * kw
             fan_out = k_out * kh * kw
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            kern.assign(rng.uniform(-bound, bound, size=kern.shape))
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases), start=1):
-            named.append((f"conv{i}.kernels", k))
-            named.append((f"conv{i}.bias", b))
-        named.append(("bn.scale", self.bn_scale))
-        named.append(("bn.shift", self.bn_shift))
-        return named
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [("bn.running_mean", self.bn_mean), ("bn.running_var", self.bn_var)]
+            self.params[name] = frozen(rng.uniform(-bound, bound, size=(k_out, c_in, kh, kw)))
 
     def forward_features(self, x: Tensor, training: bool,
                          chain: T.Chain | None = None) -> Tensor:
         """[B,3,S,S] -> [B, feature_dim] latent vectors. With a ``chain``, the
-        links of the forward are appended to it, named as ``parameters()``
-        names them, for ``tensor.backward``."""
+        links of the forward are appended to it, named by their keys in
+        ``params``, for ``tensor.backward``."""
         cfg = self.config
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_size \
                 or x.shape[3] != cfg.input_size:
             raise ShapeError(
                 f"expected [B,{cfg.in_channels},{cfg.input_size},{cfg.input_size}], got {x.shape}")
-        h = T.link(chain, (), T.transpose(self.stage_activations(x, chain)[-1], (3, 0, 1, 2)))
+        h = T.link(chain, (), T.transpose(self.stage_activations(x.data, chain)[-1], (3, 0, 1, 2)))
         h = T.link(chain, ("bn.scale", "bn.shift"), T.batch_norm(
-            h, self.bn_scale, self.bn_shift, self.bn_mean, self.bn_var,
+            h, self.params["bn.scale"], self.params["bn.shift"],
+            self.buffers["bn.running_mean"], self.buffers["bn.running_var"],
             training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps))
-        return T.link(chain, (), T.reshape(h, (h.shape[0], self.feature_dim)))
+        return Tensor.adopt(T.link(chain, (), T.reshape(h, (h.shape[0], self.feature_dim))))
 
-    def stage_activations(self, x: Tensor, chain: T.Chain | None = None) -> list[Tensor]:
+    def stage_activations(self, x: np.ndarray, chain: T.Chain | None = None
+                          ) -> list[np.ndarray]:
         """Per-stage post-sigmoid [C,H,W,B] maps of a [B,3,S,S] batch:
         sigmoid(conv_s(mean_pool(h, p))) per stage, which equals
         sigmoid(mean_pool(conv(h), p, s)). Stage 1 pools a transposed view of
@@ -167,11 +157,13 @@ class FineToCoarseCnn:
         and its conv builds no input gradient."""
         cfg = self.config
         outs = []
-        h = Tensor.adopt(x.data.transpose(1, 2, 3, 0))
-        for i, (kern, bias) in enumerate(zip(self.kernels, self.biases)):
-            pooled = T.link(chain if i else None, (), T.mean_pool(h, cfg.pool_kernel))
-            h = T.link(chain, (f"conv{i + 1}.kernels", f"conv{i + 1}.bias"), T.conv2d_valid(
-                pooled, kern, bias, stride=cfg.pool_stride, input_grad=i > 0))
+        h = x.transpose(1, 2, 3, 0)
+        for i in range(1, len(cfg.filters) + 1):
+            names = (f"conv{i}.kernels", f"conv{i}.bias")
+            pooled = T.link(chain if i > 1 else None, (), T.mean_pool(h, cfg.pool_kernel))
+            h = T.link(chain, names, T.conv2d_valid(
+                pooled, self.params[names[0]], self.params[names[1]],
+                stride=cfg.pool_stride, input_grad=i > 1))
             h = T.link(chain, (), T.sigmoid(h))
             outs.append(h)
         return outs
@@ -179,17 +171,14 @@ class FineToCoarseCnn:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Parameters by reference (an update replaces a parameter's read-only
         array) and copies of the buffers, which batch norm updates in place."""
-        out = {name: p.data for name, p in self.parameters()}
-        out.update({name: b.copy() for name, b in self.buffers()})
-        return out
+        return {**self.params, **{name: b.copy() for name, b in self.buffers.items()}}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         """Load parameters and buffers from ``state``: a checkpoint's, which
-        the loader checked finite as it read them, or a snapshot ``train``
-        took. Raises ValueError on a negative running variance."""
-        for name, p in self.parameters():
-            p.assign(state[name])
+        the loader checked finite and shaped as it read them, or a snapshot
+        ``train`` took. Raises ValueError on a negative running variance."""
         if (state["bn.running_var"] < 0).any():
             raise ValueError("buffer bn.running_var holds negative values")
-        for name, buf in self.buffers():
+        self.params.update((name, frozen(state[name])) for name in self.params)
+        for name, buf in self.buffers.items():
             buf[:] = state[name]

@@ -21,13 +21,15 @@ vector-Jacobian product). The network is one fixed chain, written out by
 ``model`` and ``bayes``; the training objectives there return the cotangents
 of the head outputs they read in closed form, so no loss is ever pulled.
 
-Tensors are immutable values: no operation touches an operand's buffer.
-Parameter updates go through :meth:`Tensor.assign`, which requires exclusive
-access (single-threaded training steps).
+The ops take and return float64 arrays; their outputs are read-only, so no
+op writes into an array that a pull holds. Parameters are read-only arrays in
+one name-keyed dict per model, which ``sgd_update`` steps (single-threaded).
+``Tensor`` is only the extractor's input and output.
 
-Finiteness is checked where a value enters, by ``Tensor(data)`` and ``assign``.
-``adopt`` and the ops check nothing: an overflow in the network shows where it
-reaches the objective or a score (``bayes``), unless a sigmoid absorbs it.
+Finiteness is checked where a value enters, by ``Tensor(data)`` and
+``sgd_update``. ``adopt`` and the ops check nothing: an overflow in the
+network shows where it reaches the objective or a score (``bayes``), unless a
+sigmoid absorbs it.
 """
 
 from __future__ import annotations
@@ -36,49 +38,49 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "Tensor",
-    "backward",
-    "batch_norm",
-    "conv2d_valid",
-    "dropout",
-    "linear",
-    "link",
-    "mean_pool",
-    "reshape",
-    "sigmoid",
-    "transpose",
-]
-
-
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    """``arr``, which must hold only finite values."""
-    if not np.isfinite(arr).all():
-        raise FloatingPointError("tensor contains non-finite values")
-    return arr
-
-
-def _owned(arr) -> np.ndarray:
-    """``arr`` itself as a read-only float64 buffer; copied only when it is
-    not already a C-contiguous float64 array."""
-    arr = np.asarray(arr, dtype=np.float64, order="C")
+def _locked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, a strided view included, made read-only."""
     arr.setflags(write=False)
     return arr
 
 
+def frozen(arr) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous float64 array, copied only if it is
+    not one; the caller must not write to it again."""
+    return _locked(np.asarray(arr, dtype=np.float64, order="C"))
+
+
+def sgd_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+               lr: float) -> None:
+    """Replace each parameter w in ``params`` by w - lr * g, frozen. A
+    gradient g of another shape (ShapeError) or a non-finite result
+    (FloatingPointError, naming it) leaves ``params`` unchanged."""
+    updated = {}
+    for name, w in params.items():
+        g = grads[name]
+        if g.shape != w.shape:
+            raise ShapeError(f"gradient of {name} has shape {g.shape}, not {w.shape}")
+        new = w - lr * g
+        if not np.isfinite(new).all():
+            raise FloatingPointError(f"update of {name} holds non-finite values")
+        updated[name] = frozen(new)
+    params.update(updated)
+
+
 class Tensor:
-    """Immutable dense n-dimensional array of float64 scalars."""
+    """Immutable float64 array: the extractor's checked input, and its output."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        # copy: caller keeps its buffer
-        self.data: np.ndarray = _owned(_finite(np.array(data, dtype=np.float64)))
+        data = np.array(data, dtype=np.float64)  # copy: caller keeps its buffer
+        if not np.isfinite(data).all():
+            raise FloatingPointError("tensor contains non-finite values")
+        self.data: np.ndarray = frozen(data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,25 +97,16 @@ class Tensor:
         that made a private buffer) hands it over and must not write to it
         again."""
         t = cls.__new__(cls)
-        t.data = np.asarray(arr, dtype=np.float64)
-        t.data.setflags(write=False)
+        t.data = _locked(np.asarray(arr, dtype=np.float64))
         return t
-
-    def assign(self, arr) -> None:
-        """Replace the value (parameter update; exclusive access), taking
-        ``arr`` over as :meth:`adopt` does: the caller must not write to it
-        again, and a non-finite ``arr`` raises FloatingPointError."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != self.data.shape:
-            raise ShapeError(f"assign shape {arr.shape} != {self.data.shape}")
-        self.data = _owned(_finite(arr))
 
 
 Pull = Callable[[np.ndarray], tuple]
 Chain = list[tuple[Sequence[str], Pull]]
 
 
-def link(chain: Chain | None, names: Sequence[str], result: tuple[Tensor, Pull]) -> Tensor:
+def link(chain: Chain | None, names: Sequence[str],
+         result: tuple[np.ndarray, Pull]) -> np.ndarray:
     """The output of an op's ``result``; with a ``chain``, its pull is
     appended to it, its parameter cotangents named by ``names``. Without one
     the pull is dropped here, and the arrays it holds with it."""
@@ -137,26 +130,25 @@ def backward(chain: Chain, cotangent: np.ndarray
     return g, grads
 
 
-def reshape(a: Tensor, shape) -> tuple[Tensor, Pull]:
+def reshape(a: np.ndarray, shape) -> tuple[np.ndarray, Pull]:
     shape = tuple(int(s) for s in shape)
-    old = a.data.shape
-    return Tensor.adopt(a.data.reshape(shape)), lambda g: (g.reshape(old),)
+    old = a.shape
+    return _locked(a.reshape(shape)), lambda g: (g.reshape(old),)
 
 
-def transpose(a: Tensor, axes) -> tuple[Tensor, Pull]:
+def transpose(a: np.ndarray, axes) -> tuple[np.ndarray, Pull]:
     """``a`` with its axes permuted by ``axes``, in a new C-contiguous buffer."""
     axes = tuple(int(i) for i in axes)
     inverse = tuple(axes.index(i) for i in range(len(axes)))
-    return (Tensor.adopt(np.ascontiguousarray(a.data.transpose(axes))),
+    return (_locked(np.ascontiguousarray(a.transpose(axes))),
             lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
 
 
-def sigmoid(a: Tensor) -> tuple[Tensor, Pull]:
+def sigmoid(x: np.ndarray) -> tuple[np.ndarray, Pull]:
     """Elementwise 1/(1+exp(-x)), computed without overflow on either tail:
     with e = exp(-|x|) in (0, 1], it is 1/(1+e) for x >= 0 and e/(1+e) below.
     Both are r * exp(min(x, 0)) with r = 1/(1+e): the factor is e below 0 and
     exactly 1 from 0 up, so no masked select is needed."""
-    x = a.data
     # in place on two buffers (explicit ``out`` keeps 0-d results arrays)
     e = np.abs(x, out=np.empty_like(x))
     np.exp(np.negative(e, out=e), out=e)
@@ -164,23 +156,22 @@ def sigmoid(a: Tensor) -> tuple[Tensor, Pull]:
     np.reciprocal(r, out=r)
     np.exp(np.minimum(x, 0.0, out=e), out=e)
     np.multiply(e, r, out=e)
-    res = Tensor.adopt(e)
-    od = res.data
-    return res, lambda g: (g * od * (1.0 - od),)
+    od = _locked(e)
+    return od, lambda g: (g * od * (1.0 - od),)
 
 
-def linear(x: Tensor, weights: Tensor, bias: Tensor) -> tuple[Tensor, Pull]:
+def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, Pull]:
     """Affine map x W^T + b of a batch [B, d_in] to [B, d_out]."""
-    xd, wd, bd = x.data, weights.data, bias.data
-    if wd.ndim != 2 or bd.ndim != 1 or wd.shape[0] != bd.shape[0]:
-        raise ShapeError(f"weights {wd.shape} / bias {bd.shape} are not a [d_out,d_in]/[d_out] pair")
-    if xd.ndim != 2 or xd.shape[1] != wd.shape[1]:
-        raise ShapeError(f"input {xd.shape} is not a [B, {wd.shape[1]}] batch")
+    if weights.ndim != 2 or bias.ndim != 1 or weights.shape[0] != bias.shape[0]:
+        raise ShapeError(f"weights {weights.shape} / bias {bias.shape} "
+                         f"are not a [d_out,d_in]/[d_out] pair")
+    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
+        raise ShapeError(f"input {x.shape} is not a [B, {weights.shape[1]}] batch")
 
     def pull(gout: np.ndarray):
-        return gout @ wd, gout.T @ xd, gout.sum(axis=0)
+        return gout @ weights, gout.T @ x, gout.sum(axis=0)
 
-    return Tensor.adopt(xd @ wd.T + bd), pull
+    return _locked(x @ weights.T + bias), pull
 
 
 def conv_output_size(extent: int, kernel: int, stride: int) -> int:
@@ -196,8 +187,8 @@ def _phase_taps(s: int, kh: int, kw: int):
     return phases.items()
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
-                 input_grad: bool = True) -> tuple[Tensor, Pull]:
+def conv2d_valid(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1,
+                 input_grad: bool = True) -> tuple[np.ndarray, Pull]:
     """Valid cross-correlation of a [C,H,W,B] map with [K,C,kh,kw] kernels,
     at the same stride along both axes, to a [K,Ho,Wo,B] map.
 
@@ -212,16 +203,14 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     """
     if stride < 1:
         raise ShapeError("stride must be >= 1")
-    kd, bd = kernels.data, bias.data
-    if kd.ndim != 4:
-        raise ShapeError(f"kernels must be [K,C,kh,kw], got {kd.shape}")
-    K, C, kh, kw = kd.shape
-    if bd.shape != (K,):
-        raise ShapeError(f"bias must be [K]={K}, got {bd.shape}")
-    x4 = x.data
-    if x4.ndim != 4 or x4.shape[0] != C:
+    if kernels.ndim != 4:
+        raise ShapeError(f"kernels must be [K,C,kh,kw], got {kernels.shape}")
+    K, C, kh, kw = kernels.shape
+    if bias.shape != (K,):
+        raise ShapeError(f"bias must be [K]={K}, got {bias.shape}")
+    if x.ndim != 4 or x.shape[0] != C:
         raise ShapeError(f"input {x.shape} is not a [{C},H,W,B] map")
-    _, H, W, B = x4.shape
+    _, H, W, B = x.shape
     if kh > H or kw > W:
         raise ShapeError(f"kernel {kh}x{kw} exceeds input {H}x{W}")
     Ho = conv_output_size(H, kh, stride)
@@ -229,14 +218,14 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
     phases = _phase_taps(stride, kh, kw)
     cols = np.empty((C, kh, kw, Ho, Wo, B))
     for (r, q), taps in phases:
-        plane = np.ascontiguousarray(x4[:, r::stride, q::stride])
+        plane = np.ascontiguousarray(x[:, r::stride, q::stride])
         for i, j, a, b in taps:
             cols[:, i, j] = plane[:, a:a + Ho, b:b + Wo]
         del plane  # before the next plane is allocated
     cols = cols.reshape(C * kh * kw, Ho * Wo * B)
-    kflat = kd.reshape(K, C * kh * kw)
+    kflat = kernels.reshape(K, C * kh * kw)
     out2 = kflat @ cols
-    out2 += bd[:, None]
+    out2 += bias[:, None]
 
     def pull(gout: np.ndarray):
         g2 = gout.reshape(K, Ho * Wo * B)
@@ -254,7 +243,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
             del plane
         return gx, gk, gb
 
-    return Tensor.adopt(out2.reshape(K, Ho, Wo, B)), pull
+    return _locked(out2.reshape(K, Ho, Wo, B)), pull
 
 
 def _taps(a: np.ndarray, k: int, n: int, axis: int):
@@ -283,7 +272,7 @@ def _tap_spread(g: np.ndarray, k: int, extent: int, axis: int) -> np.ndarray:
     return out
 
 
-def mean_pool(x: Tensor, kernel: int) -> tuple[Tensor, Pull]:
+def mean_pool(x: np.ndarray, kernel: int) -> tuple[np.ndarray, Pull]:
     """Stride-1 window mean over a square ``kernel`` x ``kernel`` window of
     the H and W axes of a [C,H,W,B] map.
 
@@ -294,46 +283,44 @@ def mean_pool(x: Tensor, kernel: int) -> tuple[Tensor, Pull]:
     """
     if kernel < 1:
         raise ShapeError("pool window must be >= 1")
-    x4 = x.data
-    if x4.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"input must be a [C,H,W,B] map, got {x.shape}")
-    H, W = x4.shape[1:3]
+    H, W = x.shape[1:3]
     if kernel > min(H, W):
         raise ShapeError(f"pool window {kernel}x{kernel} exceeds input {H}x{W}")
     Hp, Wp = H - kernel + 1, W - kernel + 1
     inv = 1.0 / (kernel * kernel)
-    out4 = _tap_sum(_tap_sum(x4, kernel, Hp, 1), kernel, Wp, 2)
+    out4 = _tap_sum(_tap_sum(x, kernel, Hp, 1), kernel, Wp, 2)
     out4 *= inv
 
     def pull(gout: np.ndarray):
         return (_tap_spread(_tap_spread(gout * inv, kernel, W, 2), kernel, H, 1),)
 
-    return Tensor.adopt(out4), pull
+    return _locked(out4), pull
 
 
-def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
+def batch_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5
-               ) -> tuple[Tensor, Pull]:
+               ) -> tuple[np.ndarray, Pull]:
     """Per-channel normalization of a [B,C,H,W] batch.
 
     Train mode normalizes by batch statistics and folds them into the running
     buffers in place; infer mode reads the running buffers. ``scale`` and
     ``shift`` are the learnable per-channel affine parameters.
     """
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"batch_norm expects a [B,C,H,W] batch, got {xd.shape}")
-    C = xd.shape[1]
+    if x.ndim != 4:
+        raise ShapeError(f"batch_norm expects a [B,C,H,W] batch, got {x.shape}")
+    C = x.shape[1]
     if scale.shape != (C,) or shift.shape != (C,):
         raise ShapeError(f"scale/shift must be [C]={C}")
     axes = (0, 2, 3)
     cshape = (1, C, 1, 1)
     if training:
-        if xd.shape[0] < 2:
+        if x.shape[0] < 2:
             raise ShapeError("batch_norm in train mode needs a batch of at least 2")
-        mean = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -342,13 +329,13 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
         mean = running_mean
         var = running_var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean.reshape(cshape)) * inv_std.reshape(cshape)
-    out = Tensor.adopt(xhat * scale.data.reshape(cshape) + shift.data.reshape(cshape))
+    xhat = (x - mean.reshape(cshape)) * inv_std.reshape(cshape)
+    out = _locked(xhat * scale.reshape(cshape) + shift.reshape(cshape))
 
     def pull(gout: np.ndarray):
         gscale = (gout * xhat).sum(axis=axes)
         gshift = gout.sum(axis=axes)
-        gxhat = gout * scale.data.reshape(cshape)
+        gxhat = gout * scale.reshape(cshape)
         if training:
             m1 = gxhat.mean(axis=axes).reshape(cshape)
             m2 = (gxhat * xhat).mean(axis=axes).reshape(cshape)
@@ -360,8 +347,8 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor,
     return out, pull
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> tuple[Tensor, Pull]:
+def dropout(x: np.ndarray, rate: float, training: bool,
+            rng: np.random.Generator | None = None) -> tuple[np.ndarray, Pull]:
     """Inverted dropout: train mode zeroes with probability ``rate`` and scales
     survivors by 1/(1-rate); infer mode is the identity, and so is its pull."""
     if not 0.0 <= rate < 1.0:
@@ -372,4 +359,4 @@ def dropout(x: Tensor, rate: float, training: bool,
         raise ValueError("train-mode dropout needs an explicit generator")
     keep = rng.random(x.shape) >= rate
     factor = keep / (1.0 - rate)
-    return Tensor.adopt(x.data * factor), lambda g: (g * factor,)
+    return _locked(x * factor), lambda g: (g * factor,)

@@ -17,7 +17,8 @@ A MAP step appends the extractor's and the head's links to one chain, pulls
 the objective's cotangent back through it with one ``backward`` and adds the
 prior's gradients to the head's. A variational step pulls each sample's head
 chain inside ``elbo``, which returns the q gradients whole, and seeds the
-extractor's chain with the features' summed cotangent.
+extractor's chain with the features' summed cotangent. ``sgd_update`` then
+steps ``cnn.params``, ``head.params`` and, in variational mode, ``q.log_stds``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .bayes import (
     map_objective,
     posterior_scores,
 )
-from .evaluate import select_threshold
+from .evaluate import is_real, select_threshold
 from .model import FineToCoarseCnn
 from .preprocess import DatasetSplit, DatasetError, channel_stats, center_crop, preprocess_pixels
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, sgd_update
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -127,7 +128,7 @@ class TrainReport:
 
 
 def _retention(scores: np.ndarray, gamma: float) -> float:
-    return float((scores > gamma).mean())
+    return float(is_real(scores, gamma).mean())
 
 
 def snapshot_state(cnn: FineToCoarseCnn, head: BayesianHead) -> dict:
@@ -135,8 +136,50 @@ def snapshot_state(cnn: FineToCoarseCnn, head: BayesianHead) -> dict:
     state. The threshold is not part of it: ``train`` takes that from the
     restored weights. Parameters are held by reference (see
     ``FineToCoarseCnn.state_arrays``); only the buffers are copied."""
-    return {"cnn": cnn.state_arrays(),
-            "head": {name: p.data for name, p in head.parameters()}}
+    return {"cnn": cnn.state_arrays(), "head": dict(head.params)}
+
+
+def _sgd_epoch(cnn: FineToCoarseCnn, head: BayesianHead, q: VariationalPosterior | None,
+               x_train: np.ndarray, lr: float, cfg: TrainConfig, rng: np.random.Generator
+               ) -> list[float]:
+    """One epoch of minibatch SGD at ``lr``, and each step's loss. Its return
+    frees the last step's chain and gradients before validation scoring."""
+    trainable = [cnn.params, head.params] + ([] if q is None else [q.log_stds])
+    order = rng.permutation(len(x_train))
+    losses = []
+    for start in range(0, len(order), cfg.batch_size):
+        idx = order[start:start + cfg.batch_size]
+        if idx.size < 2:
+            continue  # batch-norm cannot standardize a single sample
+        xb = Tensor.adopt(x_train[idx])  # fancy indexing already copied
+        yb = np.full(idx.size, cfg.target)
+        # step on the objective in squared-error units (mean per sample,
+        # scaled by 1/beta) so the learning rate keeps its meaning no
+        # matter how sharp the noise precision is
+        scale = 1.0 / (idx.size * cfg.beta)
+        chain = []
+        z = cnn.forward_features(xb, training=True, chain=chain).data
+        if q is None:
+            # one chain, extractor and head, and one backward
+            out = head.forward(z, training=True, rng=rng, chain=chain)
+            value, cotangent, prior = map_objective(
+                out, yb, head.params, cfg.alpha, cfg.beta, scale)
+            _, grads = backward(chain, cotangent)
+            # in place, into the prior's own arrays: a separate sum
+            # would keep both alive until the next step
+            grads.update({name: np.add(g, grads[name], out=g)
+                          for name, g in prior.items()})
+        else:
+            scale = -scale  # ascend the bound
+            value, cotangent, q_gradients = elbo(
+                head, q, z, yb, cfg.alpha, cfg.beta, n_mc=cfg.n_mc,
+                rng=rng, training=True, dropout_rng=rng, scale=scale)
+            _, grads = backward(chain, cotangent)
+            grads.update(q_gradients)
+        losses.append(value * scale)
+        for params in trainable:
+            sgd_update(params, grads, lr)
+    return losses
 
 
 def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
@@ -163,54 +206,14 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
     x_sub = x_train[sub_idx]
 
     rng = np.random.default_rng(cfg.seed)
-    targets_all = np.full(len(x_train), cfg.target)
-    q = None
-    if cfg.inference_mode == "variational":
-        q = VariationalPosterior(head)
-        trainable = cnn.parameters() + q.parameters()
-    else:
-        trainable = cnn.parameters() + head.parameters()
+    q = VariationalPosterior(head) if cfg.inference_mode == "variational" else None
 
     report = TrainReport()
     best_state = snapshot_state(cnn, head)
-    n = len(x_train)
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        order = rng.permutation(n)
-        losses = []
         try:
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                if idx.size < 2:
-                    continue  # batch-norm cannot standardize a single sample
-                xb = Tensor.adopt(x_train[idx])  # fancy indexing already copied
-                yb = targets_all[idx]
-                # step on the objective in squared-error units (mean per sample,
-                # scaled by 1/beta) so the learning rate keeps its meaning no
-                # matter how sharp the noise precision is
-                scale = 1.0 / (idx.size * cfg.beta)
-                chain = []
-                z = cnn.forward_features(xb, training=True, chain=chain)
-                if q is None:
-                    # one chain, extractor and head, and one backward
-                    out = head.forward(z, training=True, rng=rng, chain=chain)
-                    value, cotangent, prior = map_objective(
-                        out, yb, head.parameters(), cfg.alpha, cfg.beta, scale)
-                    _, grads = backward(chain, cotangent)
-                    # in place, into the prior's own arrays: a separate sum
-                    # would keep both alive until the next step
-                    grads.update({name: np.add(g, grads[name], out=g)
-                                  for name, g in prior.items()})
-                else:
-                    scale = -scale  # ascend the bound
-                    value, cotangent, q_gradients = elbo(
-                        head, q, z, yb, cfg.alpha, cfg.beta, n_mc=cfg.n_mc,
-                        rng=rng, training=True, dropout_rng=rng, scale=scale)
-                    _, grads = backward(chain, cotangent)
-                    grads.update(q_gradients)
-                losses.append(value * scale)
-                for name, p in trainable:
-                    p.assign(p.data - lr * grads[name])
+            losses = _sgd_epoch(cnn, head, q, x_train, lr, cfg, rng)
             # provisional threshold: the configured percentile of training
             # scores, floored at half the target so retention reflects fit
             # progress until scores actually reach the target's neighborhood
@@ -236,8 +239,7 @@ def train(cnn: FineToCoarseCnn, head: BayesianHead, split: DatasetSplit,
             break
 
     cnn.load_state_arrays(best_state["cnn"])
-    for name, p in head.parameters():
-        p.assign(best_state["head"][name])
+    head.params.update(best_state["head"])
     gamma = select_threshold(posterior_scores(cnn, head, x_val), cfg.percentile)
     detector = Detector(cnn=cnn, head=head, norm=stats, gamma=gamma, mode=cfg.inference_mode)
     return detector, report

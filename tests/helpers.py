@@ -7,52 +7,54 @@ import json
 
 import numpy as np
 
-from synthdetect.tensor import Tensor
+from synthdetect.tensor import frozen
 
 
-def fd_gradient(f, params: list[Tensor], step: float = 1e-4) -> list[np.ndarray]:
-    """Central finite differences of scalar f() w.r.t. each parameter tensor.
+def fd_gradient(f, params: dict[str, np.ndarray], step: float = 1e-4) -> dict[str, np.ndarray]:
+    """Central finite differences of scalar f() w.r.t. each array of the
+    name-keyed ``params``, which f must read from the dict on each call.
 
     f must be deterministic given the parameter values (re-seed any rng inside).
-    ``assign`` takes its argument over, so each write goes to a copy.
+    Each evaluation sees a fresh read-only copy under the parameter's name.
     """
-    grads = []
-    for p in params:
-        base = p.data.copy()
+    grads = {}
+    for name in list(params):
+        base = params[name].copy()
         g = np.zeros_like(base)
         flat = base.reshape(-1)
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            p.assign(base.copy())
+            params[name] = frozen(base.copy())
             hi = f()
             flat[i] = orig - step
-            p.assign(base.copy())
+            params[name] = frozen(base.copy())
             lo = f()
             flat[i] = orig
             gflat[i] = (hi - lo) / (2.0 * step)
-        p.assign(base.copy())
-        grads.append(g)
+        params[name] = frozen(base.copy())
+        grads[name] = g
     return grads
 
 
-def fd_gradient_coords(f, param: Tensor, coords, step: float = 1e-4) -> np.ndarray:
-    """Central differences at selected flat coordinates of one parameter."""
-    base = param.data.copy()
+def fd_gradient_coords(f, params: dict[str, np.ndarray], name: str, coords,
+                       step: float = 1e-4) -> np.ndarray:
+    """Central differences at selected flat coordinates of ``params[name]``."""
+    base = params[name].copy()
     flat = base.reshape(-1)
     out = np.zeros(len(coords))
     for k, i in enumerate(coords):
         orig = flat[i]
         flat[i] = orig + step
-        param.assign(base.copy())
+        params[name] = frozen(base.copy())
         hi = f()
         flat[i] = orig - step
-        param.assign(base.copy())
+        params[name] = frozen(base.copy())
         lo = f()
         flat[i] = orig
         out[k] = (hi - lo) / (2.0 * step)
-    param.assign(base.copy())
+    params[name] = frozen(base.copy())
     return out
 
 
@@ -80,23 +82,22 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
 
 def weight_count(head) -> int:
     """How many weights the head has: the length of ``flat_weights(head)``."""
-    return sum(p.data.size for _, p in head.parameters())
+    return sum(w.size for w in head.params.values())
 
 
 def flat_weights(head) -> np.ndarray:
-    """The head's weights as one vector, in ``parameters()`` order."""
-    return np.concatenate([p.data.reshape(-1) for _, p in head.parameters()])
+    """The head's weights as one vector, in ``params`` order."""
+    return np.concatenate([w.reshape(-1) for w in head.params.values()])
 
 
 def set_flat_weights(head, vec: np.ndarray) -> None:
-    """Assign a ``flat_weights``-ordered vector to the head's tensors."""
-    params = [p for _, p in head.parameters()]
-    sizes = [p.data.size for p in params]
+    """Write a ``flat_weights``-ordered vector into the head's ``params``."""
+    sizes = [w.size for w in head.params.values()]
     if np.size(vec) != sum(sizes):
         raise ValueError(f"expected {sum(sizes)} weights, got {np.size(vec)}")
     pos = 0
-    for p, n in zip(params, sizes):
-        p.assign(np.reshape(vec[pos:pos + n], p.shape).copy())  # assign takes it over
+    for (name, w), n in zip(list(head.params.items()), sizes):
+        head.params[name] = frozen(np.reshape(vec[pos:pos + n], w.shape).copy())
         pos += n
 
 

@@ -24,7 +24,7 @@ from synthdetect.preprocess import (
     UnsupportedFormatError,
     decode_raster,
 )
-from synthdetect.tensor import Tensor
+from synthdetect.tensor import frozen
 
 
 def image_paths(folder) -> list[Path]:
@@ -180,13 +180,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # --- tensor: the [B,C,H,W] conv and windowed mean pool ------------------------
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
+def conv2d_valid(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int = 1,
                  input_grad: bool = True):
     """Valid cross-correlation of a [B,C,H,W] batch with [K,C,kh,kw] kernels
     to [B,K,Ho,Wo], as an im2col product over a sliding-window view, with
     its pull (input cotangent, ``None`` without ``input_grad``, then the
     kernels' and the bias's)."""
-    kd, bd, x4 = kernels.data, bias.data, x.data
+    kd, bd, x4 = kernels, bias, x
     K, C, kh, kw = kd.shape
     B, _, H, W = x4.shape
     win = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(2, 3))
@@ -210,14 +210,14 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
                j:j + stride * (Wo - 1) + 1:stride] += gcols[:, i, j]
         return gx.transpose(1, 0, 2, 3), gk, gb
 
-    return Tensor.adopt(np.ascontiguousarray(out)), pull
+    return np.ascontiguousarray(out), pull
 
 
-def mean_pool(x: Tensor, kernel: int, stride: int):
+def mean_pool(x: np.ndarray, kernel: int, stride: int):
     """Square-window mean over the last two axes of a [B,C,H,W] batch at
     ``stride``, as ``mean`` over a strided sliding-window view, with its pull:
     each window's cotangent spread evenly over the window, tap by tap."""
-    x4 = x.data
+    x4 = x
     win = np.lib.stride_tricks.sliding_window_view(x4, (kernel, kernel), axis=(-2, -1))
     out = win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1))
     Ho, Wo = out.shape[-2:]
@@ -230,7 +230,7 @@ def mean_pool(x: Tensor, kernel: int, stride: int):
                j:j + stride * (Wo - 1) + 1:stride] += share
         return (gx,)
 
-    return Tensor.adopt(out), pull
+    return out, pull
 
 
 # --- bayes: the conjugate-regression head, the densities, the dense curvature ---
@@ -248,20 +248,16 @@ class LinearHead:
         self.alpha = alpha
         self.beta = beta
         self.dropout_rate = 0.0
-        self.w = Tensor(np.zeros((1, d_in)))
-        self._zero_bias = Tensor(np.zeros(1))  # constant, carries no gradient
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("w", self.w)]
+        self.params = {"w": frozen(np.zeros((1, d_in)))}
+        self._zero_bias = frozen(np.zeros(1))  # constant, carries no gradient
 
     def forward(self, z, training: bool = False, rng: np.random.Generator | None = None,
-                chain=None) -> Tensor:
-        return self.forward_with(z, [self.w.data], training, rng, chain)
+                chain=None) -> np.ndarray:
+        return self.forward_with(z, self.params, training, rng, chain)
 
     def forward_with(self, z, weights, training: bool = False,
-                     rng: np.random.Generator | None = None, chain=None) -> Tensor:
-        zt = z if isinstance(z, Tensor) else Tensor(z)
-        out, pull = T.linear(zt, Tensor.adopt(weights[0]), self._zero_bias)
+                     rng: np.random.Generator | None = None, chain=None) -> np.ndarray:
+        out, pull = T.linear(np.asarray(z, dtype=np.float64), weights["w"], self._zero_bias)
         # the constant bias's cotangent is dropped
         T.link(chain, ("w",), (out, lambda g: pull(g)[:2]))
         return T.link(chain, (), T.reshape(out, (out.shape[0],)))
@@ -316,9 +312,9 @@ def save_checkpoint_v1(path, detector) -> None:
     the tensor directory comes from the detector's own arrays, in
     parameters-then-buffers-then-head order, not from its config. Files this
     writes must keep loading."""
-    arrays = [(f"cnn.{name}", p.data) for name, p in detector.cnn.parameters()]
-    arrays += [(f"cnn.{name}", buf) for name, buf in detector.cnn.buffers()]
-    arrays += [(f"head.{name}", p.data) for name, p in detector.head.parameters()]
+    cnn, head = detector.cnn, detector.head
+    arrays = [(f"cnn.{name}", arr) for name, arr in {**cnn.params, **cnn.buffers}.items()]
+    arrays += [(f"head.{name}", w) for name, w in head.params.items()]
     directory, blobs, offset = [], [], 0
     for name, arr in arrays:
         blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())

@@ -29,7 +29,7 @@ from synthdetect.evaluate import (
 )
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import channel_stats, make_split, rgb_normalize
-from synthdetect.tensor import Tensor, backward
+from synthdetect.tensor import Tensor, backward, frozen, sgd_update
 from synthdetect.textures import generate_records, write_dataset
 from synthdetect.train import TrainConfig, train
 
@@ -73,14 +73,14 @@ def test_criterion_1_gradient_correctness():
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
     head = BayesianHead(cnn.feature_dim, hidden=512, alpha=1e-2, beta=100.0,
                         dropout_rate=0.5, rng=np.random.default_rng(1))
-    named = cnn.parameters() + head.parameters()
-    params = [p for _, p in named]
+    # (name, the dict that holds it), extractor first, then head
+    named = [(name, params) for params in (cnn.params, head.params) for name in params]
 
     def objective(chain=None):
         drop = np.random.default_rng(777)  # identical mask on every call
-        z = cnn.forward_features(x, training=True, chain=chain)
+        z = cnn.forward_features(x, training=True, chain=chain).data
         out = head.forward(z, training=True, rng=drop, chain=chain)
-        return map_objective(out, targets, head.parameters(), 1e-2, 100.0)
+        return map_objective(out, targets, head.params, 1e-2, 100.0)
 
     def value():
         return objective()[0]
@@ -90,7 +90,7 @@ def test_criterion_1_gradient_correctness():
     _, grads = backward(chain, cotangent)
     grads.update({name: grads[name] + g for name, g in prior.items()})
 
-    sizes = np.array([p.data.size for p in params])
+    sizes = np.array([params[name].size for name, params in named])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     coords = np.sort(np.random.default_rng(99).choice(
         offsets[-1], size=1000, replace=False))
@@ -99,20 +99,20 @@ def test_criterion_1_gradient_correctness():
     for c in coords:
         pi = int(np.searchsorted(offsets, c, side="right") - 1)
         local = int(c - offsets[pi])
-        p = params[pi]
-        base = p.data.copy()
+        name, params = named[pi]
+        base = params[name].copy()
         flat = base.reshape(-1)
         orig = flat[local]
         flat[local] = orig + step
-        p.assign(base.copy())  # assign takes its argument over
+        params[name] = frozen(base.copy())
         hi = value()
         flat[local] = orig - step
-        p.assign(base.copy())
+        params[name] = frozen(base.copy())
         lo = value()
         flat[local] = orig
-        p.assign(base.copy())
+        params[name] = frozen(base.copy())
         numeric = (hi - lo) / (2 * step)
-        analytic = grads[named[pi][0]].reshape(-1)[local]
+        analytic = grads[name].reshape(-1)[local]
         denom = max(abs(numeric), abs(analytic))
         if denom < 1e-8:
             ok += abs(numeric - analytic) < 1e-8
@@ -305,8 +305,8 @@ def test_criterion_9_elbo_against_evidence():
     opt_rng = np.random.default_rng(18)
     for _ in range(200):
         _, _, grads = elbo(head, q, Z, y, alpha, beta, n_mc=16, rng=opt_rng)
-        for name, p in q.parameters():
-            p.assign(p.data + 1e-4 * grads[name])
+        for params in (head.params, q.log_stds):
+            sgd_update(params, grads, -1e-4)  # ascend the bound
 
     estimate = elbo(head, q, Z, y, alpha, beta, n_mc=10_000,
                     rng=np.random.default_rng(0))[0]

@@ -21,7 +21,7 @@ from synthdetect.bayes import (
 )
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import NormStats
-from synthdetect.tensor import ShapeError, Tensor, backward
+from synthdetect.tensor import ShapeError, Tensor, backward, sgd_update
 
 from helpers import (
     assert_grads_close,
@@ -112,15 +112,20 @@ def test_log_likelihood_rejects_mismatch():
 
 def test_head_takes_over_given_weights_without_copy():
     rng = np.random.default_rng(0)
-    weights = [rng.normal(size=(5, 6)), rng.normal(size=5), rng.normal(size=(1, 5)),
-               rng.normal(size=1)]
+    weights = {"fc2.bias": rng.normal(size=1), "fc1.weights": rng.normal(size=(5, 6)),
+               "fc2.weights": rng.normal(size=(1, 5)), "fc1.bias": rng.normal(size=5)}
     head = BayesianHead(6, hidden=5, weights=weights)
-    for (_, p), w in zip(head.parameters(), weights):
-        assert p.data is w and not w.flags.writeable
+    assert list(head.params) == ["fc1.weights", "fc1.bias", "fc2.weights", "fc2.bias"]
+    for name, w in weights.items():
+        assert head.params[name] is w and not w.flags.writeable
 
 
 def test_head_rejects_misshapen_weights():
-    weights = [np.zeros((5, 6)), np.zeros(5), np.zeros((5, 1)), np.zeros(1)]
+    weights = {"fc1.weights": np.zeros((5, 6)), "fc1.bias": np.zeros(5),
+               "fc2.weights": np.zeros((5, 1)), "fc2.bias": np.zeros(1)}
+    with pytest.raises(ShapeError):
+        BayesianHead(6, hidden=5, weights=weights)
+    del weights["fc2.weights"]
     with pytest.raises(ShapeError):
         BayesianHead(6, hidden=5, weights=weights)
 
@@ -135,8 +140,8 @@ def test_map_objective_decomposes():
     Z = rng.normal(size=(6, 4))
     targets = rng.normal(size=6)
     out = head.forward(Z)
-    obj, _, _ = map_objective(out, targets, head.parameters(), alpha=0.5, beta=2.0)
-    want = -log_likelihood(targets, out.data, 2.0) - log_prior(flat_weights(head), 0.5)
+    obj, _, _ = map_objective(out, targets, head.params, alpha=0.5, beta=2.0)
+    want = -log_likelihood(targets, out, 2.0) - log_prior(flat_weights(head), 0.5)
     assert obj == pytest.approx(want, rel=1e-12)
 
 
@@ -149,7 +154,7 @@ def test_map_objective_monotone_in_alpha():
 
     def value(alpha):
         out = head.forward(Z)
-        return map_objective(out, targets, head.parameters(), alpha=alpha, beta=1.0)[0] \
+        return map_objective(out, targets, head.params, alpha=alpha, beta=1.0)[0] \
             + log_prior(np.zeros(4), alpha)  # drop the alpha-dependent constant
 
     assert value(2.0) > value(1.0)
@@ -163,15 +168,15 @@ def test_map_objective_gradient_matches_fd():
     targets = np.ones(7)
 
     def build(chain=None):
-        return map_objective(head.forward(Z, chain=chain), targets, head.parameters(),
+        return map_objective(head.forward(Z, chain=chain), targets, head.params,
                              alpha=0.3, beta=4.0)
 
     chain = []
     _, cotangent, prior = build(chain)
     grads = backward(chain, cotangent)[1]
     analytic = {name: grads[name] + g for name, g in prior.items()}
-    numeric = fd_gradient(lambda: build()[0], [p for _, p in head.parameters()])
-    for (name, _), num in zip(head.parameters(), numeric):
+    numeric = fd_gradient(lambda: build()[0], head.params)
+    for name, num in numeric.items():
         assert_grads_close(analytic[name], num)
 
 
@@ -180,11 +185,11 @@ def test_map_prior_gradients_are_values_of_the_weights_passed_in():
     weights assigned afterwards leave them those of the weights passed in."""
     rng = np.random.default_rng(23)
     head = BayesianHead(4, hidden=3, alpha=0.6, beta=3.0, dropout_rate=0.0, rng=rng)
-    passed = {name: p.data for name, p in head.parameters()}
+    passed = dict(head.params)
     _, _, prior = map_objective(head.forward(rng.normal(size=(5, 4))), np.ones(5),
-                                head.parameters(), 0.6, 3.0, scale=0.25)
-    for _, p in head.parameters():
-        p.assign(rng.normal(size=p.shape))
+                                head.params, 0.6, 3.0, scale=0.25)
+    for name, w in passed.items():
+        head.params[name] = rng.normal(size=w.shape)
     assert prior.keys() == passed.keys()
     for name, w in passed.items():
         assert np.array_equal(prior[name], (0.25 * 0.6) * w)
@@ -198,7 +203,7 @@ def test_objectives_check_precisions_by_the_head_rules(name, value):
     q = VariationalPosterior(head)
     hp = {"alpha": 1.0, "beta": 1.0, name: value}
     Z, y = np.ones((3, 2)), np.ones(3)
-    calls = [lambda: map_objective(Tensor(np.zeros(3)), y, head.parameters(), **hp),
+    calls = [lambda: map_objective(np.zeros(3), y, head.params, **hp),
              lambda: elbo(head, q, Z, y, **hp, n_mc=1, rng=np.random.default_rng(0))]
     if name == "alpha":
         calls.append(lambda: kl_to_prior(q, value))
@@ -216,7 +221,7 @@ def test_objective_gradients_are_those_of_scale_times_the_value():
     def map_gradients(s):
         chain = []
         value, cotangent, prior = map_objective(
-            head.forward(Z, chain=chain), y, head.parameters(), 0.6, 3.0, s)
+            head.forward(Z, chain=chain), y, head.params, 0.6, 3.0, s)
         grads = backward(chain, cotangent)[1]
         return value, {name: grads[name] + g for name, g in prior.items()}
 
@@ -300,10 +305,6 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _weights(head):
-    return [p.data for _, p in head.parameters()]
-
-
 def test_closed_form_products_match_tape():
     """J v, J^T u and H v from the heads' closed forms agree with the
     per-sample gradients that ``backward`` gives, dropout included."""
@@ -313,7 +314,7 @@ def test_closed_form_products_match_tape():
     for head in (BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng), linear):
         Z = rng.normal(size=(11, 6))
         G = per_sample_gradients(head, Z)
-        jvp, vjp = head.jacobian_products(Z, _weights(head))
+        jvp, vjp = head.jacobian_products(Z, head.params)
         curv = GaussNewtonCurvature(head, Z)
         for _ in range(3):
             v = rng.normal(size=weight_count(head))
@@ -328,7 +329,7 @@ def test_single_row_product_is_head_weight_gradient():
     head = BayesianHead(6, hidden=5, dropout_rate=0.5, rng=rng)
     for _ in range(3):
         z = rng.normal(size=6)
-        _, vjp = head.jacobian_products(z[None, :], _weights(head))
+        _, vjp = head.jacobian_products(z[None, :], head.params)
         assert _rel(vjp(np.ones(1)), per_sample_gradients(head, z[None])[0]) <= 1e-12
 
 
@@ -476,7 +477,7 @@ def _backward_variance(head, curv, z):
 
 
 def _cg_variance(head, curv, z):
-    _, vjp = head.jacobian_products(z[None, :], _weights(head))
+    _, vjp = head.jacobian_products(z[None, :], head.params)
     g = vjp(np.ones(1))
     return g @ cg_solve(lambda v: head.alpha * v + head.beta * curv.matvec(v), g)
 
@@ -494,7 +495,7 @@ def test_predictive_matches_dense_tape_solve():
             mean, var = predictive(z, head, curv)
             expected = _backward_variance(head, curv, z)
             assert abs((var - 1.0 / head.beta) - expected) / expected <= 1e-12
-            assert mean == float(head.forward(z[None, :]).data[0])
+            assert mean == float(head.forward(z[None, :])[0])
 
 
 def test_predictive_matches_cg_at_bench_size():
@@ -530,11 +531,11 @@ def test_predictive_variance_describes_head_as_built():
     Z = rng.normal(size=(10, 6))
     queried, unqueried = GaussNewtonCurvature(head, Z), GaussNewtonCurvature(head, Z)
     z = rng.normal(size=6)
-    built_mean = float(head.forward(z[None, :]).data[0])
+    built_mean = float(head.forward(z[None, :])[0])
     mean, var = predictive(z, head, queried)
     assert mean == built_mean
     set_flat_weights(head, rng.normal(size=weight_count(head)))
-    assert float(head.forward(z[None, :]).data[0]) != built_mean
+    assert float(head.forward(z[None, :])[0]) != built_mean
     assert predictive(z, head, queried) == (mean, var)
     assert predictive(z, head, unqueried) == (mean, var)
 
@@ -552,7 +553,7 @@ def test_predictive_keeps_noise_floor_as_built():
 def test_predictive_rejects_curvature_of_another_head():
     rng = np.random.default_rng(32)
     head = BayesianHead(6, hidden=5, rng=rng)
-    twin = BayesianHead(6, hidden=5, weights=[p.data for _, p in head.parameters()])
+    twin = BayesianHead(6, hidden=5, weights=dict(head.params))
     curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
     with pytest.raises(ValueError, match="different head"):
         predictive(rng.normal(size=6), twin, curv)
@@ -582,8 +583,8 @@ def test_predictive_reaches_no_solver_and_no_tape(monkeypatch):
        st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(0.0, 1e3))
 def test_predictive_variance_never_below_noise_floor(seed, d, hidden, n, alpha, beta, scale):
     rng = np.random.default_rng(seed)
-    weights = [scale * rng.normal(size=shape)
-               for shape in [(hidden, d), (hidden,), (1, hidden), (1,)]]
+    weights = {name: scale * rng.normal(size=shape)
+               for name, shape in BayesianHead.parameter_shapes(d, hidden)}
     head = BayesianHead(d, hidden=hidden, alpha=alpha, beta=beta, weights=weights)
     curv = GaussNewtonCurvature(head, scale * rng.normal(size=(n, d)))
     _, var = predictive(scale * rng.normal(size=d), head, curv)
@@ -596,19 +597,18 @@ def test_predictive_variance_never_below_noise_floor(seed, d, hidden, n, alpha, 
 def test_kl_zero_when_q_equals_prior():
     head = LinearHead(7, alpha=2.5)
     q = VariationalPosterior(head)
-    for m, ls in zip(q.means, q.log_stds):
-        m.assign(np.zeros(m.shape))
-        ls.assign(np.full(ls.shape, -0.5 * math.log(2.5)))
+    head.params["w"] = np.zeros((1, 7))
+    q.log_stds["w.log_std"] = np.full((1, 7), -0.5 * math.log(2.5))
     assert kl_to_prior(q, 2.5)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_closed_form_values():
     head = LinearHead(1, alpha=1.0)
     q = VariationalPosterior(head)
-    q.means[0].assign(np.zeros((1, 1)))
-    q.log_stds[0].assign(np.zeros((1, 1)))
+    head.params["w"] = np.zeros((1, 1))
+    q.log_stds["w.log_std"] = np.zeros((1, 1))
     assert kl_to_prior(q, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
-    q.means[0].assign(np.ones((1, 1)))
+    head.params["w"] = np.ones((1, 1))
     assert kl_to_prior(q, 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -618,25 +618,30 @@ def test_kl_non_negative_random_settings():
     q = VariationalPosterior(head)
     for _ in range(200):
         alpha = float(rng.uniform(0.01, 10.0))
-        q.means[0].assign(rng.normal(size=(1, 6), scale=3.0))
-        q.log_stds[0].assign(rng.normal(size=(1, 6), scale=1.5))
+        head.params["w"] = rng.normal(size=(1, 6), scale=3.0)
+        q.log_stds["w.log_std"] = rng.normal(size=(1, 6), scale=1.5)
         assert kl_to_prior(q, alpha)[0] >= -1e-10
 
 
 def test_variational_means_are_the_head_tensors():
-    head = BayesianHead(4, hidden=3, dropout_rate=0.0)
+    """q keeps no means of its own: the KL reads the head's ``params``, and
+    q's log-stds are keyed and shaped after them."""
+    head = BayesianHead(4, hidden=3, dropout_rate=0.0, rng=np.random.default_rng(3))
     q = VariationalPosterior(head)
-    params = [p for _, p in head.parameters()]
-    assert len(q.means) == len(params)
-    assert all(m is p for m, p in zip(q.means, params))
+    assert list(q.log_stds) == [f"{name}.log_std" for name in head.params]
+    assert all(q.log_stds[f"{name}.log_std"].shape == w.shape
+               for name, w in head.params.items())
+    _, grads = kl_to_prior(q, 2.0)
+    for name, w in head.params.items():
+        assert np.array_equal(grads[name], 2.0 * w)
 
 
 def test_variational_stds_strictly_positive():
     head = BayesianHead(4, hidden=3, dropout_rate=0.0)
     q = VariationalPosterior(head)
-    for ls in q.log_stds:
-        ls.assign(np.full(ls.shape, -30.0))
-    assert all(np.all(np.exp(ls.data) > 0.0) for ls in q.log_stds)
+    for name, ls in q.log_stds.items():
+        q.log_stds[name] = np.full(ls.shape, -30.0)
+    assert all(np.all(np.exp(ls) > 0.0) for ls in q.log_stds.values())
 
 
 def _log_evidence(Z, y, alpha, beta):
@@ -658,8 +663,8 @@ def test_elbo_below_evidence_and_gap_shrinks():
     q = VariationalPosterior(head)
 
     def elbo_at(mean, std, seed=99, n_mc=4000):
-        q.means[0].assign(np.array([[mean]]))
-        q.log_stds[0].assign(np.array([[math.log(std)]]))
+        head.params["w"] = np.array([[mean]])
+        q.log_stds["w.log_std"] = np.array([[math.log(std)]])
         return elbo(head, q, Z, y, alpha, beta, n_mc, np.random.default_rng(seed))[0]
 
     exact_std = math.sqrt(S[0, 0])
@@ -676,16 +681,18 @@ def test_elbo_gradient_matches_fd_fixed_noise():
     Z = rng.normal(size=(5, 3))
     y = rng.normal(size=5)
     q = VariationalPosterior(head)
-    q.means[0].assign(rng.normal(size=(1, 3)))
-    q.log_stds[0].assign(rng.normal(size=(1, 3), scale=0.3))
+    head.params["w"] = rng.normal(size=(1, 3))
+    q.log_stds["w.log_std"] = rng.normal(size=(1, 3), scale=0.3)
 
     def build():
         return elbo(head, q, Z, y, 0.8, 2.0, n_mc=2,
                     rng=np.random.default_rng(1234))
 
     analytic = build()[2]
-    numeric = fd_gradient(lambda: build()[0], [p for _, p in q.parameters()])
-    for (name, _), num in zip(q.parameters(), numeric):
+    numeric = {**fd_gradient(lambda: build()[0], head.params),
+               **fd_gradient(lambda: build()[0], q.log_stds)}
+    assert numeric.keys() == analytic.keys()
+    for name, num in numeric.items():
         assert_grads_close(analytic[name], num)
 
 
@@ -702,7 +709,7 @@ def test_elbo_gradient_through_the_extractor_matches_fd():
     y = np.ones(4)
 
     def build(chain=None):
-        z = cnn.forward_features(x, training=True, chain=chain)
+        z = cnn.forward_features(x, training=True, chain=chain).data
         return elbo(head, q, z, y, 0.5, 3.0, n_mc=2, rng=np.random.default_rng(63),
                     training=True, dropout_rng=np.random.default_rng(64))
 
@@ -711,10 +718,12 @@ def test_elbo_gradient_through_the_extractor_matches_fd():
     _, grads = backward(chain, g_features)
     grads.update(q_gradients)
     rng = np.random.default_rng(65)
-    for name, p in cnn.parameters() + q.parameters():
-        coords = rng.choice(p.data.size, size=min(8, p.data.size), replace=False)
-        numeric = fd_gradient_coords(lambda: build()[0], p, coords)
-        assert_grads_close(grads[name].reshape(-1)[coords], numeric)
+    for params in (cnn.params, head.params, q.log_stds):
+        for name in list(params):
+            size = params[name].size
+            coords = rng.choice(size, size=min(8, size), replace=False)
+            numeric = fd_gradient_coords(lambda: build()[0], params, name, coords)
+            assert_grads_close(grads[name].reshape(-1)[coords], numeric)
 
 
 def test_elbo_ascent_on_conjugate_problem():
@@ -733,8 +742,8 @@ def test_elbo_ascent_on_conjugate_problem():
         # not per-step sampling noise
         values.append(elbo(head, q, Z, y, alpha, beta, n_mc=128,
                            rng=np.random.default_rng(0))[0])
-        for name, p in q.parameters():
-            p.assign(p.data + lr * grads[name])
+        for params in (head.params, q.log_stds):
+            sgd_update(params, grads, -lr)  # ascend the bound
     smoothed = np.convolve(values, np.ones(10) / 10.0, mode="valid")
     drops = np.diff(smoothed) < 0.0
     assert not drops.any(), f"smoothed ELBO fell at steps {np.where(drops)[0][:5]}"

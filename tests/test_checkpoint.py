@@ -25,8 +25,9 @@ def _detector(seed=7, mode="variational", norm=_NORM, gamma=0.8125):
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(seed))
     head = BayesianHead(cnn.feature_dim, hidden=24, alpha=0.5, beta=12.0,
                         dropout_rate=0.25, rng=np.random.default_rng(seed + 1))
-    cnn.bn_mean[:] = np.random.default_rng(seed + 2).normal(size=cnn.bn_mean.size)
-    cnn.bn_var[:] = 1.0 + np.random.default_rng(seed + 3).random(cnn.bn_var.size)
+    mean, var = cnn.buffers["bn.running_mean"], cnn.buffers["bn.running_var"]
+    mean[:] = np.random.default_rng(seed + 2).normal(size=mean.size)
+    var[:] = 1.0 + np.random.default_rng(seed + 3).random(var.size)
     return Detector(cnn=cnn, head=head, norm=norm, gamma=gamma, mode=mode)
 
 
@@ -288,8 +289,8 @@ def test_head_tensors_are_finite_checked_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "isfinite", recording)
     head = load_checkpoint(path).head
-    for _, p in head.parameters():
-        assert sum(np.shares_memory(arr, p.data) for arr in checked) == 1
+    for w in head.params.values():
+        assert sum(np.shares_memory(arr, w) for arr in checked) == 1
 
 
 def _save_wide(path) -> BayesianHead:
@@ -313,7 +314,7 @@ def test_load_peak_allocation_bounded_by_file_size(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(loaded.head.w1.data, head.w1.data)
+    assert np.array_equal(loaded.head.params["fc1.weights"], head.params["fc1.weights"])
     assert peak < 1.3 * path.stat().st_size
 
 

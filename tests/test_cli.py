@@ -454,13 +454,12 @@ def test_score_keeps_rows_when_some_scores_overflow(trained_dir, toy_root, tmp_p
     f = int(np.argmax(np.divide(hi, lo, out=np.zeros_like(hi), where=lo > 0)))
     c = np.sqrt(np.finfo(np.float64).max) / (z[:, f].max() * z[:, f].min()) ** 0.25
     head = detector.head
-    w1 = np.zeros(head.w1.shape)
+    w1 = np.zeros(head.params["fc1.weights"].shape)
     w1[0, f] = c
-    w2 = np.zeros(head.w2.shape)
+    w2 = np.zeros(head.params["fc2.weights"].shape)
     w2[0, 0] = c
-    for param, value in ((head.w1, w1), (head.b1, np.zeros(head.b1.shape)),
-                         (head.w2, w2), (head.b2, np.zeros(1))):
-        param.assign(value)
+    head.params.update({"fc1.weights": w1, "fc1.bias": np.zeros(head.hidden),
+                        "fc2.weights": w2, "fc2.bias": np.zeros(1)})
     save_checkpoint(tmp_path / "big.bin", detector)
     args = ["score", "--checkpoint", str(tmp_path / "big.bin")]
     assert main([*args, str(toy_root / "real")]) == 0
@@ -497,16 +496,16 @@ def test_overflowing_conv_scores_finite(trained_dir, toy_root, tmp_path, capsys)
     ``score`` succeeds: a non-finite value is reported where it reaches a
     score, not inside the network."""
     detector = load_checkpoint(trained_dir / "checkpoint.bin")
-    kernels = detector.cnn.kernels[0]
-    kernels.assign(kernels.data * 1e308)
+    params = detector.cnn.params
+    params["conv1.kernels"] = kernels = params["conv1.kernels"] * 1e308
     save_checkpoint(tmp_path / "big.bin", detector)
     paths = image_paths(toy_root / "real")
-    batch = Tensor(np.stack([detector.preprocess(load_image(p)) for p in paths], axis=-1))
+    batch = np.stack([detector.preprocess(load_image(p)) for p in paths], axis=-1)
     cfg = detector.cnn.config
     with np.errstate(over="ignore"):
         conv, _ = T.conv2d_valid(T.mean_pool(batch, cfg.pool_kernel)[0], kernels,
-                                 detector.cnn.biases[0], cfg.pool_stride)
-    assert np.isinf(conv.data).any()
+                                 params["conv1.bias"], cfg.pool_stride)
+    assert np.isinf(conv).any()
     assert main(["score", "--checkpoint", str(tmp_path / "big.bin"),
                  str(toy_root / "real")]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

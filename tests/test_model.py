@@ -58,17 +58,16 @@ def test_forward_feature_count_full_scale():
 
 def test_zero_input_zero_bias_gives_half_activations():
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(0))
-    x = Tensor(np.zeros((1, 3, 32, 32)))
-    stage1 = cnn.stage_activations(x)[0]
-    assert np.allclose(stage1.data, 0.5)
+    stage1 = cnn.stage_activations(np.zeros((1, 3, 32, 32)))[0]
+    assert np.allclose(stage1, 0.5)
 
 
 def test_stage_activations_in_unit_interval():
     cnn = FineToCoarseCnn(CnnConfig(32), rng=np.random.default_rng(5))
-    x = Tensor(np.random.default_rng(6).random((2, 3, 32, 32)))
+    x = np.random.default_rng(6).random((2, 3, 32, 32))
     for act in cnn.stage_activations(x):
-        assert np.all(act.data > 0.0)
-        assert np.all(act.data < 1.0)
+        assert np.all(act > 0.0)
+        assert np.all(act < 1.0)
 
 
 def test_forward_rejects_wrong_shape():
@@ -88,19 +87,20 @@ def test_forward_deterministic():
 
 def test_xavier_bound_and_moments():
     cnn = FineToCoarseCnn(CnnConfig(224), rng=np.random.default_rng(12))
-    k1 = cnn.kernels[0].data
+    k1 = cnn.params["conv1.kernels"]
     bound = np.sqrt(6.0 / (3 * 25 + 16 * 25))
     assert bound == pytest.approx(0.11239, abs=1e-5)
     assert np.all(np.abs(k1) <= bound)
     # the largest kernel (32x24x5x5), against its own bound
-    draws = cnn.kernels[2].data.reshape(-1)
+    draws = cnn.params["conv3.kernels"].reshape(-1)
     bound = np.sqrt(6.0 / (24 * 25 + 32 * 25))
     n = draws.size
     assert n >= 1000
     assert np.all(np.abs(draws) <= bound)
     assert abs(draws.mean()) <= 3 * bound / np.sqrt(n) * 2  # loose CLT bound
-    for b in cnn.biases:
-        assert np.array_equal(b.data, np.zeros(b.shape))
+    for i in (1, 2, 3):
+        b = cnn.params[f"conv{i}.bias"]
+        assert np.array_equal(b, np.zeros(b.shape))
 
 
 def test_xavier_mean_large_sample():
@@ -129,8 +129,8 @@ def test_composed_gradient_matches_finite_differences():
     proj = np.random.default_rng(22).normal(size=(3, 128))
 
     def value_only() -> float:
-        cnn.bn_mean[:] = 0.0  # running buffers do not affect train mode
-        cnn.bn_var[:] = 1.0
+        cnn.buffers["bn.running_mean"][:] = 0.0  # running buffers do not affect train mode
+        cnn.buffers["bn.running_var"][:] = 1.0
         return float(np.sum(cnn.forward_features(x, training=True).data * proj))
 
     # the gradient of sum(z * proj): ``proj`` seeds the pull-back
@@ -138,13 +138,13 @@ def test_composed_gradient_matches_finite_differences():
     cnn.forward_features(x, training=True, chain=chain)
     g_input, grads = backward(chain, proj)
     assert g_input is None  # stage 1 builds no input gradient
-    assert sorted(grads) == sorted(name for name, _ in cnn.parameters())
+    assert sorted(grads) == sorted(cnn.params)
 
     rng = np.random.default_rng(23)
-    for name, p in cnn.parameters():
-        n_coords = min(12, p.data.size)
-        coords = rng.choice(p.data.size, size=n_coords, replace=False)
-        numeric = fd_gradient_coords(value_only, p, coords)
+    for name in list(cnn.params):
+        size = cnn.params[name].size
+        coords = rng.choice(size, size=min(12, size), replace=False)
+        numeric = fd_gradient_coords(value_only, cnn.params, name, coords)
         analytic = grads[name].reshape(-1)[coords]
         assert_grads_close(analytic, numeric)
 
@@ -152,16 +152,17 @@ def test_composed_gradient_matches_finite_differences():
 def _reference_features(cnn, x, training, chain=None):
     """The unfused [B,C,H,W] stack: conv, then mean-pool, then sigmoid, per
     stage, on the reference ops of ``oracles``."""
-    cfg = cnn.config
-    h = x
-    for i, (kern, bias) in enumerate(zip(cnn.kernels, cnn.biases), start=1):
+    cfg, p = cnn.config, cnn.params
+    h = x.data
+    for i in range(1, len(cfg.filters) + 1):
         h = link(chain, (f"conv{i}.kernels", f"conv{i}.bias"),
-                 oracles.conv2d_valid(h, kern, bias))
+                 oracles.conv2d_valid(h, p[f"conv{i}.kernels"], p[f"conv{i}.bias"]))
         h = link(chain, (), oracles.mean_pool(h, cfg.pool_kernel, cfg.pool_stride))
         h = link(chain, (), sigmoid(h))
     h = link(chain, ("bn.scale", "bn.shift"), batch_norm(
-        h, cnn.bn_scale, cnn.bn_shift, cnn.bn_mean, cnn.bn_var,
-        training=training, momentum=cfg.bn_momentum, eps=cfg.bn_eps))
+        h, p["bn.scale"], p["bn.shift"], cnn.buffers["bn.running_mean"],
+        cnn.buffers["bn.running_var"], training=training, momentum=cfg.bn_momentum,
+        eps=cfg.bn_eps))
     return link(chain, (), reshape(h, (h.shape[0], cnn.feature_dim)))
 
 
@@ -170,18 +171,20 @@ def _reference_features(cnn, x, training, chain=None):
 def test_fused_stages_match_conv_pool_sigmoid(input_size):
     cfg = CnnConfig(input_size)
     cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(30))
-    for b in cnn.biases:
-        b.assign(np.random.default_rng(31).normal(size=b.shape))
-    x = Tensor(np.random.default_rng(32).random((2, 3, cfg.input_size, cfg.input_size)))
+    for i in (1, 2, 3):
+        name = f"conv{i}.bias"
+        cnn.params[name] = np.random.default_rng(31).normal(size=cnn.params[name].shape)
+    x = np.random.default_rng(32).random((2, 3, cfg.input_size, cfg.input_size))
     h = x
-    for (conv_side, pool_side), kern, bias, fused in zip(
-            cfg.stage_sizes(), cnn.kernels, cnn.biases, cnn.stage_activations(x)):
-        conv, _ = oracles.conv2d_valid(h, kern, bias)
+    for i, ((conv_side, pool_side), fused) in enumerate(
+            zip(cfg.stage_sizes(), cnn.stage_activations(x)), start=1):
+        kern = cnn.params[f"conv{i}.kernels"]
+        conv, _ = oracles.conv2d_valid(h, kern, cnn.params[f"conv{i}.bias"])
         assert conv.shape[-1] == conv_side
         h, _ = sigmoid(oracles.mean_pool(conv, cfg.pool_kernel, cfg.pool_stride)[0])
         assert h.shape == (2, kern.shape[0], pool_side, pool_side)
         assert fused.shape == (kern.shape[0], pool_side, pool_side, 2)
-        assert np.abs(fused.data.transpose(3, 0, 1, 2) - h.data).max() <= 1e-12
+        assert np.abs(fused.transpose(3, 0, 1, 2) - h).max() <= 1e-12
 
 
 def test_fused_parameter_gradients_match_reference():
@@ -195,7 +198,7 @@ def test_fused_parameter_gradients_match_reference():
         forward(x, training=True, chain=chain)
         grads.append(backward(chain, proj)[1])
     fused, reference = grads
-    for name, _ in cnn.parameters():
+    for name in cnn.params:
         assert np.allclose(fused[name], reference[name], rtol=1e-9, atol=1e-12), name
 
 
@@ -208,16 +211,17 @@ def test_batched_features_are_each_images_solo_features(input_size, batch):
     cfg = CnnConfig(input_size)
     cnn = FineToCoarseCnn(cfg, rng=np.random.default_rng(50))
     rng = np.random.default_rng(51)
-    for b in cnn.biases:
-        b.assign(rng.normal(size=b.shape))
+    for i in (1, 2, 3):
+        name = f"conv{i}.bias"
+        cnn.params[name] = rng.normal(size=cnn.params[name].shape)
     c_last = cfg.filters[-1]
-    cnn.bn_scale.assign(rng.uniform(0.5, 2.0, size=c_last))
-    cnn.bn_shift.assign(rng.normal(size=c_last))
-    cnn.bn_mean[:] = rng.uniform(0.3, 0.7, size=c_last)
-    cnn.bn_var[:] = rng.uniform(0.01, 0.1, size=c_last)
+    cnn.params["bn.scale"] = rng.uniform(0.5, 2.0, size=c_last)
+    cnn.params["bn.shift"] = rng.normal(size=c_last)
+    cnn.buffers["bn.running_mean"][:] = rng.uniform(0.3, 0.7, size=c_last)
+    cnn.buffers["bn.running_var"][:] = rng.uniform(0.01, 0.1, size=c_last)
     x = rng.random((batch, 3, input_size, input_size))
     z = cnn.forward_features(Tensor(x), training=False).data
-    ref = _reference_features(cnn, Tensor(x), training=False).data
+    ref = _reference_features(cnn, Tensor(x), training=False)
     for n in range(batch):
         solo = cnn.forward_features(Tensor(x[n:n + 1]), training=False).data[0]
         scale = np.abs(solo).max()
@@ -251,4 +255,4 @@ def test_inference_keeps_no_pull_alive(input_size, monkeypatch):
     x = np.random.default_rng(61).random((2, 3, input_size, input_size))
     cnn.forward_features(Tensor(x), training=False)
     no_pull_alive()
-    assert len(pulls) == 3 * len(cnn.kernels) + 3  # stages, then transpose, norm, flatten
+    assert len(pulls) == 3 * len(cnn.config.filters) + 3  # stages, then transpose, norm, flatten

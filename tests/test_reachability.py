@@ -40,7 +40,7 @@ NOT_RUN_BY_COMMANDS = {
     bayes: {
         # the Gauss-Newton predictive and its iterative reference: the
         # benchmark's variance32 workload and the tests run them, no command does
-        "GaussNewtonCurvature.__init__", "GaussNewtonCurvature.__init__.<locals>.<listcomp>",
+        "GaussNewtonCurvature.__init__",
         "GaussNewtonCurvature.factor", "GaussNewtonCurvature.matvec",
         "predictive",
         "cg_solve", "per_sample_gradients", "per_sample_gradients.<locals>.<listcomp>",
@@ -48,9 +48,6 @@ NOT_RUN_BY_COMMANDS = {
         "BayesianHead.jacobian_products", "BayesianHead.jacobian_products.<locals>.jvp",
         "BayesianHead.jacobian_products.<locals>.vjp", "BayesianHead.gradient_coordinates",
         "BayesianHead.gradient_gram",
-        # the message for weights of the wrong shapes, which the checkpoint
-        # loader's header check rules out before any weight reaches the head
-        "BayesianHead.__init__.<locals>.<listcomp>",
     },
     checkpoint: {
         # error path: the keys in which a rejected header differs from the

@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+from synthdetect import tensor as T
+from synthdetect import train as train_module
 from synthdetect.bayes import BayesianHead, map_objective
 from synthdetect.model import CnnConfig, FineToCoarseCnn
 from synthdetect.preprocess import DatasetError, make_split
@@ -16,7 +19,7 @@ from synthdetect.train import (
     snapshot_state,
     train,
 )
-from synthdetect.tensor import Tensor, backward
+from synthdetect.tensor import Tensor, backward, sgd_update
 
 
 def _setup(n_real=60, n_per=20, fraction=0.5, seed=0, **cfg_over):
@@ -84,13 +87,13 @@ def test_every_config_field_is_checked():
 
 def test_zero_epochs_returns_initialized_checkpoint():
     cnn, head, split, _ = _setup()
-    before = {name: p.data.copy() for name, p in cnn.parameters()}
+    before = {name: w.copy() for name, w in cnn.params.items()}
     cfg = TrainConfig(epochs=0, batch_size=8, seed=0)
     detector, report = train(cnn, head, split, cfg)
     assert report.epochs == []
     assert report.stop_reason == "completed"
-    for name, p in cnn.parameters():
-        assert np.array_equal(p.data, before[name])
+    for name, w in cnn.params.items():
+        assert np.array_equal(w, before[name])
     assert np.isfinite(detector.gamma)
 
 
@@ -132,29 +135,55 @@ def test_snapshot_survives_a_step_and_copies_only_buffers():
     replaces rather than writes into, and copies of the batch-norm buffers,
     which a training-mode forward updates in place."""
     cnn, head, _, cfg = _setup()
-    params = cnn.parameters() + head.parameters()
-    live = [p.data for _, p in params]
+    live = {**cnn.params, **head.params}
     state = snapshot_state(cnn, head)
     saved = copy.deepcopy(state)
     x = Tensor(np.random.default_rng(1).random((4, 3, 32, 32)))
     chain = []
-    out = head.forward(cnn.forward_features(x, training=True, chain=chain), chain=chain)
-    _, cotangent, prior = map_objective(
-        out, np.ones(4), head.parameters(), cfg.alpha, cfg.beta)
+    z = cnn.forward_features(x, training=True, chain=chain).data
+    out = head.forward(z, chain=chain)
+    _, cotangent, prior = map_objective(out, np.ones(4), head.params, cfg.alpha, cfg.beta)
     _, grads = backward(chain, cotangent)
     grads.update({name: grads[name] + g for name, g in prior.items()})
-    for name, p in params:
-        p.assign(p.data - 1e-3 * grads[name])
-    assert not np.array_equal(cnn.bn_mean, saved["cnn"]["bn.running_mean"])
+    for params in (cnn.params, head.params):
+        sgd_update(params, grads, 1e-3)
+    assert not np.array_equal(cnn.buffers["bn.running_mean"], saved["cnn"]["bn.running_mean"])
     for part in ("cnn", "head"):
         for name, arr in state[part].items():
             assert np.array_equal(arr, saved[part][name]), name
-    held = [state["cnn"][name] for name, _ in cnn.parameters()]
-    held += [state["head"][name] for name, _ in head.parameters()]
-    assert all(np.shares_memory(a, b) for a, b in zip(held, live))
-    others = live + [p.data for _, p in params] + [buf for _, buf in cnn.buffers()]
-    for name, _ in cnn.buffers():
+    held = {**{name: state["cnn"][name] for name in cnn.params}, **state["head"]}
+    assert held.keys() == live.keys()
+    assert all(held[name] is arr for name, arr in live.items())
+    others = [*live.values(), *cnn.params.values(), *head.params.values(),
+              *cnn.buffers.values()]
+    for name in cnn.buffers:
         assert not any(np.shares_memory(state["cnn"][name], arr) for arr in others), name
+
+
+@pytest.mark.parametrize("mode", ["map", "variational"])
+def test_validation_scoring_holds_no_training_pull(mode, monkeypatch):
+    """Each pull an epoch's SGD steps link, the last step's included, has
+    been collected by the time that epoch's validation scoring starts: no
+    chain of a step, nor its gradients or features, outlives the step loop."""
+    cnn, head, split, cfg = _setup(epochs=2, inference_mode=mode, early_stop_gap=1.0)
+    pulls = []
+    alive = []
+    real_link, real_scores = T.link, train_module.posterior_scores
+
+    def link(chain, names, result):
+        if chain is not None:
+            pulls.append(weakref.ref(result[1]))
+        return real_link(chain, names, result)
+
+    def posterior_scores(*args):
+        alive.append(sum(ref() is not None for ref in pulls))
+        return real_scores(*args)
+
+    monkeypatch.setattr(T, "link", link)
+    monkeypatch.setattr(train_module, "posterior_scores", posterior_scores)
+    train(cnn, head, split, cfg)
+    assert pulls
+    assert alive == [0] * (3 * cfg.epochs + 1)  # three per epoch, then the threshold
 
 
 def test_snapshot_metrics_strictly_improve():
