@@ -325,11 +325,13 @@ def predictive(z_row: np.ndarray, head,
     the inference-mode output at the curvature's kept weights, and the
     variance adds the weight-uncertainty quadratic form, ||B z~||^2 with B the
     curvature's factor, to the noise floor 1/beta, so it can never fall below
-    1/beta. A curvature built for another head is rejected.
+    1/beta. A curvature built for another head, or a non-finite row, is rejected.
     """
     if head is not curvature.head:
         raise ValueError("curvature was built for a different head")
     z = np.asarray(z_row, dtype=np.float64)[None, :]
+    if not np.isfinite(z).all():
+        raise FloatingPointError("query features hold non-finite values")
     mean = float(head.forward_with(z, curvature.weights, training=False)[0])
     b = curvature.factor() @ head.gradient_coordinates(z)[0]
     return mean, 1.0 / curvature.beta + float(b @ b)

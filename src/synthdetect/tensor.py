@@ -92,10 +92,8 @@ class Tensor:
 
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "Tensor":
-        """Wrap ``arr`` itself, a strided view included, without the copy or
-        the finite check ``Tensor(arr)`` makes; the caller (an op, or a caller
-        that made a private buffer) hands it over and must not write to it
-        again."""
+        """Wrap ``arr`` itself, a strided view included, without the copy and
+        finite check of ``Tensor(arr)``; the caller must not write to it again."""
         t = cls.__new__(cls)
         t.data = _locked(np.asarray(arr, dtype=np.float64))
         return t

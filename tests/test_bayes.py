@@ -559,6 +559,16 @@ def test_predictive_rejects_curvature_of_another_head():
         predictive(rng.normal(size=6), twin, curv)
 
 
+def test_predictive_rejects_non_finite_query():
+    rng = np.random.default_rng(33)
+    head = BayesianHead(6, hidden=5, rng=rng)
+    curv = GaussNewtonCurvature(head, rng.normal(size=(10, 6)))
+    z = rng.normal(size=6)
+    z[2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        predictive(z, head, curv)
+
+
 def test_predictive_reaches_no_solver_and_no_tape(monkeypatch):
     rng = np.random.default_rng(30)
     head = BayesianHead(6, hidden=5, alpha=0.5, beta=4.0, rng=rng)
